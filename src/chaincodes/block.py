@@ -11,8 +11,7 @@ from itertools import product
 from math import ceil
 
 from .errors import BudgetExceeded, InvalidParams
-from .linalg import (RingMatrix, gamma_basis, gamma_dimension,
-                     is_gamma_generator_sequence,
+from .linalg import (RingMatrix, gamma_basis, is_gamma_generator_sequence,
                      is_gamma_linearly_independent, parameters_of, shape_of)
 
 DEFAULT_DISTANCE_BUDGET = 10 ** 7

@@ -18,8 +18,8 @@ import time
 from . import __version__
 from .block import (BlockCode, is_mds, min_distance_block, nu_optimal_sets,
                     singleton_bound_block)
-from .conv import (DISTANCES, MINORS, ConvCode, PolyMatrix, column_distance,
-                   distance_bounds, embedding_preserves_L, field_L_index,
+from .conv import (DISTANCES, MINORS, ConvCode, distance_bounds,
+                   distance_profile, embedding_preserves_L, field_L_index,
                    is_mdp, is_polynomial_gamma_basis, is_reverse_mdp, L_index,
                    optimal_cd_bound)
 from .constructions import (EXHAUSTIVE, RANDOM, ROWS_EXAMPLE, ROWS_FORMULA,
@@ -27,7 +27,8 @@ from .constructions import (EXHAUSTIVE, RANDOM, ROWS_EXAMPLE, ROWS_FORMULA,
                             extract_mdp_blocks, is_gamma_superregular,
                             is_reverse_gamma_superregular,
                             lift_from_residue_field, search_superregular)
-from .errors import ChainCodesError, InvalidParams, NuNotDividingK
+from .errors import (ChainCodesError, CrossCheckFailed, InvalidParams,
+                     NuNotDividingK)
 from .fields import prime_power_split
 from .linalg import (RingMatrix, gamma_dimension, parameters_of, shape_of,
                      standard_form)
@@ -156,7 +157,7 @@ def cmd_check(args, report):
             via_minors = pred(code, method=MINORS, budget=args.budget)
             via_distances = pred(code, method=DISTANCES, budget=args.budget)
             if via_minors != via_distances:
-                raise AssertionError(
+                raise CrossCheckFailed(
                     f"minors verdict {via_minors} disagrees with "
                     f"distances verdict {via_distances}")
             res[args.property] = {"minors": via_minors,
@@ -215,9 +216,8 @@ def cmd_distances(args, report):
     code = load_code(args.code)
     ring = code.ring
     n, k = code.n, code.k
-    profile = [column_distance(code, j, budget=args.budget)
-               for j in range(args.max_j + 1)]
-    res["profile"] = profile
+    profile = distance_profile(code, args.max_j, budget=args.budget)
+    res["profile"] = list(profile)
     bounds = [optimal_cd_bound(j, n, k, ring.nu)
               for j in range(args.max_j + 1)]
     res["optimal_bounds"] = bounds
@@ -288,7 +288,9 @@ def cmd_search(args, report):
     if hits:
         check = is_reverse_gamma_superregular if args.reverse \
             else is_gamma_superregular
-        assert check(hits[0], cross_check=True)
+        if not check(hits[0], cross_check=True):
+            raise CrossCheckFailed("first hit fails the cross-checked "
+                                   "re-verification")
     return EXIT_HOLDS
 
 
@@ -300,8 +302,6 @@ def build_parser():
         prog="chaincodes",
         description="Construct and verify MDP and reverse-MDP "
                     "convolutional codes over finite chain rings.")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="reserved; execution is single-threaded")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("ring", help="describe a chain ring")
@@ -374,9 +374,6 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     report = Report(argv)
-    if args.threads != 1:
-        report.warn("--threads is accepted for interface stability; "
-                    "execution is single-threaded")
     try:
         code = args.func(args, report)
     except (ChainCodesError, AssertionError, OSError,

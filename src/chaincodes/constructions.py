@@ -18,8 +18,8 @@ from .conv import ConvCode, PolyMatrix, _admissible_column_subsets, is_reduced
 from .errors import (BadCounts, BudgetExceeded, DependentRows,
                      InconsistentBlocks, InvalidParams, NotReduced,
                      NotSuperregular, SizeMismatch)
-from .linalg import (RingMatrix, diagonal_reduction, is_unit_determinant,
-                     residue_determinant)
+from .linalg import (RingMatrix, determinant, diagonal_reduction,
+                     is_unit_determinant, residue_determinant)
 from .rings import zmod
 
 EXHAUSTIVE = "exhaustive"
@@ -97,7 +97,8 @@ def is_gamma_superregular(spec: ToeplitzSpec, cross_check=True,
                           certificate=False):
     """Every proper submatrix has unit determinant.  The residue-field
     determinant decides; when cross_check is set, the exact ring
-    determinant path is evaluated too and asserted to agree."""
+    determinant path is evaluated too and must agree (CrossCheckFailed
+    otherwise)."""
     ring = spec.ring
     A = spec.materialize()
     field = ring.residue
@@ -105,25 +106,19 @@ def is_gamma_superregular(spec: ToeplitzSpec, cross_check=True,
     cert = []
     for I, J in proper_index_pairs(spec.size):
         sub = A.submatrix([i - 1 for i in I], [j - 1 for j in J])
-        unit = residue_determinant(sub) != field.zero
         if cross_check:
-            via_ring = is_unit_determinant(sub)
-            assert via_ring == unit, "determinant paths disagree"
+            unit = is_unit_determinant(sub)
+        else:
+            unit = residue_determinant(sub) != field.zero
         if certificate:
             cert.append({"rows": list(I), "cols": list(J),
                          "minor_valuation":
-                             0 if unit else ring.valuation(
-                                 _exact_det(sub))})
+                             0 if unit else ring.valuation(determinant(sub))})
         if not unit:
             ok = False
             if not certificate:
                 return False
     return (ok, cert) if certificate else ok
-
-
-def _exact_det(sub):
-    from .linalg import determinant
-    return determinant(sub)
 
 
 def is_reverse_gamma_superregular(spec: ToeplitzSpec, cross_check=True):

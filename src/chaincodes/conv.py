@@ -15,12 +15,12 @@ from fractions import Fraction
 from itertools import product
 from math import ceil
 
-from .errors import (BudgetExceeded, CodeLoadError, InvalidParams,
-                     NotDelayFree, NotReduced, NuNotDividingK,
+from .errors import (BudgetExceeded, CodeLoadError, CrossCheckFailed,
+                     InvalidParams, NotDelayFree, NotReduced, NuNotDividingK,
                      PreconditionViolated, UnequalRowDegrees, ZeroRow)
 from .linalg import (RingMatrix, diagonal_reduction, field_rank,
                      gamma_span_solve, is_gamma_generator_sequence,
-                     is_gamma_linearly_independent)
+                     is_gamma_linearly_independent, module_solve_left)
 from .rings import make_ring
 
 DISTANCES = "distances"
@@ -202,26 +202,6 @@ def is_polynomial_gamma_basis(G: PolyMatrix, budget=None):
     return True
 
 
-def _ring_solve_left(A: RingMatrix, target):
-    """Whether some u in R^m solves u*A == target (full ring coefficients)."""
-    ring = A.ring
-    exps, L, R = diagonal_reduction(A)
-    # u*A = target  <=>  y*D = target*R with y = u*L^{-1} unconstrained
-    w = []
-    for j in range(A.cols):
-        acc = ring.zero
-        for i in range(A.cols):
-            acc = ring.add(acc, ring.mul(target[i], R.entry(i, j)))
-        w.append(acc)
-    for j in range(A.cols):
-        if j < len(exps):
-            if ring.valuation(w[j]) < exps[j]:
-                return False
-        elif w[j] != ring.zero:
-            return False
-    return True
-
-
 def is_free_code(G: PolyMatrix, degree_slack=2):
     """Whether the row module of G(z) over R[z] is free.
 
@@ -245,7 +225,7 @@ def is_free_code(G: PolyMatrix, degree_slack=2):
             kept.append(i)
             continue
         A = _expansion_matrix(G, kept, shifts, width)
-        if _ring_solve_left(A, row):
+        if module_solve_left(A, row):
             deferred.append(i)
             continue
         # row is independent from the kept ones; check it is torsion-free
@@ -259,7 +239,7 @@ def is_free_code(G: PolyMatrix, degree_slack=2):
     if len(exps) != expected or any(e != 0 for e in exps):
         return False
     for i in deferred:
-        if not _ring_solve_left(A, _expand_row(G, i, 0, width)):
+        if not module_solve_left(A, _expand_row(G, i, 0, width)):
             return False
     return True
 
@@ -296,7 +276,9 @@ class ConvCode:
     @property
     def delta(self):
         """Gamma-degree; defined through a reduced encoder."""
-        return gamma_degree(self.encoder)
+        if not self.reduced():
+            raise NotReduced("gamma-degree requires a reduced encoder")
+        return sum(self.encoder.row_degrees())
 
     def to_json(self):
         return {"ring": self.ring.descriptor(), "n": self.n,
@@ -317,11 +299,10 @@ class ConvCode:
                 raise CodeLoadError(
                     f"claimed k={claimed['k']} but encoder has k={code.k}")
             if claimed.get("delta") is not None:
-                delta = gamma_degree(encoder)
-                if claimed["delta"] != delta:
+                if claimed["delta"] != code.delta:
                     raise CodeLoadError(
                         f"claimed delta={claimed['delta']} but encoder "
-                        f"has gamma-degree {delta}")
+                        f"has gamma-degree {code.delta}")
         return code
 
     def __repr__(self):
@@ -368,11 +349,6 @@ def column_distance(C: ConvCode, j, budget=DEFAULT_DISTANCE_BUDGET):
 
 
 @dataclass(frozen=True)
-class DistanceProfile:
-    values: tuple
-
-
-@dataclass(frozen=True)
 class DistanceBounds:
     L: int
     N: int
@@ -381,8 +357,9 @@ class DistanceBounds:
 
 
 def distance_profile(C: ConvCode, max_j, budget=DEFAULT_DISTANCE_BUDGET):
-    return DistanceProfile(tuple(column_distance(C, j, budget=budget)
-                                 for j in range(max_j + 1)))
+    """(d_0, ..., d_max_j), the column distances up to max_j."""
+    return tuple(column_distance(C, j, budget=budget)
+                 for j in range(max_j + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -520,11 +497,11 @@ def _minors_condition(S: RingMatrix, L, n, k0, assert_genseq=True):
     checked_genseq = not assert_genseq
     for subset in _admissible_column_subsets(L, n, k0):
         if not checked_genseq:
-            # licensing assertion for the fast path, size-guarded
+            # licensing check for the fast path, size-guarded
             if field.q ** S.rows <= GENSEQ_ASSERT_LIMIT:
-                sub = S.select_columns(subset)
-                assert is_gamma_generator_sequence(sub), \
-                    "column selection broke the generator-sequence property"
+                if not is_gamma_generator_sequence(S.select_columns(subset)):
+                    raise CrossCheckFailed("column selection broke the "
+                                           "generator-sequence property")
             checked_genseq = True
         rows = [[prow[c] for c in subset] for prow in proj]
         if field_rank(field, rows) != need:
@@ -545,9 +522,10 @@ def is_mdp(C: ConvCode, method=MINORS, budget=DEFAULT_DISTANCE_BUDGET):
     if method != MINORS:
         raise ValueError(f"unknown method {method!r}")
     S = sliding_matrix(C.encoder, L)
-    if ring.q ** S.rows <= GENSEQ_ASSERT_LIMIT:
-        assert is_gamma_generator_sequence(S), \
-            "sliding matrix rows are not a gamma-generator sequence"
+    if ring.q ** S.rows <= GENSEQ_ASSERT_LIMIT \
+            and not is_gamma_generator_sequence(S):
+        raise CrossCheckFailed(
+            "sliding matrix rows are not a gamma-generator sequence")
     return _minors_condition(S, L, C.n, k0)
 
 

@@ -41,6 +41,10 @@ class MethodPreconditionViolated(ChainCodesError):
     """Fast-path method requested outside its precondition."""
 
 
+class CrossCheckFailed(ChainCodesError):
+    """Two independent computations of the same fact disagree."""
+
+
 # codes
 
 class InvalidParams(ChainCodesError):

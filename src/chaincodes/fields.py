@@ -317,8 +317,14 @@ _FIELD_CACHE = {}
 
 
 def get_field(p, h=1, modulus=None):
-    """Shared field instances so the big Zech tables are built once."""
-    key = (p, h, tuple(modulus) if modulus is not None else None)
+    """Shared field instances so the big Zech tables are built once; the
+    cache is keyed on the resolved modulus, so the default and an explicit
+    copy of it share one field."""
+    if h == 1:
+        modulus = (0, 1)
+    elif modulus is None:
+        modulus = default_modulus(p, h)
+    key = (p, h, tuple(c % p for c in modulus))
     if key not in _FIELD_CACHE:
         _FIELD_CACHE[key] = PrimeField(p) if h == 1 else ExtField(p, h, modulus)
     return _FIELD_CACHE[key]

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from itertools import product
 
-from .errors import (BudgetExceeded, MethodPreconditionViolated, NotSquare,
-                     ZeroMatrix)
+from .errors import (BudgetExceeded, CrossCheckFailed,
+                     MethodPreconditionViolated, NotSquare, ZeroMatrix)
 
 ORACLE = "oracle"
 SHAPE_FAST = "shape-fast"
@@ -137,71 +137,75 @@ class RingMatrix:
 # ---------------------------------------------------------------------------
 # residue-field linear algebra on code matrices (lists of lists of ints)
 
-def field_row_reduce(field, rows):
-    """Row echelon form; returns (echelon rows, transform U, pivot cols)
-    with U * input == echelon."""
-    m = len(rows)
-    work = [list(r) for r in rows]
-    n = len(work[0]) if work else 0
-    trans = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    pivots = []
+def field_echelon(field, rows, width=None):
+    """Forward elimination over the residue field: (echelon rows, rank,
+    det).
+
+    Pivots are taken only in the first `width` columns (all by default):
+    column by column, the first nonzero entry at or below the current row
+    is swapped up and the entries below it are cleared.  det is the
+    determinant of a square input; it is zero once a column has no
+    pivot."""
+    work = list(rows)  # rows are replaced, never changed in place
+    m = len(work)
+    if width is None:
+        width = len(work[0]) if work else 0
+    add, mul, neg = field.add, field.mul, field.neg
+    det = field.one
     r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, m) if work[i][c]), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        trans[r], trans[pivot] = trans[pivot], trans[r]
-        inv = field.inv(work[r][c])
-        work[r] = [field.mul(inv, x) for x in work[r]]
-        trans[r] = [field.mul(inv, x) for x in trans[r]]
-        for i in range(m):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [field.sub(x, field.mul(f, y))
-                           for x, y in zip(work[i], work[r])]
-                trans[i] = [field.sub(x, field.mul(f, y))
-                            for x, y in zip(trans[i], trans[r])]
-        pivots.append(c)
-        r += 1
+    for c in range(width):
         if r == m:
             break
-    return work, trans, pivots
+        for pivot in range(r, m):
+            if work[pivot][c]:
+                break
+        else:
+            det = field.zero
+            continue
+        if pivot != r:
+            work[r], work[pivot] = work[pivot], work[r]
+            det = neg(det)
+        prow = work[r]
+        det = mul(det, prow[c])
+        below = [i for i in range(r + 1, m) if work[i][c]]
+        if below:
+            inv = field.inv(prow[c])
+            # below the pivot row, columns up to c are zero once updated
+            head = [field.zero] * (c + 1)
+            tail = prow[c + 1:]
+            for i in below:
+                row = work[i]
+                f = neg(mul(row[c], inv))
+                work[i] = head + [add(x, mul(f, y))
+                                  for x, y in zip(row[c + 1:], tail)]
+        r += 1
+    return work, r, det
 
 
 def field_rank(field, rows):
-    _, _, pivots = field_row_reduce(field, rows)
-    return len(pivots)
+    return field_echelon(field, rows)[1]
 
 
 def field_left_kernel(field, rows):
-    """Basis of {x : x * rows == 0}."""
-    work, trans, pivots = field_row_reduce(field, rows)
-    rank = len(pivots)
-    return trans[rank:]
+    """Basis of {x : x * rows == 0}: eliminate [rows | I] with pivots in
+    the rows' columns; the I-parts of the rows past the rank span it."""
+    m = len(rows)
+    n = len(rows[0]) if rows else 0
+    aug = [list(row) + [1 if i == j else 0 for j in range(m)]
+           for i, row in enumerate(rows)]
+    work, rank, _ = field_echelon(field, aug, width=n)
+    return [row[n:] for row in work[rank:]]
 
 
 def field_solve_left(field, rows, target):
-    """One x with x * rows == target, or None."""
+    """One x with x * rows == target, or None: a left-kernel vector y of
+    (rows; target) with y_m != 0 gives x = -y[:m] / y_m."""
     m = len(rows)
-    n = len(rows[0]) if rows else len(target)
-    # Gaussian solve of the transposed system rows^T * x^T = target^T
-    a = [[rows[i][j] for i in range(m)] + [target[j]] for j in range(n)]
-    red, _, piv = field_row_reduce(field, a)
-    x = [0] * m
-    for row_idx, c in enumerate(piv):
-        if c == m:  # pivot in the augmented column: inconsistent
-            return None
-        x[c] = red[row_idx][m]
-    # rows below rank must have zero rhs
-    for row in red[len(piv):]:
-        if row[m]:
-            return None
-    return x
-
-
-def iter_field_vectors(field, dim):
-    return product(field.elements(), repeat=dim)
+    for y in field_left_kernel(field, list(rows) + [list(target)]):
+        if y[m]:
+            f = field.neg(field.inv(y[m]))
+            return [field.mul(f, c) for c in y[:m]]
+    return None
 
 
 def iter_span(field, basis, include_zero=False):
@@ -221,63 +225,66 @@ def iter_span(field, basis, include_zero=False):
 
 
 # ---------------------------------------------------------------------------
-# diagonal reduction and the module invariants
+# ring elimination: minimal-valuation pivots, divisions only by units
+
+def _min_valuation_pivot(ring, W, rows, cols):
+    """(v, i, j) for the first entry W[i][j] of least valuation v < nu,
+    scanning column by column; None when every entry is zero."""
+    valuation, nu = ring.valuation, ring.nu
+    best = None
+    for j in cols:
+        for i in rows:
+            v = valuation(W[i][j])
+            if v == 0:
+                return 0, i, j
+            if v < nu and (best is None or v < best[0]):
+                best = (v, i, j)
+    return best
+
+
+def _sub_multiple(ring, row, f, pivot_row):
+    """row - f * pivot_row, entry-wise."""
+    sub, mul = ring.sub, ring.mul
+    return [sub(x, mul(f, y)) for x, y in zip(row, pivot_row)]
+
 
 def diagonal_reduction(A):
     """(exponents, L, R) with L*A*R = diag(gamma^e1, ..., gamma^et, 0...),
     L and R invertible, e1 <= ... <= et < nu."""
     ring = A.ring
-    nu = ring.nu
+    zero, shift_down = ring.zero, ring.shift_down
     m, n = A.rows, A.cols
-    W = [list(row) for row in A.data]
-    L = [list(row) for row in RingMatrix.identity(ring, m).data]
-    R = [list(row) for row in RingMatrix.identity(ring, n).data]
+    # rows of [W | L]; the columns of R are kept as the rows of Rt
+    W = [list(row) + [ring.one if i == j else zero for j in range(m)]
+         for i, row in enumerate(A.data)]
+    Rt = [[ring.one if i == j else zero for j in range(n)] for i in range(n)]
     exps = []
-    k = 0
-    while k < min(m, n):
-        best = None
-        for j in range(k, n):
-            for i in range(k, m):
-                v = ring.valuation(W[i][j])
-                if v < nu and (best is None or v < best[0]):
-                    best = (v, j, i)
-                    if v == 0:
-                        break
-            if best is not None and best[0] == 0:
-                break
+    for k in range(min(m, n)):
+        best = _min_valuation_pivot(ring, W, range(k, m), range(k, n))
         if best is None:
             break
-        e, pj, pi = best
-        if pi != k:
-            W[k], W[pi] = W[pi], W[k]
-            L[k], L[pi] = L[pi], L[k]
+        e, pi, pj = best
+        W[k], W[pi] = W[pi], W[k]
         if pj != k:
             for row in W:
                 row[k], row[pj] = row[pj], row[k]
-            for row in R:
-                row[k], row[pj] = row[pj], row[k]
+            Rt[k], Rt[pj] = Rt[pj], Rt[k]
         inv = ring.invert_unit(ring.unit_part(W[k][k]))
         W[k] = [ring.mul(inv, x) for x in W[k]]
-        L[k] = [ring.mul(inv, x) for x in L[k]]
         # clear the pivot column with row operations
-        for i in range(m):
-            if i != k and W[i][k] != ring.zero:
-                f = ring.shift_down(W[i][k], e)
-                W[i] = [ring.sub(x, ring.mul(f, y))
-                        for x, y in zip(W[i], W[k])]
-                L[i] = [ring.sub(x, ring.mul(f, y))
-                        for x, y in zip(L[i], L[k])]
-        # clear the pivot row with column operations
-        for j in range(n):
-            if j != k and W[k][j] != ring.zero:
-                f = ring.shift_down(W[k][j], e)
-                for row in W:
-                    row[j] = ring.sub(row[j], ring.mul(f, row[k]))
-                for row in R:
-                    row[j] = ring.sub(row[j], ring.mul(f, row[k]))
+        for i in range(k + 1, m):
+            if W[i][k] != zero:
+                W[i] = _sub_multiple(ring, W[i], shift_down(W[i][k], e), W[k])
+        # clear the pivot row with column operations; W[k][k] is gamma^e
+        # and the rest of column k is zero, so on W they only zero the row
+        for j in range(k + 1, n):
+            if W[k][j] != zero:
+                Rt[j] = _sub_multiple(ring, Rt[j], shift_down(W[k][j], e),
+                                      Rt[k])
+                W[k][j] = zero
         exps.append(e)
-        k += 1
-    return (tuple(exps), RingMatrix(ring, L, cols=m),
+    R = [[Rt[j][i] for j in range(n)] for i in range(n)]
+    return (tuple(exps), RingMatrix(ring, [row[n:] for row in W], cols=m),
             RingMatrix(ring, R, cols=n))
 
 
@@ -483,41 +490,29 @@ def standard_form(A):
     ring = A.ring
     if A.is_zero():
         raise ZeroMatrix("standard form undefined for the zero matrix")
-    nu = ring.nu
+    zero, shift_down = ring.zero, ring.shift_down
     W = [list(row) for row in A.data]
-    m, n = A.rows, A.cols
-    free_rows = list(range(m))
+    n = A.cols
+    free_rows = list(range(A.rows))
     free_cols = list(range(n))
     placed = []        # (row vector, level, pivot col)
     while free_rows and free_cols:
-        best = None
-        for j in free_cols:
-            for i in free_rows:
-                v = ring.valuation(W[i][j])
-                if v < nu and (best is None or v < best[0]):
-                    best = (v, j, i)
-                    if v == 0:
-                        break
-            if best is not None and best[0] == 0:
-                break
+        best = _min_valuation_pivot(ring, W, free_rows, free_cols)
         if best is None:
             break
-        e, pj, pi = best
+        e, pi, pj = best
         inv = ring.invert_unit(ring.unit_part(W[pi][pj]))
         W[pi] = [ring.mul(inv, x) for x in W[pi]]
         # clear the pivot column from every other candidate row and from
         # already-placed rows of the same level (keeps the identity blocks)
-        others = [i for i in free_rows if i != pi]
-        for i in others:
-            if W[i][pj] != ring.zero:
-                f = ring.shift_down(W[i][pj], e)
-                W[i] = [ring.sub(x, ring.mul(f, y))
-                        for x, y in zip(W[i], W[pi])]
+        for i in free_rows:
+            if i != pi and W[i][pj] != zero:
+                W[i] = _sub_multiple(ring, W[i], shift_down(W[i][pj], e),
+                                     W[pi])
         for rec in placed:
-            if rec[1] == e and rec[0][pj] != ring.zero:
-                f = ring.shift_down(rec[0][pj], e)
-                rec[0][:] = [ring.sub(x, ring.mul(f, y))
-                             for x, y in zip(rec[0], W[pi])]
+            if rec[1] == e and rec[0][pj] != zero:
+                rec[0] = _sub_multiple(ring, rec[0],
+                                       shift_down(rec[0][pj], e), W[pi])
         placed.append([W[pi], e, pj])
         free_rows.remove(pi)
         free_cols.remove(pj)
@@ -527,19 +522,12 @@ def standard_form(A):
     return S, perm
 
 
-def standard_form_levels(A):
-    """Standard form plus the level of each row (internal helper)."""
-    ring = A.ring
-    S, perm = standard_form(A)
-    levels = tuple(ring.valuation(S.data[i][i]) for i in range(S.rows))
-    return S, perm, levels
-
-
 def gamma_standard_form(A):
     """(G, perm): gamma-basis of the row module of the column-permuted A,
     arranged in the layered gamma-standard-form pattern."""
     ring = A.ring
-    S, perm, levels = standard_form_levels(A)
+    S, perm = standard_form(A)
+    levels = [ring.valuation(S.data[i][i]) for i in range(S.rows)]
     out = []
     for layer in range(ring.nu):
         for i, e in enumerate(levels):
@@ -551,9 +539,8 @@ def gamma_standard_form(A):
                 for j in range(i + 1, S.rows):
                     ej = levels[j]
                     if e < ej <= layer and v[j] != ring.zero:
-                        f = ring.shift_down(v[j], ej)
-                        v = [ring.sub(x, ring.mul(f, y))
-                             for x, y in zip(v, S.data[j])]
+                        v = _sub_multiple(ring, v, ring.shift_down(v[j], ej),
+                                          S.data[j])
                 out.append(v)
     return RingMatrix(ring, out, cols=A.cols), perm
 
@@ -567,61 +554,37 @@ def determinant(A):
     ring = A.ring
     if A.rows != A.cols:
         raise NotSquare("determinant needs a square matrix")
-    n = A.rows
-    if n == 0:
-        return ring.one
-    W = [list(row) for row in A.data]
+    W = list(A.data)
     det = ring.one
-    for k in range(n):
-        best = None
-        for i in range(k, n):
-            v = ring.valuation(W[i][k])
-            if v < ring.nu and (best is None or v < best[0]):
-                best = (v, i)
-                if v == 0:
-                    break
+    while W:
+        # clear the first column, then go on with the trailing block
+        best = _min_valuation_pivot(ring, W, range(len(W)), (0,))
         if best is None:
             return ring.zero
-        e, pi = best
-        if pi != k:
-            W[k], W[pi] = W[pi], W[k]
+        e, pi, _ = best
+        if pi:
+            W[0], W[pi] = W[pi], W[0]
             det = ring.neg(det)
-        pivot = W[k][k]
+        pivot, tail = W[0][0], W[0][1:]
         det = ring.mul(det, pivot)
         inv_unit = ring.invert_unit(ring.unit_part(pivot))
-        for i in range(k + 1, n):
-            if W[i][k] != ring.zero:
+        trailing = []
+        for row in W[1:]:
+            if row[0] == ring.zero:
+                trailing.append(row[1:])
+            else:
                 # factor = entry / pivot, valid because val(entry) >= e
-                f = ring.mul(ring.shift_down(W[i][k], e), inv_unit)
-                W[i] = [ring.sub(x, ring.mul(f, y))
-                        for x, y in zip(W[i], W[k])]
+                f = ring.mul(ring.shift_down(row[0], e), inv_unit)
+                trailing.append(_sub_multiple(ring, row[1:], f, tail))
+        W = trailing
     return det
 
 
 def residue_determinant(A):
     """det of the projection, in the residue field."""
-    ring = A.ring
     if A.rows != A.cols:
         raise NotSquare("determinant needs a square matrix")
-    field = ring.residue
-    n = A.rows
-    W = A.residue_rows()
-    det = field.one
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if W[i][k]), None)
-        if pivot is None:
-            return field.zero
-        if pivot != k:
-            W[k], W[pivot] = W[pivot], W[k]
-            det = field.neg(det)
-        det = field.mul(det, W[k][k])
-        inv = field.inv(W[k][k])
-        for i in range(k + 1, n):
-            if W[i][k]:
-                f = field.mul(W[i][k], inv)
-                W[i] = [field.sub(x, field.mul(f, y))
-                        for x, y in zip(W[i], W[k])]
-    return det
+    return field_echelon(A.ring.residue, A.residue_rows())[2]
 
 
 def is_unit_determinant(A):
@@ -630,5 +593,6 @@ def is_unit_determinant(A):
     ring = A.ring
     via_residue = residue_determinant(A) != ring.residue.zero
     via_ring = ring.valuation(determinant(A)) == 0
-    assert via_ring == via_residue, "determinant paths disagree"
+    if via_ring != via_residue:
+        raise CrossCheckFailed("determinant paths disagree")
     return via_ring

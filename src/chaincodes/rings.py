@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (DigitNotInT, InvalidConvention, MixedRings, NotAUnit,
-                     RejectedModulus)
-from .fields import get_field, prime_power_split
+from .errors import (DigitNotInT, InvalidConvention, InvalidParams,
+                     MixedRings, NotAUnit, RejectedModulus)
+from .fields import default_modulus, factorize, get_field, prime_power_split
 
 TEICHMULLER = "teichmuller"
 DIGITS = "digits"
@@ -179,6 +179,8 @@ class GaloisRing(ChainRing):
     family = "galois"
 
     def __init__(self, p, r, s, modulus=None, convention=None):
+        if factorize(p) != [p]:
+            raise InvalidParams(f"GR(p^r, s) needs a prime p; got p={p}")
         self.p = p
         self.r = r
         self.s = s
@@ -186,13 +188,12 @@ class GaloisRing(ChainRing):
         self.nu = r
         self.q = p ** s
         if modulus is None:
-            modulus = tuple(get_field(p, s).modulus) if s > 1 else (0, 1)
+            modulus = default_modulus(p, s)
         modulus = tuple(c % self.pr for c in modulus)
         if len(modulus) != s + 1 or modulus[-1] != 1:
             raise RejectedModulus("modulus must be monic of degree s")
-        red = tuple(c % p for c in modulus)
         try:
-            self.residue = get_field(p, s, red) if s > 1 else get_field(p)
+            self.residue = get_field(p, s, modulus)
         except ValueError as exc:
             raise RejectedModulus(str(exc)) from exc
         self.modulus = modulus

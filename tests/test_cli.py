@@ -192,7 +192,15 @@ def test_search_random_deterministic(capsys):
     assert doc1["results"]["count"] == 36
 
 
-def test_threads_flag_warns(capsys, golden):
-    code, doc = run(capsys, "--threads", "4", "ring", "--ring", "z4")
-    assert code == 0
-    assert any("single-threaded" in w for w in doc["warnings"])
+def test_threads_flag_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "4", "ring", "--ring", "z4"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("name", ["gr(4,2,1)", "gr(6,1,1)", "gr(1,1,1)"])
+def test_ring_with_composite_p_rejected(capsys, name):
+    code, doc = run(capsys, "ring", "--ring", name)
+    assert code == 2
+    assert doc["results"]["error"]["type"] == "InvalidParams"

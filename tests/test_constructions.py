@@ -1,4 +1,9 @@
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -275,3 +280,41 @@ def test_search_random_reverse(z11):
     again = search_superregular(3, z11, strategy=RANDOM, seed=1, budget=60,
                                 reverse=True)
     assert [h.first_row for h in again] == [h.first_row for h in hits]
+
+
+# determinant is patched to a non-unit, so the ring path disagrees with the
+# residue path on the unit minor [1]; python -O must not silence that
+CROSS_CHECK_UNDER_O = """
+import contextlib, io, json
+from chaincodes import linalg, zmod
+from chaincodes.cli import main
+from chaincodes.constructions import ToeplitzSpec, is_gamma_superregular
+from chaincodes.errors import CrossCheckFailed
+ring = zmod(11)
+linalg.determinant = lambda A: ring.zero
+try:
+    is_gamma_superregular(ToeplitzSpec(ring, (1, 2, 1)), cross_check=True)
+    raised = False
+except CrossCheckFailed:
+    raised = True
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(["search", "superregular", "--ell", "3", "--ring", "z11"])
+print(json.dumps({"debug": __debug__, "raised": raised, "exit": code,
+                  "error": json.loads(out.getvalue())["results"]["error"]}))
+"""
+
+
+def test_cross_checks_survive_python_O():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-O", "-c", CROSS_CHECK_UNDER_O],
+                          capture_output=True, text=True, env=env,
+                          check=True)
+    got = json.loads(proc.stdout)
+    assert got["debug"] is False
+    assert got["raised"] is True
+    assert got["exit"] == 2
+    assert got["error"]["type"] == "CrossCheckFailed"

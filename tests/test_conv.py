@@ -126,7 +126,7 @@ def test_convcode_rejects_non_basis(z4):
 def test_column_distances_322(code322):
     assert column_distance(code322, 0) == 3
     assert column_distance(code322, 1) == 5
-    assert distance_profile(code322, 1).values == (3, 5)
+    assert distance_profile(code322, 1) == (3, 5)
 
 
 def test_column_distance_needs_delay_free(z4):
@@ -162,7 +162,7 @@ def test_column_distances_nondecreasing_random(z4):
             if not is_polynomial_gamma_basis(G):
                 continue
             C = ConvCode(ring, n, G, validate=False)
-            prof = distance_profile(C, 2).values
+            prof = distance_profile(C, 2)
             assert list(prof) == sorted(prof)
             # gamma-encoders never beat the column-distance bound
             params = parameters_of(G.coefficient(0))
@@ -316,3 +316,28 @@ def test_json_claimed_mismatch(code322):
     obj["claimed"]["k"] = 3
     with pytest.raises(CodeLoadError):
         ConvCode.from_json(obj)
+
+
+def test_delta_runs_the_reducedness_check_once(code322, monkeypatch):
+    from chaincodes import conv
+    calls = []
+    real = conv.is_reduced
+
+    def counting(G, budget=None):
+        calls.append(G)
+        return real(G, budget)
+
+    monkeypatch.setattr(conv, "is_reduced", counting)
+    C = ConvCode(code322.ring, code322.n, code322.encoder)
+    assert [C.delta for _ in range(4)] == [2] * 4
+    assert C.to_json()["claimed"]["delta"] == 2
+    assert len(calls) == 1
+
+
+def test_delta_of_unreduced_encoder_raises_every_time():
+    z9 = zmod(9, convention="teichmuller")  # T = {0, 1, 8}
+    C = ConvCode(z9, 1, PM(z9, [[[0], [0]], [[1], [8]]]),  # rows z and 8z
+                 validate=False)
+    for _ in range(2):
+        with pytest.raises(NotReduced):
+            C.delta

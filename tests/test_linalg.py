@@ -1,11 +1,14 @@
 import random
+from itertools import product
 
 import pytest
 
 from chaincodes import GaloisRing, zmod
 from chaincodes.errors import MethodPreconditionViolated, NotSquare, ZeroMatrix
 from chaincodes.linalg import (ORACLE, SHAPE_FAST, RingMatrix,
-                               determinant, diagonal_reduction, gamma_basis,
+                               determinant, diagonal_reduction,
+                               field_left_kernel, field_rank,
+                               field_solve_left, gamma_basis,
                                gamma_dimension, gamma_span_solve,
                                gamma_standard_form,
                                is_gamma_generator_sequence,
@@ -254,3 +257,67 @@ def test_determinant_galois_ring():
     d = determinant(A)
     assert d == gr.sub(gr.mul(xi, xi), gr.one)
     assert is_unit_determinant(A) == (gr.valuation(d) == 0)
+
+
+# --------------------------------------------------------------- field core
+
+# residue fields F_2, F_3, F_4, F_9 as the fields of nu = 1 Galois rings
+FIELD_RINGS = [(2, 1), (3, 1), (2, 2), (3, 2)]
+
+
+def field_combination(field, coeffs, rows, width):
+    out = [0] * width
+    for c, row in zip(coeffs, rows):
+        for j in range(width):
+            out[j] = field.add(out[j], field.mul(c, row[j]))
+    return out
+
+
+def random_field_rows(field, m, n, rng):
+    """Random m x n rows; about half the time one row is a combination of
+    the others, so that rank deficiency is common over every field."""
+    els = list(field.elements())
+    rows = [[rng.choice(els) for _ in range(n)] for _ in range(m)]
+    if m > 1 and rng.random() < 0.5:
+        coeffs = [rng.choice(els) for _ in range(m - 1)]
+        rows[rng.randrange(m)] = field_combination(field, coeffs,
+                                                   rows[:m - 1], n)
+    return rows
+
+
+def brute_span(field, rows, n):
+    return {tuple(field_combination(field, coeffs, rows, n))
+            for coeffs in product(field.elements(), repeat=len(rows))}
+
+
+@pytest.mark.parametrize("p,s", FIELD_RINGS)
+def test_field_core_against_brute_force(p, s):
+    ring = GaloisRing(p, 1, s)
+    field = ring.residue
+    rng = random.Random(1000 * p + s)
+    top = 4 if field.q <= 4 else 3
+    for _ in range(30):
+        m, n = rng.randint(1, top), rng.randint(1, top)
+        rows = random_field_rows(field, m, n, rng)
+        span = brute_span(field, rows, n)
+        rank = field_rank(field, rows)
+        assert field.q ** rank == len(span)
+        kernel = field_left_kernel(field, rows)
+        assert len(kernel) == m - rank
+        for vec in kernel:
+            assert len(vec) == m
+            assert field_combination(field, vec, rows, n) == [0] * n
+        if kernel:
+            assert field_rank(field, kernel) == len(kernel)
+        for target in (rows[rng.randrange(m)],
+                       [rng.choice(list(field.elements())) for _ in range(n)]):
+            x = field_solve_left(field, rows, target)
+            if tuple(target) in span:
+                assert x is not None
+                assert field_combination(field, x, rows, n) == list(target)
+            else:
+                assert x is None
+        if m == n:
+            det = residue_determinant(M(ring, [[ring.lift(c) for c in row]
+                                               for row in rows]))
+            assert (det != field.zero) == (rank == n)

@@ -3,6 +3,7 @@ import pytest
 from chaincodes import GaloisRing, TruncatedPolyRing, make_ring, residue_ring, zmod
 from chaincodes.errors import (DigitNotInT, InvalidConvention, MixedRings,
                                NotAUnit, RejectedModulus)
+from chaincodes.fields import default_modulus, get_field
 
 
 @pytest.fixture(scope="module")
@@ -179,3 +180,8 @@ def test_residue_ring_wraps_field(z9):
     assert rr.nu == 1
     assert rr.q == 3
     assert rr.size() == 3
+
+
+def test_default_and_explicit_modulus_share_one_field():
+    assert get_field(3, 2) is get_field(3, 2, default_modulus(3, 2))
+    assert GaloisRing(3, 2, 2).residue is get_field(3, 2)

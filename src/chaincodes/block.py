@@ -64,7 +64,8 @@ def min_distance_block(code: BlockCode, budget=DEFAULT_DISTANCE_BUDGET):
     ring = code.ring
     total = ring.q ** code.k
     if total > budget:
-        raise BudgetExceeded(f"{total} codewords exceed budget {budget}")
+        raise BudgetExceeded(f"{total} codewords exceed budget {budget}",
+                             requested=total, allowed=budget)
     zero_word = (ring.zero,) * code.n
     best = None
     for word in code.codewords():

@@ -3,8 +3,8 @@
 Every invocation prints exactly one JSON report document on standard
 output, so constructions pipe into checks.  Exit codes: 0 when the
 command succeeds (and any checked property holds), 1 when a checked
-property fails, 2 on invalid input, violated preconditions, or exceeded
-budgets.
+property fails, 2 on a malformed command line, invalid input, violated
+preconditions, or exceeded budgets.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .constructions import (EXHAUSTIVE, RANDOM, ROWS_EXAMPLE, ROWS_FORMULA,
                             is_reverse_gamma_superregular,
                             lift_from_residue_field, search_superregular)
 from .errors import (ChainCodesError, CrossCheckFailed, InvalidParams,
-                     NuNotDividingK)
+                     NuNotDividingK, UsageError)
 from .fields import prime_power_split
 from .linalg import (RingMatrix, gamma_dimension, parameters_of, shape_of,
                      standard_form)
@@ -297,8 +297,18 @@ def cmd_search(args, report):
 # ---------------------------------------------------------------------------
 # argument parsing
 
+class _Parser(argparse.ArgumentParser):
+    """Writes the usual usage text to stderr, then raises UsageError so
+    that a malformed command line still gets its JSON report."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        raise UsageError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chaincodes",
         description="Construct and verify MDP and reverse-MDP "
                     "convolutional codes over finite chain rings.")
@@ -371,10 +381,9 @@ def build_parser():
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
     report = Report(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args, report)
     except (ChainCodesError, AssertionError, OSError,
             json.JSONDecodeError, ValueError) as exc:

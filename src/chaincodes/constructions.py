@@ -331,7 +331,8 @@ def search_superregular(ell, ring, strategy=EXHAUSTIVE, seed=None,
         total = ring.size() ** (ell - 1)
         if total > budget:
             raise BudgetExceeded(
-                f"exhaustive search needs {total} candidates")
+                f"exhaustive search needs {total} candidates",
+                requested=total, allowed=budget)
         for tail in product(ring.elements(), repeat=ell - 1):
             spec = ToeplitzSpec(ring, (ring.one,) + tail)
             if check(spec, cross_check=False):

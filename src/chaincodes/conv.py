@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import ceil
 
 from .errors import (BudgetExceeded, CodeLoadError, CrossCheckFailed,
@@ -313,39 +312,80 @@ class ConvCode:
 # column distances
 
 def column_distance(C: ConvCode, j, budget=DEFAULT_DISTANCE_BUDGET):
-    """Minimum truncated weight over messages with nonzero first block."""
+    """Minimum truncated weight of u S_j over the T-messages u with a
+    nonzero first block; the budget counts all (q^k - 1) q^(jk) of them.
+
+    Only messages whose first nonzero digit is the representative 1 are
+    visited, which keeps the minimum.  If u has first nonzero digit tau at
+    r < k, tau^-1 u S_j has the same weight; its coefficients tau^-1 u are
+    zero before r and 1 at r.  The rows of S_j in block-row order are a
+    gamma-generator sequence (the encoder is a gamma-basis, which ConvCode
+    checks unless validate=False), so writing each coefficient from r on
+    as t + gamma a' with t in T and pushing a' forward through gamma times
+    its row gives a T-message with the same codeword, zero before r and 1
+    at r: carries only move forward, and 1 is in T for the Teichmueller
+    and the digit transversal alike."""
     if not C.delay_free():
         raise NotDelayFree("column distances need a delay-free encoder")
-    ring = C.ring
-    k, n = C.k, C.n
-    reps = ring.representatives()
-    q = ring.q
-    count = (q ** k - 1) * q ** (j * k)
+    q = C.ring.q
+    count = (q ** C.k - 1) * q ** (j * C.k)
     if count > budget:
         raise BudgetExceeded(
-            f"column distance j={j} needs {count} weight evaluations")
-    S = sliding_matrix(C.encoder, j)
-    zero = ring.zero
-    # scaled-row tables: scaled[r][rep index] = rep * row_r
-    scaled = [[tuple(ring.mul(t, e) for e in S.row(r)) if t != zero else None
-               for t in reps] for r in range(S.rows)]
-    width = (j + 1) * n
-    zero_head = (0,) * k
-    best = None
-    for head in product(range(q), repeat=k):
-        if head == zero_head:
-            continue
-        for tail in product(range(q), repeat=j * k):
-            acc = [zero] * width
-            for r, ti in enumerate(head + tail):
-                srow = scaled[r][ti]
-                if srow is not None:
-                    for c in range(width):
-                        acc[c] = ring.add(acc[c], srow[c])
-            w = sum(1 for e in acc if e != zero)
-            if best is None or w < best:
-                best = w
-    return best
+            f"column distance j={j} needs {count} weight evaluations",
+            requested=count, allowed=budget)
+    return min(_normalised_weights(C, j))
+
+
+def _normalised_weights(C: ConvCode, j):
+    """The weight of u S_j for each T-message u whose first nonzero digit
+    is 1, at r < k.  For each r the later digits run in reflected q-ary Gray
+    order (Knuth, TAOCP 4A, 7.2.1.1, Algorithm H), the sparse last rows
+    fastest; each step adds one sparse (t' - t) times a row in additive
+    coordinates and updates per-position counts of nonzero coordinates."""
+    ring = C.ring
+    reps = ring.representatives()
+    if reps[0] != ring.zero or reps[1] != ring.one:
+        raise CrossCheckFailed("transversal does not start with 0 and 1")
+    q, S = ring.q, sliding_matrix(C.encoder, j)
+    N = S.rows
+    M, coords = ring.additive_coords()
+    d = len(coords(ring.zero))
+    # vecs[i][t]: coordinates of reps[t] times row N-1-i, Gray digit i
+    vecs = [[[c for e in S.row(N - 1 - i) for c in coords(ring.mul(t, e))]
+             for t in reps] for i in range(N)]
+
+    def delta(new, old):
+        return [(c, (x - y) % M, c // d)
+                for c, (x, y) in enumerate(zip(new, old)) if x != y]
+
+    up = [[delta(v[t + 1], v[t]) for t in range(q - 1)] for v in vecs]
+    down = [[delta(v[t], v[t + 1]) for t in range(q - 1)] for v in vecs]
+    for r in range(C.k):
+        m = N - 1 - r  # free digits 0..m-1 are the rows after r
+        acc = list(vecs[m][1])
+        nz = [sum(1 for x in acc[p:p + d] if x) for p in range(0, len(acc), d)]
+        weight = sum(1 for x in nz if x)
+        yield weight
+        a, o, f = [0] * m, [1] * m, list(range(m + 1))
+        while f[0] < m:
+            i = f[0]
+            f[0] = 0
+            t = a[i] = a[i] + o[i]
+            step = up[i][t - 1] if o[i] > 0 else down[i][t]
+            if t == 0 or t == q - 1:
+                o[i] = -o[i]
+                f[i] = f[i + 1]
+                f[i + 1] = i + 1
+            for c, v, pos in step:
+                old = acc[c]
+                new = acc[c] = (old + v) % M
+                if not old:
+                    nz[pos] += 1
+                    weight += nz[pos] == 1
+                elif not new:
+                    nz[pos] -= 1
+                    weight -= not nz[pos]
+            yield weight
 
 
 @dataclass(frozen=True)
@@ -509,16 +549,18 @@ def _minors_condition(S: RingMatrix, L, n, k0, assert_genseq=True):
     return True
 
 
+def _distances_condition(C: ConvCode, L, k0, budget):
+    """d_j^c = (n - k0)(j + 1) + 1 for every j <= L."""
+    return all(column_distance(C, j, budget=budget) == (C.n - k0) * (j + 1) + 1
+               for j in range(L + 1))
+
+
 def is_mdp(C: ConvCode, method=MINORS, budget=DEFAULT_DISTANCE_BUDGET):
     ring = C.ring
     k0 = _check_mdp_preconditions(C)
     L = L_index(C.n, C.k, C.delta, ring.nu)
     if method == DISTANCES:
-        for j in range(L + 1):
-            if column_distance(C, j, budget=budget) != \
-                    (C.n - k0) * (j + 1) + 1:
-                return False
-        return True
+        return _distances_condition(C, L, k0, budget)
     if method != MINORS:
         raise ValueError(f"unknown method {method!r}")
     S = sliding_matrix(C.encoder, L)
@@ -541,11 +583,17 @@ def reverse_encoder(C: ConvCode) -> PolyMatrix:
 
 def is_reverse_mdp(C: ConvCode, method=MINORS,
                    budget=DEFAULT_DISTANCE_BUDGET):
+    """C and the code of its reversed encoder are both MDP; each half is
+    decided by `method` alone."""
     if not is_mdp(C, method=method, budget=budget):
         return False
     rev = reverse_encoder(C)
     ring = C.ring
     k0 = C.k // ring.nu
     L = L_index(C.n, C.k, C.delta, ring.nu)
+    if method == DISTANCES:
+        # validation witnesses that the reversed rows are a gamma-basis,
+        # which column_distance's unit normalisation relies on
+        return _distances_condition(ConvCode(ring, C.n, rev), L, k0, budget)
     S = sliding_matrix(rev, L)
     return _minors_condition(S, L, C.n, k0)

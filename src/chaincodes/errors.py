@@ -52,7 +52,13 @@ class InvalidParams(ChainCodesError):
 
 
 class BudgetExceeded(ChainCodesError):
-    """An exhaustive enumeration would exceed the configured budget."""
+    """An exhaustive enumeration would exceed the configured budget; the
+    amounts are in `requested` and `allowed`."""
+
+    def __init__(self, message, *, requested, allowed):
+        super().__init__(message)
+        self.requested = requested
+        self.allowed = allowed
 
 
 class ZeroRow(ChainCodesError):
@@ -103,3 +109,7 @@ class InconsistentBlocks(ChainCodesError):
 
 class CodeLoadError(ChainCodesError):
     """A serialized code descriptor failed validation on load."""
+
+
+class UsageError(ChainCodesError):
+    """Malformed command line."""

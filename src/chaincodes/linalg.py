@@ -373,7 +373,8 @@ def gamma_span_solve(A, target, budget=DEFAULT_ORACLE_BUDGET):
         if not module_solve_left(A, target):
             return None
         raise BudgetExceeded(
-            f"span membership needs {field.q}^{len(kernel)} candidates")
+            f"span membership needs {field.q}^{len(kernel)} candidates",
+            requested=field.q ** len(kernel), allowed=budget)
     lift = ring.lift
     zero = ring.zero
 
@@ -449,7 +450,8 @@ def is_gamma_linearly_independent(A, method=ORACLE,
         return gamma_dimension(A) == A.rows
     if field.q ** len(kernel) > budget:
         raise BudgetExceeded(
-            f"oracle needs {field.q}^{len(kernel)} kernel lifts")
+            f"oracle needs {field.q}^{len(kernel)} kernel lifts",
+            requested=field.q ** len(kernel), allowed=budget)
     zero = ring.zero
     for cand in iter_span(field, kernel):
         acc = [zero] * A.cols

@@ -324,6 +324,10 @@ class GaloisRing(ChainRing):
         from itertools import product
         return (t for t in product(range(self.pr), repeat=self.s))
 
+    def additive_coords(self):
+        """(M, f), f an additive isomorphism onto (Z/M)^s, M = p^r."""
+        return self.pr, tuple
+
     # --- identity ----------------------------------------------------------
 
     def descriptor(self):
@@ -418,6 +422,12 @@ class TruncatedPolyRing(ChainRing):
     def elements(self):
         from itertools import product
         return (t for t in product(range(self.q), repeat=self.nu))
+
+    def additive_coords(self):
+        """(M, f), f an additive isomorphism onto (Z/p)^(nu h): the h base-p
+        digits of each of the nu field codes."""
+        coords = self.residue.coords
+        return self.p, lambda a: tuple(c for x in a for c in coords(x))
 
     def descriptor(self):
         return {"family": "truncated", "q": self.q, "nu": self.nu}

@@ -42,8 +42,9 @@ def test_codeword_count_and_min_distance(z4):
 
 def test_min_distance_budget(z4):
     code = BlockCode(M(z4, [[1, 1]]))
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded) as exc:
         min_distance_block(code, budget=2)
+    assert (exc.value.requested, exc.value.allowed) == (4, 2)
 
 
 def test_singleton_bound_block():

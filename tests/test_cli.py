@@ -192,11 +192,45 @@ def test_search_random_deterministic(capsys):
     assert doc1["results"]["count"] == 36
 
 
+def assert_usage_error_report(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    doc = json.loads(captured.out)
+    assert doc["schema"] == "chaincodes-report/1"
+    assert doc["command"] == argv
+    assert doc["results"]["error"]["type"] == "UsageError"
+    assert captured.err.startswith("usage: chaincodes")
+
+
 def test_threads_flag_rejected(capsys):
+    assert_usage_error_report(capsys, ["--threads", "4", "ring",
+                                       "--ring", "z4"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["distances", "--code", "code.json"],  # missing --max-j
+    ["ring", "--ring", "z4", "--bogus"],   # unknown flag after a subcommand
+    []])                                   # missing subcommand
+def test_usage_errors_report_json(capsys, argv):
+    assert_usage_error_report(capsys, argv)
+
+
+def test_help_is_unchanged(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["--threads", "4", "ring", "--ring", "z4"])
-    assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
+        main(["--help"])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: chaincodes")
+    assert captured.err == ""
+
+
+def test_check_reverse_mdp_both(capsys, golden):
+    code, doc = run(capsys, "check", "reverse-mdp", "--code",
+                    str(golden["code322"]), "--method", "both")
+    assert code == 0
+    assert doc["results"]["reverse-mdp"] == {"minors": True,
+                                             "distances": True}
 
 
 @pytest.mark.parametrize("name", ["gr(4,2,1)", "gr(6,1,1)", "gr(1,1,1)"])

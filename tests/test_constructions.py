@@ -261,8 +261,9 @@ def test_search_exhaustive_f2():
 
 
 def test_search_exhaustive_budget():
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded) as exc:
         search_superregular(6, zmod(11), strategy=EXHAUSTIVE, budget=10)
+    assert (exc.value.requested, exc.value.allowed) == (11 ** 5, 10)
 
 
 def test_search_random_requires_seed(z11):

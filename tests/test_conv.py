@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,13 +13,16 @@ from chaincodes.conv import (DISTANCES, MINORS, ConvCode, PolyMatrix,
                              is_polynomial_gamma_basis, is_reduced,
                              is_reverse_mdp, L_index,
                              leading_coefficient_matrix, optimal_cd_bound,
-                             reverse_encoder, sliding_matrix)
+                             reverse_encoder, sliding_matrix,
+                             _normalised_weights)
 from chaincodes.errors import (BudgetExceeded, CodeLoadError, InvalidParams,
                                NotDelayFree, NotReduced, NuNotDividingK,
                                PreconditionViolated, UnequalRowDegrees,
                                ZeroRow)
 from chaincodes.linalg import (RingMatrix, is_gamma_generator_sequence,
                                is_gamma_linearly_independent, parameters_of)
+from chaincodes.rings import TruncatedPolyRing, residue_ring
+from oracles import column_distance_oracle, message_weights
 
 
 def M(ring, rows):
@@ -137,8 +141,89 @@ def test_column_distance_needs_delay_free(z4):
 
 
 def test_column_distance_budget(code322):
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded) as exc:
         column_distance(code322, 1, budget=10)
+    # the budget counts every message, not only the unit-normalised ones
+    assert (exc.value.requested, exc.value.allowed) == (14520, 10)
+
+
+def random_poly_matrix(ring, k, n, m, rng):
+    els = list(ring.elements())
+    return PolyMatrix(ring, [M(ring, [[rng.choice(els) for _ in range(n)]
+                                      for _ in range(k)])
+                             for _ in range(m + 1)], k=k, n=n)
+
+
+ORACLE_WORK = 2 * 10 ** 5  # largest messages x rows x columns of S_j
+
+
+def oracle_weights(C):
+    """(j, [(u, weight of u S_j) for every message u]) for j <= 3 while
+    the oracle's work stays within ORACLE_WORK."""
+    q = C.ring.q
+    for j in range(4):
+        messages = (q ** C.k - 1) * q ** (j * C.k)
+        if messages * (j + 1) ** 2 * C.k * C.n > ORACLE_WORK:
+            return
+        yield j, list(message_weights(C, j))
+
+
+def assert_walk_matches_oracle(C, j, weights):
+    """The Gray walk visits exactly the messages whose first nonzero digit
+    is 1, whatever the rows: the same multiset of weights."""
+    normalised = Counter(w for u, w in weights
+                         if next(t for t in u if t) == 1)
+    assert Counter(_normalised_weights(C, j)) == normalised, j
+
+
+def assert_matches_oracle(C):
+    """On a gamma-basis the normalised minimum is the column distance."""
+    for j, weights in oracle_weights(C):
+        assert column_distance(C, j) == min(w for _, w in weights), j
+        assert_walk_matches_oracle(C, j, weights)
+
+
+@pytest.mark.parametrize("ring", [
+    zmod(8), zmod(27),                             # digit transversal
+    GaloisRing(2, 2, 2), GaloisRing(3, 2, 2),      # Teichmueller
+    TruncatedPolyRing(4, 2), TruncatedPolyRing(9, 2),
+    TruncatedPolyRing(2, 3)], ids=repr)
+def test_column_distance_matches_oracle(ring):
+    from chaincodes.constructions import lift_from_residue_field
+    rng = random.Random(2024)
+    field = residue_ring(ring)
+    lifted = 0
+    while lifted < 4:  # lifts of k~ = 1 and k~ = 2 field encoders
+        kt = 1 + lifted % 2
+        G = random_poly_matrix(field, kt, rng.randint(kt + 1, 3),
+                               rng.randint(1, 2), rng)
+        if G.degree >= 1 and is_delay_free(G) and is_reduced(G):
+            assert_matches_oracle(lift_from_residue_field(G, ring))
+            lifted += 1
+    direct = 0
+    while direct < 3:
+        # gamma-layers of a row over the whole ring, not over T
+        base = random_poly_matrix(ring, 1, rng.randint(2, 3), 1, rng)
+        G = base
+        for layer in range(1, ring.nu):
+            G = G.stack(base.scalar_mul(ring.gamma_power(layer)))
+        if G.degree == 1 and is_delay_free(G):
+            assert_matches_oracle(ConvCode(ring, G.n, G))
+            direct += 1
+    for _ in range(3):
+        # rows that need not be a gamma-generator sequence, on which a walk
+        # with a wrong delta no longer permutes the same codewords
+        C = ConvCode(ring, 3, random_poly_matrix(ring, 1, 3, 1, rng),
+                     validate=False)
+        for j, weights in oracle_weights(C):
+            assert_walk_matches_oracle(C, j, weights)
+
+
+def test_column_distance_matches_oracle_on_readme_code(code322):
+    rev = ConvCode(code322.ring, code322.n, reverse_encoder(code322))
+    for C in (code322, rev):
+        for j in (0, 1):
+            assert column_distance(C, j) == column_distance_oracle(C, j)
 
 
 def test_column_distances_nondecreasing_random(z4):
@@ -229,6 +314,16 @@ def test_reverse_mdp_322(code322):
     rev = reverse_encoder(code322)
     assert [[e[0] for e in row] for row in rev.coefficient(0).data] == \
         [[1, 3, 4], [11, 33, 44]]
+
+
+def test_reverse_mdp_by_distances_never_uses_minors(code322, monkeypatch):
+    from chaincodes import conv
+
+    def no_minors(*args, **kwargs):
+        raise AssertionError("minors used by the distances method")
+
+    monkeypatch.setattr(conv, "_minors_condition", no_minors)
+    assert is_reverse_mdp(code322, DISTANCES)
 
 
 def test_mdp_preconditions(z4, z121):

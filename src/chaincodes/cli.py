@@ -27,11 +27,10 @@ from .constructions import (EXHAUSTIVE, RANDOM, ROWS_EXAMPLE, ROWS_FORMULA,
                             extract_mdp_blocks, is_gamma_superregular,
                             is_reverse_gamma_superregular,
                             lift_from_residue_field, search_superregular)
-from .errors import (ChainCodesError, CrossCheckFailed, InvalidParams,
-                     NuNotDividingK, UsageError)
+from .errors import (BudgetExceeded, ChainCodesError, CrossCheckFailed,
+                     InvalidParams, NuNotDividingK, UsageError)
 from .fields import prime_power_split
-from .linalg import (RingMatrix, gamma_dimension, parameters_of, shape_of,
-                     standard_form)
+from .linalg import RingMatrix, shape_of, shape_parameters, standard_form
 from .rings import GaloisRing, TruncatedPolyRing, make_ring, zmod
 
 SCHEMA = "chaincodes-report/1"
@@ -251,11 +250,12 @@ def cmd_blockcode(args, report):
     if args.what == "shape":
         res["shape"] = list(shape_of(A))
     elif args.what == "params":
-        res["parameters"] = list(parameters_of(A))
-        res["gamma_dimension"] = gamma_dimension(A)
-        if gamma_dimension(A):
+        shape = shape_of(A)
+        res["parameters"] = list(shape_parameters(shape))
+        res["gamma_dimension"] = sum(shape)
+        if sum(shape):
             res["nu_optimal_sets"] = [list(t) for t in nu_optimal_sets(
-                gamma_dimension(A), A.ring.nu)]
+                sum(shape), A.ring.nu)]
     elif args.what == "standard-form":
         S, perm = standard_form(A)
         res["standard_form"] = S.to_json()
@@ -387,8 +387,11 @@ def main(argv=None):
         code = args.func(args, report)
     except (ChainCodesError, AssertionError, OSError,
             json.JSONDecodeError, ValueError) as exc:
-        report.doc["results"]["error"] = {
-            "type": type(exc).__name__, "message": str(exc)}
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, BudgetExceeded):
+            error["requested"] = exc.requested
+            error["allowed"] = exc.allowed
+        report.doc["results"]["error"] = error
         return report.emit(EXIT_INVALID)
     return report.emit(code)
 

@@ -18,7 +18,7 @@ from .conv import ConvCode, PolyMatrix, _admissible_column_subsets, is_reduced
 from .errors import (BadCounts, BudgetExceeded, DependentRows,
                      InconsistentBlocks, InvalidParams, NotReduced,
                      NotSuperregular, SizeMismatch)
-from .linalg import (RingMatrix, determinant, diagonal_reduction,
+from .linalg import (RingMatrix, determinant, diagonal_exponents,
                      is_unit_determinant, residue_determinant)
 from .rings import zmod
 
@@ -143,7 +143,7 @@ def stack_gamma_layers(A: RingMatrix, row_counts):
     if any(c < 1 or c > A.rows for c in counts) or list(counts) != \
             sorted(counts):
         raise BadCounts(f"counts {counts} must be nondecreasing in [1, n]")
-    exps, _, _ = diagonal_reduction(A)
+    exps = diagonal_exponents(A)
     if len(exps) != A.rows or any(e != 0 for e in exps):
         raise DependentRows("matrix rows are linearly dependent over R")
     out = []

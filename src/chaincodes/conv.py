@@ -17,7 +17,7 @@ from math import ceil
 from .errors import (BudgetExceeded, CodeLoadError, CrossCheckFailed,
                      InvalidParams, NotDelayFree, NotReduced, NuNotDividingK,
                      PreconditionViolated, UnequalRowDegrees, ZeroRow)
-from .linalg import (RingMatrix, diagonal_reduction, field_rank,
+from .linalg import (RingMatrix, diagonal_exponents, field_clear_column,
                      gamma_span_solve, is_gamma_generator_sequence,
                      is_gamma_linearly_independent, module_solve_left)
 from .rings import make_ring
@@ -233,7 +233,7 @@ def is_free_code(G: PolyMatrix, degree_slack=2):
         return True  # zero module is free
     A = _expansion_matrix(G, kept, shifts, width)
     # the kept rows must be R[z]-independent: no gamma-power kills them
-    exps, _, _ = diagonal_reduction(A)
+    exps = diagonal_exponents(A)
     expected = len(kept) * len(shifts)
     if len(exps) != expected or any(e != 0 for e in exps):
         return False
@@ -261,6 +261,8 @@ class ConvCode:
         self.k = encoder.k
         self._reduced = None
         self._delay_free = None
+        # None until decided; validation witnesses it
+        self._gamma_basis = True if validate else None
 
     def reduced(self):
         if self._reduced is None:
@@ -271,6 +273,12 @@ class ConvCode:
         if self._delay_free is None:
             self._delay_free = is_delay_free(self.encoder)
         return self._delay_free
+
+    def gamma_basis(self):
+        """Whether the encoder rows form a gamma-basis."""
+        if self._gamma_basis is None:
+            self._gamma_basis = is_polynomial_gamma_basis(self.encoder)
+        return self._gamma_basis
 
     @property
     def delta(self):
@@ -319,12 +327,13 @@ def column_distance(C: ConvCode, j, budget=DEFAULT_DISTANCE_BUDGET):
     visited, which keeps the minimum.  If u has first nonzero digit tau at
     r < k, tau^-1 u S_j has the same weight; its coefficients tau^-1 u are
     zero before r and 1 at r.  The rows of S_j in block-row order are a
-    gamma-generator sequence (the encoder is a gamma-basis, which ConvCode
-    checks unless validate=False), so writing each coefficient from r on
-    as t + gamma a' with t in T and pushing a' forward through gamma times
-    its row gives a T-message with the same codeword, zero before r and 1
-    at r: carries only move forward, and 1 is in T for the Teichmueller
-    and the digit transversal alike."""
+    gamma-generator sequence (the encoder is a gamma-basis), so writing
+    each coefficient from r on as t + gamma a' with t in T and pushing a'
+    forward through gamma times its row gives a T-message with the same
+    codeword, zero before r and 1 at r: carries only move forward, and 1
+    is in T for the Teichmueller and the digit transversal alike.  An
+    encoder that ConvCode did not validate is checked for the gamma-basis
+    property once, before its first distance."""
     if not C.delay_free():
         raise NotDelayFree("column distances need a delay-free encoder")
     q = C.ring.q
@@ -333,6 +342,9 @@ def column_distance(C: ConvCode, j, budget=DEFAULT_DISTANCE_BUDGET):
         raise BudgetExceeded(
             f"column distance j={j} needs {count} weight evaluations",
             requested=count, allowed=budget)
+    if not C.gamma_basis():
+        raise PreconditionViolated(
+            "column distances need encoder rows that form a gamma-basis")
     return min(_normalised_weights(C, j))
 
 
@@ -529,24 +541,48 @@ def _minors_condition(S: RingMatrix, L, n, k0, assert_genseq=True):
     """Every admissible column selection of the sliding-type matrix S has
     gamma-linearly independent rows; decided by the residue-rank fast path
     (valid because the selections are gamma-generator sequences and the
-    row count is nu times the column count)."""
+    row count is nu times the column count): the projected rows restricted
+    to the selection have full column rank.
+
+    One depth-first walk over the selections in lexicographic order shares
+    the elimination of each prefix.  It starts from the projected rows that
+    are not zero (the gamma-layers of a lifted code project to zero).  A
+    node holds the rows its prefix did not take as pivots, with the
+    prefix's columns cleared; choosing column t takes the first of them
+    that is nonzero at t as the pivot, clears t from the rest and hands
+    them to the child, and at the last position only a nonzero entry at t
+    is needed.  With no pivot the prefix is dependent, so every selection
+    through it fails and the answer is False."""
     ring = S.ring
     field = ring.residue
-    need = (L + 1) * k0
-    proj = S.residue_rows()
-    checked_genseq = not assert_genseq
-    for subset in _admissible_column_subsets(L, n, k0):
-        if not checked_genseq:
-            # licensing check for the fast path, size-guarded
-            if field.q ** S.rows <= GENSEQ_ASSERT_LIMIT:
-                if not is_gamma_generator_sequence(S.select_columns(subset)):
-                    raise CrossCheckFailed("column selection broke the "
-                                           "generator-sequence property")
-            checked_genseq = True
-        rows = [[prow[c] for c in subset] for prow in proj]
-        if field_rank(field, rows) != need:
-            return False
-    return True
+    need, total = (L + 1) * k0, (L + 1) * n
+    if assert_genseq and field.q ** S.rows <= GENSEQ_ASSERT_LIMIT:
+        # licensing check for the fast path, size-guarded
+        first = next(_admissible_column_subsets(L, n, k0))
+        if not is_gamma_generator_sequence(S.select_columns(first)):
+            raise CrossCheckFailed("column selection broke the "
+                                   "generator-sequence property")
+
+    def independent(rows, c, start):
+        # admissible choices for position c: t_(s*k0+1) > s*n (1-based)
+        lo = max(start, (c // k0) * n) if c % k0 == 0 else start
+        cols = range(lo, total - (need - c) + 1)
+        if c == need - 1:
+            return all(any(row[t] for row in rows) for t in cols)
+        for t in cols:
+            for i, prow in enumerate(rows):
+                if prow[t]:
+                    break
+            else:
+                return False
+            rest = rows[:i] + rows[i + 1:]
+            # the rows before the pivot are zero at t
+            field_clear_column(field, rest, i, prow, t)
+            if not independent(rest, c + 1, t + 1):
+                return False
+        return True
+
+    return independent([row for row in S.residue_rows() if any(row)], 0, 0)
 
 
 def _distances_condition(C: ConvCode, L, k0, budget):

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from functools import reduce
 
+from .errors import InvalidParams
+
 
 def prime_power_split(n):
     """(p, e) with n = p**e, or raise ValueError."""
@@ -319,7 +321,9 @@ _FIELD_CACHE = {}
 def get_field(p, h=1, modulus=None):
     """Shared field instances so the big Zech tables are built once; the
     cache is keyed on the resolved modulus, so the default and an explicit
-    copy of it share one field."""
+    copy of it share one field.  A p that is not prime is rejected."""
+    if factorize(p) != [p]:
+        raise InvalidParams(f"F_(p^h) needs a prime p; got p={p}")
     if h == 1:
         modulus = (0, 1)
     elif modulus is None:

@@ -150,7 +150,7 @@ def field_echelon(field, rows, width=None):
     m = len(work)
     if width is None:
         width = len(work[0]) if work else 0
-    add, mul, neg = field.add, field.mul, field.neg
+    mul, neg = field.mul, field.neg
     det = field.one
     r = 0
     for c in range(width):
@@ -165,21 +165,33 @@ def field_echelon(field, rows, width=None):
         if pivot != r:
             work[r], work[pivot] = work[pivot], work[r]
             det = neg(det)
-        prow = work[r]
-        det = mul(det, prow[c])
-        below = [i for i in range(r + 1, m) if work[i][c]]
-        if below:
-            inv = field.inv(prow[c])
+        det = mul(det, work[r][c])
+        if r + 1 < m:
             # below the pivot row, columns up to c are zero once updated
-            head = [field.zero] * (c + 1)
-            tail = prow[c + 1:]
-            for i in below:
-                row = work[i]
-                f = neg(mul(row[c], inv))
-                work[i] = head + [add(x, mul(f, y))
-                                  for x, y in zip(row[c + 1:], tail)]
+            field_clear_column(field, work, r + 1, work[r], c)
         r += 1
     return work, r, det
+
+
+def field_clear_column(field, rows, start, prow, c):
+    """Clear column c of rows[start:] in place with the pivot row `prow`
+    (prow[c] != 0).
+
+    A row that is zero at c is left as it is; any other row is replaced
+    by zeros up to c followed by its updated entries after c, so entries
+    before c are not read from either row.  Row lists are never changed,
+    only replaced."""
+    add, mul = field.add, field.mul
+    hits = [i for i in range(start, len(rows)) if rows[i][c]]
+    if hits:
+        f0 = field.neg(field.inv(prow[c]))
+        head = [field.zero] * (c + 1)
+        tail = prow[c + 1:]
+        for i in hits:
+            row = rows[i]
+            f = mul(row[c], f0)
+            rows[i] = head + [add(x, mul(f, y))
+                              for x, y in zip(row[c + 1:], tail)]
 
 
 def field_rank(field, rows):
@@ -251,13 +263,30 @@ def _sub_multiple(ring, row, f, pivot_row):
 def diagonal_reduction(A):
     """(exponents, L, R) with L*A*R = diag(gamma^e1, ..., gamma^et, 0...),
     L and R invertible, e1 <= ... <= et < nu."""
+    return _diagonalise(A, transforms=True)
+
+
+def diagonal_exponents(A):
+    """The exponents of diagonal_reduction(A), without building L and R."""
+    return _diagonalise(A, transforms=False)
+
+
+def _diagonalise(A, transforms):
+    """Minimal-valuation pivoting on A.  With `transforms`, row operations
+    run on [W | L] and column operations on the rows of Rt (R transposed);
+    without, only W is kept.  Pivots and exponents depend on W's trailing
+    block alone: the column operations only zero the pivot row, which no
+    later step reads."""
     ring = A.ring
     zero, shift_down = ring.zero, ring.shift_down
     m, n = A.rows, A.cols
-    # rows of [W | L]; the columns of R are kept as the rows of Rt
-    W = [list(row) + [ring.one if i == j else zero for j in range(m)]
-         for i, row in enumerate(A.data)]
-    Rt = [[ring.one if i == j else zero for j in range(n)] for i in range(n)]
+    if transforms:
+        W = [list(row) + [ring.one if i == j else zero for j in range(m)]
+             for i, row in enumerate(A.data)]
+        Rt = [[ring.one if i == j else zero for j in range(n)]
+              for i in range(n)]
+    else:
+        W = [list(row) for row in A.data]
     exps = []
     for k in range(min(m, n)):
         best = _min_valuation_pivot(ring, W, range(k, m), range(k, n))
@@ -268,21 +297,28 @@ def diagonal_reduction(A):
         if pj != k:
             for row in W:
                 row[k], row[pj] = row[pj], row[k]
-            Rt[k], Rt[pj] = Rt[pj], Rt[k]
+            if transforms:
+                Rt[k], Rt[pj] = Rt[pj], Rt[k]
         inv = ring.invert_unit(ring.unit_part(W[k][k]))
-        W[k] = [ring.mul(inv, x) for x in W[k]]
+        # columns before k are zero in rows k and below
+        pivot = W[k][k:] = [ring.mul(inv, x) for x in W[k][k:]]
         # clear the pivot column with row operations
         for i in range(k + 1, m):
             if W[i][k] != zero:
-                W[i] = _sub_multiple(ring, W[i], shift_down(W[i][k], e), W[k])
-        # clear the pivot row with column operations; W[k][k] is gamma^e
-        # and the rest of column k is zero, so on W they only zero the row
-        for j in range(k + 1, n):
-            if W[k][j] != zero:
-                Rt[j] = _sub_multiple(ring, Rt[j], shift_down(W[k][j], e),
-                                      Rt[k])
-                W[k][j] = zero
+                W[i][k:] = _sub_multiple(ring, W[i][k:],
+                                         shift_down(W[i][k], e), pivot)
+        if transforms:
+            # clear the pivot row with column operations; W[k][k] is
+            # gamma^e and the rest of column k is zero, so on W they only
+            # zero the row
+            for j in range(k + 1, n):
+                if W[k][j] != zero:
+                    Rt[j] = _sub_multiple(ring, Rt[j],
+                                          shift_down(W[k][j], e), Rt[k])
+                    W[k][j] = zero
         exps.append(e)
+    if not transforms:
+        return tuple(exps)
     R = [[Rt[j][i] for j in range(n)] for i in range(n)]
     return (tuple(exps), RingMatrix(ring, [row[n:] for row in W], cols=m),
             RingMatrix(ring, R, cols=n))
@@ -290,20 +326,24 @@ def diagonal_reduction(A):
 
 def shape_of(A):
     """nu-shape (mu_1, ..., mu_nu) of the row module of A."""
-    exps, _, _ = diagonal_reduction(A)
-    nu = A.ring.nu
-    return tuple(sum(1 for e in exps if e <= i) for i in range(nu))
+    exps = diagonal_exponents(A)
+    return tuple(sum(1 for e in exps if e <= i) for i in range(A.ring.nu))
 
 
 def gamma_dimension(A):
-    exps, _, _ = diagonal_reduction(A)
-    return sum(A.ring.nu - e for e in exps)
+    """Sum of the nu-shape: each exponent e counts nu - e."""
+    return sum(shape_of(A))
+
+
+def shape_parameters(shape):
+    """(k_0, ..., k_{nu-1}) with k_i = mu_{i+1} - mu_i from a nu-shape."""
+    mu = (0,) + tuple(shape)
+    return tuple(mu[i + 1] - mu[i] for i in range(len(shape)))
 
 
 def parameters_of(A):
-    """(k_0, ..., k_{nu-1}) with k_i = mu_{i+1} - mu_i."""
-    mu = (0,) + shape_of(A)
-    return tuple(mu[i + 1] - mu[i] for i in range(A.ring.nu))
+    """(k_0, ..., k_{nu-1}) of the row module of A."""
+    return shape_parameters(shape_of(A))
 
 
 # ---------------------------------------------------------------------------

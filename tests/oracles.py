@@ -3,7 +3,8 @@ compared against."""
 
 from itertools import product
 
-from chaincodes.conv import sliding_matrix
+from chaincodes.conv import _admissible_column_subsets, sliding_matrix
+from chaincodes.linalg import field_rank
 
 
 def message_weights(C, j):
@@ -37,3 +38,13 @@ def message_weights(C, j):
 def column_distance_oracle(C, j):
     """Minimum truncated weight over messages with nonzero first block."""
     return min(w for _, w in message_weights(C, j))
+
+
+def minors_condition_oracle(S, L, n, k0):
+    """Whether every admissible column selection of S has projected rows
+    of full column rank, one field_rank call per selection."""
+    field = S.ring.residue
+    need = (L + 1) * k0
+    proj = S.residue_rows()
+    return all(field_rank(field, [[row[c] for c in subset] for row in proj])
+               == need for subset in _admissible_column_subsets(L, n, k0))

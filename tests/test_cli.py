@@ -139,7 +139,11 @@ def test_distances_budget_exit_2(capsys, golden):
     code, doc = run(capsys, "distances", "--code", str(golden["code322"]),
                     "--max-j", "9", "--budget", "100000")
     assert code == 2
-    assert doc["results"]["error"]["type"] == "BudgetExceeded"
+    error = doc["results"]["error"]
+    assert error["type"] == "BudgetExceeded"
+    # j = 2 is the first j over the budget: (q^k - 1) q^(jk) messages
+    # with q = 11, k = 2
+    assert (error["requested"], error["allowed"]) == (120 * 121 ** 2, 100000)
 
 
 def test_bounds_report(capsys):

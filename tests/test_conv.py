@@ -14,7 +14,7 @@ from chaincodes.conv import (DISTANCES, MINORS, ConvCode, PolyMatrix,
                              is_reverse_mdp, L_index,
                              leading_coefficient_matrix, optimal_cd_bound,
                              reverse_encoder, sliding_matrix,
-                             _normalised_weights)
+                             _minors_condition, _normalised_weights)
 from chaincodes.errors import (BudgetExceeded, CodeLoadError, InvalidParams,
                                NotDelayFree, NotReduced, NuNotDividingK,
                                PreconditionViolated, UnequalRowDegrees,
@@ -22,7 +22,8 @@ from chaincodes.errors import (BudgetExceeded, CodeLoadError, InvalidParams,
 from chaincodes.linalg import (RingMatrix, is_gamma_generator_sequence,
                                is_gamma_linearly_independent, parameters_of)
 from chaincodes.rings import TruncatedPolyRing, residue_ring
-from oracles import column_distance_oracle, message_weights
+from oracles import (column_distance_oracle, message_weights,
+                     minors_condition_oracle)
 
 
 def M(ring, rows):
@@ -219,6 +220,36 @@ def test_column_distance_matches_oracle(ring):
             assert_walk_matches_oracle(C, j, weights)
 
 
+def test_column_distance_checks_an_unvalidated_encoder_once(code322,
+                                                           monkeypatch):
+    from chaincodes import conv
+    calls = []
+    real = conv.is_polynomial_gamma_basis
+
+    def counting(G, budget=None):
+        calls.append(G)
+        return real(G, budget)
+
+    monkeypatch.setattr(conv, "is_polynomial_gamma_basis", counting)
+    assert distance_profile(code322, 1) == (3, 5)
+    assert calls == []  # validation witnessed it
+    C = ConvCode(code322.ring, code322.n, code322.encoder, validate=False)
+    assert distance_profile(C, 1) == (3, 5)
+    assert len(calls) == 1
+    # delay-free, but not a gamma-basis: the unit normalisation would
+    # miss the minimum on these rows
+    z27 = zmod(27)
+    G = PM(z27, [[[24, 25], [2, 4]], [[19, 19], [14, 4]]])
+    C = ConvCode(z27, 2, G, validate=False)
+    assert is_delay_free(G)
+    assert (min(_normalised_weights(C, 0)), column_distance_oracle(C, 0)) \
+        == (2, 1)
+    for j in (0, 1, 0):
+        with pytest.raises(PreconditionViolated):
+            column_distance(C, j)
+    assert len(calls) == 2
+
+
 def test_column_distance_matches_oracle_on_readme_code(code322):
     rev = ConvCode(code322.ring, code322.n, reverse_encoder(code322))
     for C in (code322, rev):
@@ -391,6 +422,43 @@ def test_field_lift_mdp_round_trip():
         lifted = lift_from_residue_field(G, GaloisRing(p, 2, 1))
         assert is_mdp(field_code, MINORS) == is_mdp(lifted, MINORS)
         checked += 1
+
+
+def random_sparse_matrix(ring, rows, cols, density, rng):
+    els = list(ring.elements())
+    return [[rng.choice(els) if rng.random() < density else ring.zero
+             for _ in range(cols)] for _ in range(rows)]
+
+
+@pytest.mark.parametrize("ring", [
+    GaloisRing(3, 1, 1), GaloisRing(2, 1, 2),      # fields
+    zmod(4), zmod(9), GaloisRing(2, 2, 2),         # Galois rings
+    TruncatedPolyRing(2, 2), TruncatedPolyRing(4, 2)], ids=repr)
+def test_minors_condition_matches_oracle(ring):
+    rng = random.Random(505)
+    nu = ring.nu
+    verdicts = Counter()
+    for trial in range(100):
+        L, k0 = rng.choice((0, 0, 1, 1, 2)), rng.randint(1, 2)
+        n = rng.randint(k0, k0 + 2)
+        density = rng.choice((0.3, 0.7, 1.0, 1.0))
+        if trial % 2:
+            # sliding matrix of k0 rows and their gamma-layers
+            base = [M(ring, random_sparse_matrix(ring, k0, n, density, rng))
+                    for _ in range(rng.randint(1, L + 1))]
+            coeffs = [M(ring, [[ring.mul(ring.gamma_power(layer), e)
+                                for e in row]
+                               for layer in range(nu) for row in b.data])
+                      for b in base]
+            S = sliding_matrix(PolyMatrix(ring, coeffs, k=nu * k0, n=n), L)
+        else:
+            # rows that need not be layer-closed
+            S = M(ring, random_sparse_matrix(ring, (L + 1) * k0 * nu,
+                                             (L + 1) * n, density, rng))
+        verdict = _minors_condition(S, L, n, k0, assert_genseq=False)
+        assert verdict == minors_condition_oracle(S, L, n, k0), trial
+        verdicts[verdict] += 1
+    assert min(verdicts[True], verdicts[False]) >= 15, verdicts
 
 
 # ------------------------------------------------------------ serialization

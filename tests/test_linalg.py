@@ -3,10 +3,11 @@ from itertools import product
 
 import pytest
 
-from chaincodes import GaloisRing, zmod
+from chaincodes import GaloisRing, TruncatedPolyRing, zmod
 from chaincodes.errors import MethodPreconditionViolated, NotSquare, ZeroMatrix
 from chaincodes.linalg import (ORACLE, SHAPE_FAST, RingMatrix,
-                               determinant, diagonal_reduction,
+                               determinant, diagonal_exponents,
+                               diagonal_reduction,
                                field_left_kernel, field_rank,
                                field_solve_left, gamma_basis,
                                gamma_dimension, gamma_span_solve,
@@ -64,6 +65,24 @@ def test_reduction_transforms_are_consistent(z4, z9):
             assert is_unit_determinant(L)
             assert is_unit_determinant(R)
             assert list(exps) == sorted(exps)
+
+
+@pytest.mark.parametrize("ring", [
+    zmod(8), zmod(27), GaloisRing(2, 2, 2), GaloisRing(3, 3, 1),
+    TruncatedPolyRing(4, 2), TruncatedPolyRing(2, 3)], ids=repr)
+def test_exponents_without_transforms_match_the_reduction(ring):
+    rng = random.Random(31)
+    els = list(ring.elements())
+    for _ in range(40):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        density = rng.choice((0.3, 0.7, 1.0))
+        A = M(ring, [[rng.choice(els) if rng.random() < density
+                      else ring.zero for _ in range(n)] for _ in range(m)])
+        exps = diagonal_exponents(A)
+        assert exps == diagonal_reduction(A)[0]
+        assert shape_of(A) == tuple(sum(1 for e in exps if e <= i)
+                                    for i in range(ring.nu))
+        assert gamma_dimension(A) == sum(ring.nu - e for e in exps)
 
 
 def test_shape_and_parameters(z4):

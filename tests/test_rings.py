@@ -1,8 +1,8 @@
 import pytest
 
 from chaincodes import GaloisRing, TruncatedPolyRing, make_ring, residue_ring, zmod
-from chaincodes.errors import (DigitNotInT, InvalidConvention, MixedRings,
-                               NotAUnit, RejectedModulus)
+from chaincodes.errors import (DigitNotInT, InvalidConvention, InvalidParams,
+                               MixedRings, NotAUnit, RejectedModulus)
 from chaincodes.fields import default_modulus, get_field
 
 
@@ -185,3 +185,9 @@ def test_residue_ring_wraps_field(z9):
 def test_default_and_explicit_modulus_share_one_field():
     assert get_field(3, 2) is get_field(3, 2, default_modulus(3, 2))
     assert GaloisRing(3, 2, 2).residue is get_field(3, 2)
+
+
+@pytest.mark.parametrize("p, h", [(4, 1), (6, 2), (1, 1), (9, 2)])
+def test_get_field_rejects_a_p_that_is_not_prime(p, h):
+    with pytest.raises(InvalidParams):
+        get_field(p, h)

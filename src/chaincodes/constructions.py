@@ -14,18 +14,16 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb, isqrt
 
-from .conv import ConvCode, PolyMatrix, _admissible_column_subsets, is_reduced
-from .errors import (BadCounts, BudgetExceeded, DependentRows,
-                     InconsistentBlocks, InvalidParams, NotReduced,
-                     NotSuperregular, SizeMismatch)
-from .linalg import (RingMatrix, determinant, diagonal_exponents,
-                     is_unit_determinant, residue_determinant)
+from . import linalg
+from .conv import ConvCode, PolyMatrix, _minors_condition, is_reduced
+from .errors import (BadCounts, BudgetExceeded, CrossCheckFailed,
+                     DependentRows, InconsistentBlocks, InvalidParams,
+                     NotReduced, NotSuperregular, SizeMismatch)
+from .linalg import RingMatrix, diagonal_exponents, field_clear_column
 from .rings import zmod
 
 EXHAUSTIVE = "exhaustive"
 RANDOM = "random"
-
-MINOR_ASSERT_LIMIT = 10 ** 5
 
 
 @dataclass(frozen=True)
@@ -93,32 +91,43 @@ def proper_index_pairs(ell):
                     yield I, J
 
 
-def is_gamma_superregular(spec: ToeplitzSpec, cross_check=True,
-                          certificate=False):
-    """Every proper submatrix has unit determinant.  The residue-field
-    determinant decides; when cross_check is set, the exact ring
-    determinant path is evaluated too and must agree (CrossCheckFailed
-    otherwise)."""
-    ring = spec.ring
+def is_gamma_superregular(spec: ToeplitzSpec, cross_check=True):
+    """Every proper submatrix has unit determinant, i.e. a nonzero
+    projection to the residue field.
+
+    One depth-first walk over the proper pairs (I, J) of the projected
+    matrix: a node holds the rows after its last i, reduced against its
+    prefix's pivots; a child takes one as row i and a column j >= i after
+    the last j.  det(I + i, J + j) = det(I, J) * r_i[j] (Schur complement),
+    so each minor is one nonzero test.  (I + c, J + c) is the same
+    Toeplitz submatrix, so only pairs with i_1 = 1 are walked.  With
+    cross_check set, the ring determinants of all proper minors must give
+    the same verdict (CrossCheckFailed otherwise)."""
+    field = spec.ring.residue
+    ell = spec.size
+
+    def walk(rows, first, lo, pivots):
+        # rows[k] is row first + k; the first `pivots` of them may be i
+        for k in range(pivots):
+            prow = rows[k]
+            for j in range(max(first + k, lo), ell):
+                if not prow[j]:
+                    return False
+                if j + 1 < ell:
+                    rest = rows[k + 1:]
+                    field_clear_column(field, rest, 0, prow, j)
+                    if not walk(rest, first + k + 1, j + 1, len(rest)):
+                        return False
+        return True
+
     A = spec.materialize()
-    field = ring.residue
-    ok = True
-    cert = []
-    for I, J in proper_index_pairs(spec.size):
-        sub = A.submatrix([i - 1 for i in I], [j - 1 for j in J])
-        if cross_check:
-            unit = is_unit_determinant(sub)
-        else:
-            unit = residue_determinant(sub) != field.zero
-        if certificate:
-            cert.append({"rows": list(I), "cols": list(J),
-                         "minor_valuation":
-                             0 if unit else ring.valuation(determinant(sub))})
-        if not unit:
-            ok = False
-            if not certificate:
-                return False
-    return (ok, cert) if certificate else ok
+    verdict = walk(A.residue_rows(), 0, 0, 1)
+    if cross_check and verdict != all(
+            spec.ring.valuation(linalg.determinant(A.submatrix(
+                [i - 1 for i in I], [j - 1 for j in J]))) == 0
+            for I, J in proper_index_pairs(ell)):
+        raise CrossCheckFailed("walk and ring determinants disagree")
+    return verdict
 
 
 def is_reverse_gamma_superregular(spec: ToeplitzSpec, cross_check=True):
@@ -296,25 +305,12 @@ def extract_mdp_blocks(spec: ToeplitzSpec, n, k, L, rows=ROWS_EXAMPLE,
             else:
                 blocks[d] = blk
     coeffs = [RingMatrix(ring, blocks[d], cols=n) for d in range(L + 1)]
-    if assert_minors:
-        _assert_unit_minors(sub, L, n, k)
+    # full-size admissible minors of the extracted matrix are units
+    if assert_minors and not _minors_condition(sub, L, n, k,
+                                               assert_genseq=False):
+        raise NotSuperregular("an admissible full-size minor of the "
+                              "extracted matrix is not a unit")
     return PolyMatrix(ring, coeffs, k=k, n=n)
-
-
-def _assert_unit_minors(sub: RingMatrix, L, n, k):
-    """Full-size admissible minors of the extracted matrix are units
-    (size-guarded)."""
-    ring = sub.ring
-    count = 0
-    for subset in _admissible_column_subsets(L, n, k):
-        count += 1
-        if count > MINOR_ASSERT_LIMIT:
-            return
-        square = sub.select_columns(subset)
-        if residue_determinant(square) == ring.residue.zero:
-            raise NotSuperregular(
-                f"admissible full-size minor at columns {subset} of the "
-                f"extracted matrix is not a unit")
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from itertools import product
 
-from .errors import (BudgetExceeded, CrossCheckFailed,
-                     MethodPreconditionViolated, NotSquare, ZeroMatrix)
+from .errors import (BudgetExceeded, MethodPreconditionViolated, NotSquare,
+                     ZeroMatrix)
 
 ORACLE = "oracle"
 SHAPE_FAST = "shape-fast"
@@ -40,6 +40,15 @@ class RingMatrix:
         else:
             self.cols = 0 if cols is None else cols
         self.data = tuple(data)
+
+    @classmethod
+    def _canonical(cls, ring, data, cols):
+        """Matrix of rows of canonical entries (entries of library matrices
+        or results of ring operations), which are not coerced again."""
+        M = cls.__new__(cls)
+        M.ring, M.rows, M.cols = ring, len(data), cols
+        M.data = tuple(map(tuple, data))
+        return M
 
     @classmethod
     def identity(cls, ring, n):
@@ -77,24 +86,24 @@ class RingMatrix:
                         acc = ring.add(acc, ring.mul(a, other.data[k][j]))
                 orow.append(acc)
             out.append(orow)
-        return RingMatrix(ring, out, cols=other.cols)
+        return RingMatrix._canonical(ring, out, other.cols)
 
     def scalar_mul(self, c):
         ring = self.ring
         c = ring.coerce(c)
-        return RingMatrix(ring, [[ring.mul(c, e) for e in row]
-                                 for row in self.data], cols=self.cols)
+        return RingMatrix._canonical(ring, [[ring.mul(c, e) for e in row]
+                                            for row in self.data], self.cols)
 
     def stack(self, other):
         if other.cols != self.cols or other.ring != self.ring:
             raise ValueError("dimension or ring mismatch")
-        return RingMatrix(self.ring, list(self.data) + list(other.data),
-                          cols=self.cols)
+        return RingMatrix._canonical(self.ring, self.data + other.data,
+                                     self.cols)
 
     def submatrix(self, row_idx, col_idx):
-        return RingMatrix(self.ring,
-                          [[self.data[i][j] for j in col_idx]
-                           for i in row_idx], cols=len(col_idx))
+        return RingMatrix._canonical(self.ring,
+                                     [[self.data[i][j] for j in col_idx]
+                                      for i in row_idx], len(col_idx))
 
     def select_columns(self, col_idx):
         return self.submatrix(range(self.rows), col_idx)
@@ -627,14 +636,3 @@ def residue_determinant(A):
     if A.rows != A.cols:
         raise NotSquare("determinant needs a square matrix")
     return field_echelon(A.ring.residue, A.residue_rows())[2]
-
-
-def is_unit_determinant(A):
-    """Unit-determinant test; the ring path and the residue-field path are
-    both evaluated and must agree."""
-    ring = A.ring
-    via_residue = residue_determinant(A) != ring.residue.zero
-    via_ring = ring.valuation(determinant(A)) == 0
-    if via_ring != via_residue:
-        raise CrossCheckFailed("determinant paths disagree")
-    return via_ring

@@ -264,6 +264,11 @@ class GaloisRing(ChainRing):
                     res[k] = (res[k] + c * row[k]) % m
         return tuple(res)
 
+    def invert_unit(self, a):
+        if self.s == 1 and self.valuation(a) == 0:
+            return (pow(a[0], -1, self.pr),)
+        return super().invert_unit(a)
+
     def valuation(self, a):
         best = self.r
         for c in a:

@@ -3,8 +3,10 @@ compared against."""
 
 from itertools import product
 
+from chaincodes.constructions import proper_index_pairs
 from chaincodes.conv import _admissible_column_subsets, sliding_matrix
-from chaincodes.linalg import field_rank
+from chaincodes.errors import CrossCheckFailed
+from chaincodes.linalg import determinant, field_rank, residue_determinant
 
 
 def message_weights(C, j):
@@ -48,3 +50,29 @@ def minors_condition_oracle(S, L, n, k0):
     proj = S.residue_rows()
     return all(field_rank(field, [[row[c] for c in subset] for row in proj])
                == need for subset in _admissible_column_subsets(L, n, k0))
+
+
+def is_unit_determinant(A):
+    """Unit-determinant test; the ring path and the residue-field path are
+    both evaluated and must agree."""
+    ring = A.ring
+    via_residue = residue_determinant(A) != ring.residue.zero
+    via_ring = ring.valuation(determinant(A)) == 0
+    if via_ring != via_residue:
+        raise CrossCheckFailed("determinant paths disagree")
+    return via_ring
+
+
+def superregular_minor_valuations(spec):
+    """{(I, J): valuation of the minor} over every proper pair (1-based)
+    of the Toeplitz matrix, one submatrix and one cross-checked
+    determinant per minor; the matrix is gamma-superregular exactly when
+    every valuation is 0."""
+    ring = spec.ring
+    A = spec.materialize()
+    out = {}
+    for I, J in proper_index_pairs(spec.size):
+        sub = A.submatrix([i - 1 for i in I], [j - 1 for j in J])
+        out[I, J] = 0 if is_unit_determinant(sub) \
+            else ring.valuation(determinant(sub))
+    return out

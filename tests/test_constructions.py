@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from chaincodes import GaloisRing, TruncatedPolyRing, zmod
+from chaincodes import (GaloisRing, TruncatedPolyRing, constructions, linalg,
+                        zmod)
 from chaincodes.constructions import (EXHAUSTIVE, RANDOM, ROWS_EXAMPLE,
                                       ROWS_FORMULA, ToeplitzSpec,
                                       binomial_bound, binomial_encoder,
@@ -19,10 +20,12 @@ from chaincodes.constructions import (EXHAUSTIVE, RANDOM, ROWS_EXAMPLE,
                                       stack_gamma_layers)
 from chaincodes.conv import MINORS, ConvCode, PolyMatrix, is_mdp, \
     is_reverse_mdp
-from chaincodes.errors import (BadCounts, BudgetExceeded, DependentRows,
-                               InvalidParams, NotSuperregular, SizeMismatch)
+from chaincodes.errors import (BadCounts, BudgetExceeded, CrossCheckFailed,
+                               DependentRows, InvalidParams, NotSuperregular,
+                               SizeMismatch)
 from chaincodes.linalg import (RingMatrix, is_gamma_generator_sequence,
                                is_gamma_linearly_independent)
+from oracles import superregular_minor_valuations
 
 
 def M(ring, rows):
@@ -84,13 +87,72 @@ def test_example_matrix_not_reverse_superregular(toeplitz6):
     # rows (1,2,4) x columns (2,5,6) of (4,3,1,1,2,1) has determinant -11
     assert not is_gamma_superregular(toeplitz6.reversed_spec())
     assert not is_reverse_gamma_superregular(toeplitz6)
-    ok, cert = is_gamma_superregular(toeplitz6.reversed_spec(),
-                                     certificate=True)
-    assert not ok
-    bad = [(tuple(c["rows"]), tuple(c["cols"])) for c in cert
-           if c["minor_valuation"] > 0]
+    vals = superregular_minor_valuations(toeplitz6.reversed_spec())
+    bad = [pair for pair, v in vals.items() if v > 0]
     assert ((1, 2, 4), (2, 5, 6)) in bad
     assert len(bad) == 4
+
+
+def test_walk_matches_minor_oracle():
+    # entries are mostly units, so that many verdicts are decided deep in
+    # the walk; half the rows are grown one entry at a time while they stay
+    # superregular, so their first non-unit minor involves the last column
+    rng = random.Random(606)
+    rings = [zmod(7), zmod(11), zmod(13), zmod(121), GaloisRing(2, 2, 2),
+             TruncatedPolyRing(4, 2)]
+    for ring in rings:
+        els = list(ring.elements())
+        units = [e for e in els if ring.valuation(e) == 0]
+        verdicts = {True: 0, False: 0}
+        grown = (ring.one,)
+        for trial in range(120):
+            if trial % 2:
+                first = grown = grown + tuple(
+                    rng.choice(units) for _ in range(max(1, 3 - len(grown))))
+            else:
+                first = (ring.one,) + tuple(
+                    rng.choice(units if rng.random() < 0.9 else els)
+                    for _ in range(2 + trial // 2 % 4))
+            spec = ToeplitzSpec(ring, first)
+            want = all(v == 0 for v in
+                       superregular_minor_valuations(spec).values())
+            assert is_gamma_superregular(spec, cross_check=False) == want, \
+                (ring, first)
+            verdicts[want] += 1
+            if first is grown and (not want or len(grown) == 6):
+                grown = (ring.one,)
+        assert min(verdicts.values()) >= 15, (ring, verdicts)
+
+
+def test_walk_visits_each_proper_pair_with_first_row_one_once(
+        monkeypatch, toeplitz6):
+    # a node clears its column unless it is in the last column, so on a
+    # superregular matrix the clears count the pairs with i_1 = 1, j_s < 6
+    calls = []
+    clear = constructions.field_clear_column
+
+    def counting(field, rows, start, prow, c):
+        calls.append(c)
+        clear(field, rows, start, prow, c)
+
+    monkeypatch.setattr(constructions, "field_clear_column", counting)
+    assert is_gamma_superregular(toeplitz6, cross_check=False)
+    assert len(calls) == sum(1 for I, J in proper_index_pairs(6)
+                             if I[0] == 1 and J[-1] < 6) == 90
+
+
+@pytest.mark.parametrize("first, fake_det", [((1, 2, 1), 0),
+                                             ((1, 0, 1), 1)])
+def test_cross_check_reads_ring_determinants(monkeypatch, z11, first,
+                                             fake_det):
+    # the ring path goes through linalg.determinant, so a determinant that
+    # disagrees with the residue field in either direction is caught
+    monkeypatch.setattr(linalg, "determinant",
+                        lambda A: z11.coerce(fake_det))
+    spec = ToeplitzSpec(z11, first)
+    assert is_gamma_superregular(spec, cross_check=False) is (fake_det == 0)
+    with pytest.raises(CrossCheckFailed):
+        is_gamma_superregular(spec, cross_check=True)
 
 
 def test_superregular_iff_residue_superregular(z121, z11):
@@ -250,6 +312,19 @@ def test_extract_blocks_requires_superregular(z11):
     spec = ToeplitzSpec(z11, (1, 0, 0, 0, 0, 0))
     with pytest.raises(NotSuperregular):
         extract_mdp_blocks(spec, n=3, k=1, L=1)
+
+
+def test_extraction_checks_minors_without_the_superregular_check(z11):
+    # with the Toeplitz check off, the admissible minors of the extracted
+    # matrix still refuse a matrix that is not superregular
+    spec = ToeplitzSpec(z11, (1, 0, 0, 0, 0, 0))
+    with pytest.raises(NotSuperregular):
+        extract_mdp_blocks(spec, n=3, k=1, L=1, check_superregular=False)
+    Gt = extract_mdp_blocks(spec, n=3, k=1, L=1, check_superregular=False,
+                            assert_minors=False)
+    assert Gt.degree == 0
+    assert [[e[0] for e in row] for row in Gt.coefficient(0).data] == \
+        [[1, 0, 0]]
 
 
 # ------------------------------------------------------- search

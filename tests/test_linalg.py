@@ -14,8 +14,9 @@ from chaincodes.linalg import (ORACLE, SHAPE_FAST, RingMatrix,
                                gamma_standard_form,
                                is_gamma_generator_sequence,
                                is_gamma_linearly_independent,
-                               is_unit_determinant, parameters_of,
-                               residue_determinant, shape_of, standard_form)
+                               parameters_of, residue_determinant, shape_of,
+                               standard_form)
+from oracles import is_unit_determinant
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +36,30 @@ def M(ring, rows):
 def random_matrix(ring, m, n, rng):
     els = list(ring.elements())
     return M(ring, [[rng.choice(els) for _ in range(n)] for _ in range(m)])
+
+
+# --------------------------------------------------------------- matrices
+
+def test_outside_entries_are_coerced():
+    z121 = zmod(121)
+    assert RingMatrix(z121, [[-1, 200]]).data == (((120,), (79,)),)
+
+
+def test_derived_matrices_equal_coerced_ones():
+    # submatrix, select_columns, stack, scalar_mul and matmul keep the
+    # canonical entries without coercing them again
+    rng = random.Random(77)
+    for ring in (zmod(8), GaloisRing(2, 2, 2), TruncatedPolyRing(4, 2)):
+        A = random_matrix(ring, 3, 4, rng)
+        B = random_matrix(ring, 4, 2, rng)
+        c = rng.choice(list(ring.elements()))
+        for got in (A.submatrix([2, 0], [1, 3]), A.select_columns([3, 1]),
+                    A.stack(A), A.scalar_mul(c), A.matmul(B),
+                    A.submatrix([], [0, 1])):
+            again = RingMatrix(ring, [list(row) for row in got.data],
+                               cols=got.cols)
+            assert got == again
+            assert (got.rows, got.cols) == (again.rows, again.cols)
 
 
 # --------------------------------------------------------------- reduction

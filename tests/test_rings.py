@@ -4,6 +4,7 @@ from chaincodes import GaloisRing, TruncatedPolyRing, make_ring, residue_ring, z
 from chaincodes.errors import (DigitNotInT, InvalidConvention, InvalidParams,
                                MixedRings, NotAUnit, RejectedModulus)
 from chaincodes.fields import default_modulus, get_field
+from chaincodes.rings import ChainRing
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +111,17 @@ def test_invert_unit_z121():
     assert z121.invert_unit(z121.coerce(2)) == (61,)
     with pytest.raises(NotAUnit):
         z121.invert_unit(z121.coerce(11))
+
+
+@pytest.mark.parametrize("m", [4, 8, 27, 121, 125])
+def test_invert_unit_by_pow_matches_the_exponent_formula(m):
+    ring = zmod(m)
+    for a in ring.elements():
+        if ring.valuation(a) == 0:
+            assert ring.invert_unit(a) == ChainRing.invert_unit(ring, a)
+        else:
+            with pytest.raises(NotAUnit):
+                ring.invert_unit(a)
 
 
 def test_unit_part(z8):

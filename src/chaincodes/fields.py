@@ -10,6 +10,7 @@ so all hot-loop operations are table lookups on ints.
 from __future__ import annotations
 
 from functools import reduce
+from operator import mul
 
 from .errors import InvalidParams
 
@@ -230,34 +231,33 @@ class ExtField:
         p, h, q = self.p, self.h, self.q
         mod = list(self.modulus)
         facs = factorize(q - 1)
-        gen = None
         for code in range(p, q):  # start at the class of z
-            cand = _digits(code, p, h)
-            if all(_poly_trim(_poly_powmod(cand, (q - 1) // f, mod, p)) != [1]
+            gen = _digits(code, p, h)
+            if all(_poly_trim(_poly_powmod(gen, (q - 1) // f, mod, p)) != [1]
                    for f in facs):
-                gen = cand
                 break
-        if gen is None:
+        else:
             raise AssertionError("no multiplicative generator found")
+        # one step multiplies the digit vector by the generator: row i holds
+        # digit i of gen * z^j mod the modulus, for j = 0..h-1
+        cols = [_poly_mulmod(gen, [0] * j + [1], mod, p) for j in range(h)]
+        rows = list(zip(*(c + [0] * (h - len(c)) for c in cols)))
+        powers = [p ** i for i in range(h)]
         exp = [0] * (q - 1)
         log = [0] * q  # log[0] unused
-        cur = [1]
+        cur = [1] + [0] * (h - 1)
         for i in range(q - 1):
-            code = _encode(cur + [0] * (h - len(cur)), p)
-            exp[i] = code
-            log[code] = i
-            cur = _poly_mulmod(cur, gen, mod, p)
-        # zech[x] = log(1 + g^x); -1 marks 1 + g^x == 0
-        zech = [0] * (q - 1)
-        for x in range(q - 1):
-            digs = _digits(exp[x], p, h)
-            digs[0] = (digs[0] + 1) % p
-            code = _encode(digs, p)
-            zech[x] = log[code] if code else -1
+            exp[i] = e = sum(map(mul, cur, powers))
+            log[e] = i
+            cur = [sum(map(mul, cur, row)) % p for row in rows]
+        # zech[x] = log(1 + g^x); -1 marks 1 + g^x == 0.  Adding 1 changes
+        # only the constant digit, which wraps from p - 1 to 0.
+        top = p - 1
+        self._zech = [log[e + 1] if e % p != top
+                      else log[e - top] if e != top else -1 for e in exp]
         self._exp = exp
         self._log = log
-        self._zech = zech
-        self._gen = _encode(gen + [0] * (h - len(gen)), p)
+        self._gen = code
         self._neg_one = 1 if p == 2 else exp[(q - 1) // 2]
 
     def generator(self):

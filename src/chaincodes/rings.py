@@ -140,16 +140,18 @@ class ChainRing:
         return self.shift_down(a, self.valuation(a))
 
     def invert_unit(self, a):
+        """Newton lifting (von zur Gathen & Gerhard, Modern Computer Algebra,
+        9.1): if a v = 1 mod gamma^k then a v (2 - a v) = 1 mod gamma^2k,
+        starting from the residue-field inverse."""
         if self.valuation(a) != 0:
             raise NotAUnit(f"{a} has positive valuation")
-        e = self.q ** (self.nu - 1) * (self.q - 1) - 1
-        acc, base = self.one, a
-        while e:
-            if e & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return acc
+        v = self._embed(self.residue.inv(self.project(a)))
+        two = self.add(self.one, self.one)
+        precision = 1
+        while precision < self.nu:
+            v = self.mul(v, self.sub(two, self.mul(a, v)))
+            precision *= 2
+        return v
 
     def element(self, x):
         return RingElement(self, self.coerce(x))
@@ -179,6 +181,9 @@ class GaloisRing(ChainRing):
     family = "galois"
 
     def __init__(self, p, r, s, modulus=None, convention=None):
+        if not all(isinstance(x, int) and x >= 1 for x in (p, r, s)):
+            raise InvalidParams(f"GR(p^r, s) needs integers p, r, s >= 1; "
+                                f"got p={p!r}, r={r!r}, s={s!r}")
         if factorize(p) != [p]:
             raise InvalidParams(f"GR(p^r, s) needs a prime p; got p={p}")
         self.p = p
@@ -302,19 +307,15 @@ class GaloisRing(ChainRing):
         if self.convention == DIGITS:
             out = (code % self.p,)
         else:
-            x = tuple(c % self.pr for c in self.residue.coords(code)) \
-                if self.s > 1 else (code % self.pr,)
-            if code != 0:
-                for _ in range(self.r + 2):
-                    nxt = self._pow(x, self.q)
-                    if nxt == x:
-                        break
-                    x = nxt
-                else:
-                    raise AssertionError("Teichmueller iteration did not fix")
-            out = x
+            # x^(q^(r-1)) is the Teichmueller element over any x projecting
+            # to code: the (q-1)-th root of unity, or 0
+            out = self._pow(self._embed(code), self.q ** (self.r - 1))
         self._lift_cache[code] = out
         return out
+
+    def _embed(self, code):
+        """The residue code as an element by its coordinates."""
+        return self.residue.coords(code)
 
     def _pow(self, a, e):
         acc = self.one
@@ -361,6 +362,9 @@ class TruncatedPolyRing(ChainRing):
     family = "truncated"
 
     def __init__(self, q, nu):
+        if not all(isinstance(x, int) and x >= 1 for x in (q, nu)):
+            raise InvalidParams(f"F_q[u]/(u^nu) needs integers q, nu >= 1; "
+                                f"got q={q!r}, nu={nu!r}")
         self.p, self.h = prime_power_split(q)
         self.q = q
         self.nu = nu
@@ -423,6 +427,8 @@ class TruncatedPolyRing(ChainRing):
 
     def lift(self, code):
         return tuple([code] + [0] * (self.nu - 1))
+
+    _embed = lift
 
     def elements(self):
         from itertools import product

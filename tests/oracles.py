@@ -6,6 +6,8 @@ from itertools import product
 from chaincodes.constructions import proper_index_pairs
 from chaincodes.conv import _admissible_column_subsets, sliding_matrix
 from chaincodes.errors import CrossCheckFailed
+from chaincodes.fields import (_digits, _encode, _poly_mulmod, _poly_powmod,
+                               factorize)
 from chaincodes.linalg import determinant, field_rank, residue_determinant
 
 
@@ -76,3 +78,61 @@ def superregular_minor_valuations(spec):
         out[I, J] = 0 if is_unit_determinant(sub) \
             else ring.valuation(determinant(sub))
     return out
+
+
+def zech_tables_by_polynomials(field):
+    """(generator, exp, log, zech) of an extension field: the generator is
+    the first code from z on whose (q-1)/f-th powers are all != 1, and
+    every power of it is one polynomial product reduced by the modulus."""
+    p, h, q = field.p, field.h, field.q
+    mod = list(field.modulus)
+    gen = next(code for code in range(p, q)
+               if all(_poly_powmod(_digits(code, p, h), (q - 1) // f, mod, p)
+                      != [1] for f in factorize(q - 1)))
+    g = _digits(gen, p, h)
+    exp = [0] * (q - 1)
+    log = [0] * q
+    cur = [1]
+    for i in range(q - 1):
+        code = _encode(cur + [0] * (h - len(cur)), p)
+        exp[i] = code
+        log[code] = i
+        cur = _poly_mulmod(cur, g, mod, p)
+    zech = []
+    for x in range(q - 1):
+        digs = _digits(exp[x], p, h)
+        digs[0] = (digs[0] + 1) % p
+        code = _encode(digs, p)
+        zech.append(log[code] if code else -1)
+    return gen, exp, log, zech
+
+
+def teichmuller_by_iteration(ring, code):
+    """The Teichmueller element over a residue code of a Galois ring:
+    x -> x^q from the coordinate lift until it is fixed."""
+    x = ring.residue.coords(code)
+    if code == 0:
+        return x
+    for _ in range(ring.r + 2):
+        nxt = ring._pow(x, ring.q)
+        if nxt == x:
+            return x
+        x = nxt
+    raise AssertionError("Teichmueller iteration did not fix")
+
+
+def ring_power(ring, a, e):
+    """a^e by square-and-multiply in any chain ring."""
+    acc = ring.one
+    while e:
+        if e & 1:
+            acc = ring.mul(acc, a)
+        a = ring.mul(a, a)
+        e >>= 1
+    return acc
+
+
+def invert_unit_by_exponent(ring, a):
+    """a^(|units| - 1), the units forming a group of order
+    q^(nu-1) (q-1)."""
+    return ring_power(ring, a, ring.q ** (ring.nu - 1) * (ring.q - 1) - 1)

@@ -242,3 +242,16 @@ def test_ring_with_composite_p_rejected(capsys, name):
     code, doc = run(capsys, "ring", "--ring", name)
     assert code == 2
     assert doc["results"]["error"]["type"] == "InvalidParams"
+
+
+@pytest.mark.parametrize("name", [
+    "tp(4,0)", "gr(2,0,1)", "gr(2,2,0)",
+    '{"family": "galois", "p": 3, "r": 0, "s": 2}',
+    '{"family": "truncated", "q": 9, "nu": 0}',
+    '{"family": "galois", "p": 3, "s": 2}',
+    '{"family": "galois", "p": 3, "r": "2", "s": 2}',
+    '{"family": "truncated", "q": 4}'])
+def test_ring_with_degenerate_or_missing_parameters_rejected(capsys, name):
+    code, doc = run(capsys, "ring", "--ring", name)
+    assert code == 2
+    assert doc["results"]["error"]["type"] == "InvalidParams"

@@ -1,0 +1,38 @@
+from itertools import product
+
+import pytest
+
+from chaincodes.fields import ExtField, is_irreducible
+from oracles import zech_tables_by_polynomials
+
+# (p, h, modulus); the last two have no primitive z + c, so their generator
+# has degree 2 (F_3^4: z^2 + z)
+FIELDS = [(11, 5, None), (2, 8, None), (13, 4, None),
+          (3, 4, (2, 0, 1, 0, 1)), (3, 6, (1, 0, 2, 0, 0, 0, 1))]
+
+
+@pytest.mark.parametrize("p, h, modulus", FIELDS)
+def test_tables_match_the_polynomial_oracle(p, h, modulus):
+    field = ExtField(p, h, modulus)
+    gen, exp, log, zech = zech_tables_by_polynomials(field)
+    assert field.generator() == gen
+    assert field._exp == exp
+    assert field._log == log
+    assert field._zech == zech
+
+
+def test_degree_two_generators():
+    assert ExtField(3, 4, (2, 0, 1, 0, 1)).generator() == 12  # z^2 + z
+    assert ExtField(3, 6, (1, 0, 2, 0, 0, 0, 1)).generator() == 14  # z^2+z+2
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_is_irreducible_matches_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for h in range(1, 5):
+        for tail in product(range(p), repeat=h):
+            coeffs = list(tail) + [1]  # little-endian, monic
+            expected = sympy.Poly(list(reversed(coeffs)), x,
+                                  modulus=p).is_irreducible
+            assert is_irreducible(coeffs, p) == expected, (p, coeffs)

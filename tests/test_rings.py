@@ -1,10 +1,12 @@
+import random
+
 import pytest
 
 from chaincodes import GaloisRing, TruncatedPolyRing, make_ring, residue_ring, zmod
 from chaincodes.errors import (DigitNotInT, InvalidConvention, InvalidParams,
                                MixedRings, NotAUnit, RejectedModulus)
 from chaincodes.fields import default_modulus, get_field
-from chaincodes.rings import ChainRing
+from oracles import invert_unit_by_exponent, teichmuller_by_iteration
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +120,41 @@ def test_invert_unit_by_pow_matches_the_exponent_formula(m):
     ring = zmod(m)
     for a in ring.elements():
         if ring.valuation(a) == 0:
-            assert ring.invert_unit(a) == ChainRing.invert_unit(ring, a)
+            assert ring.invert_unit(a) == invert_unit_by_exponent(ring, a)
+        else:
+            with pytest.raises(NotAUnit):
+                ring.invert_unit(a)
+
+
+# (p, r, s): GR(121,5), GR(8,3), GR(27,2), GR(16,2)
+TEICHMULLER_RINGS = [(11, 2, 5), (2, 3, 3), (3, 3, 2), (2, 4, 2)]
+
+
+@pytest.mark.parametrize("p, r, s", TEICHMULLER_RINGS)
+def test_lift_matches_the_iteration_oracle(p, r, s):
+    ring = GaloisRing(p, r, s)
+    codes = range(ring.q) if ring.q <= 1000 else \
+        [0, 1] + random.Random(707).sample(range(2, ring.q), 200)
+    for c in codes:
+        assert ring.lift(c) == teichmuller_by_iteration(ring, c)
+
+
+@pytest.mark.parametrize("ring", [GaloisRing(*prs)
+                                  for prs in TEICHMULLER_RINGS]
+                         + [TruncatedPolyRing(4, 3), TruncatedPolyRing(9, 2),
+                            TruncatedPolyRing(8, 2)], ids=repr)
+def test_newton_inverse_matches_the_exponent_oracle(ring):
+    """Every element of a small ring; 200 seeded draws from GR(121,5)."""
+    if ring.size() <= 1000:
+        elements = list(ring.elements())
+    else:
+        rng = random.Random(808)
+        # coerce reduces each coordinate, whose modulus divides the size
+        elements = [ring.coerce([rng.randrange(ring.size())
+                                 for _ in ring.zero]) for _ in range(200)]
+    for a in elements:
+        if ring.is_unit(a):
+            assert ring.invert_unit(a) == invert_unit_by_exponent(ring, a)
         else:
             with pytest.raises(NotAUnit):
                 ring.invert_unit(a)

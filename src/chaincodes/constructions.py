@@ -44,9 +44,9 @@ class ToeplitzSpec:
         ring = self.ring
         ell = self.size
         a = self.first_row
-        return RingMatrix(ring, [[a[j - i] if j >= i else ring.zero
-                                  for j in range(ell)] for i in range(ell)],
-                          cols=ell)
+        rows = [[a[j - i] if j >= i else ring.zero for j in range(ell)]
+                for i in range(ell)]
+        return RingMatrix._canonical(ring, rows, ell)
 
     def reversed_spec(self):
         return ToeplitzSpec(self.ring, self.first_row[::-1])
@@ -160,7 +160,7 @@ def stack_gamma_layers(A: RingMatrix, row_counts):
         g = ring.gamma_power(i)
         for r in range(c):
             out.append([ring.mul(g, e) for e in A.row(r)])
-    return RingMatrix(ring, out, cols=A.cols)
+    return RingMatrix._canonical(ring, out, A.cols)
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +172,9 @@ def lift_matrix(M: RingMatrix, ring) -> RingMatrix:
     src = M.ring
     if src.residue != ring.residue:
         raise InvalidParams("residue fields differ")
-    return RingMatrix(ring, [[ring.lift(src.project(e)) for e in row]
-                             for row in M.data], cols=M.cols)
+    return RingMatrix._canonical(ring, [[ring.lift(src.project(e))
+                                         for e in row] for row in M.data],
+                                 M.cols)
 
 
 def lift_from_residue_field(Gtilde: PolyMatrix, ring,
@@ -304,7 +305,8 @@ def extract_mdp_blocks(spec: ToeplitzSpec, n, k, L, rows=ROWS_EXAMPLE,
                         f"block diagonal {d} is not constant")
             else:
                 blocks[d] = blk
-    coeffs = [RingMatrix(ring, blocks[d], cols=n) for d in range(L + 1)]
+    coeffs = [RingMatrix._canonical(ring, blocks[d], n)
+              for d in range(L + 1)]
     # full-size admissible minors of the extracted matrix are units
     if assert_minors and not _minors_condition(sub, L, n, k,
                                                assert_genseq=False):

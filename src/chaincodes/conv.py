@@ -117,7 +117,7 @@ def leading_coefficient_matrix(G: PolyMatrix) -> RingMatrix:
         if d is None:
             raise ZeroRow(f"row {i} is zero")
         rows.append(G.coeffs[d].row(i))
-    return RingMatrix(G.ring, rows, cols=G.n)
+    return RingMatrix._canonical(G.ring, rows, G.n)
 
 
 def is_reduced(G: PolyMatrix, budget=None):
@@ -149,7 +149,7 @@ def sliding_matrix(G: PolyMatrix, j: int) -> RingMatrix:
                   for bc in range(j + 1)]
         for i in range(k):
             rows.append([e for b in blocks for e in b.row(i)])
-    return RingMatrix(ring, rows, cols=(j + 1) * n)
+    return RingMatrix._canonical(ring, rows, (j + 1) * n)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +169,7 @@ def _expand_row(G: PolyMatrix, i, shift, width):
 
 def _expansion_matrix(G: PolyMatrix, row_idx, shifts, width):
     rows = [_expand_row(G, i, t, width) for i in row_idx for t in shifts]
-    return RingMatrix(G.ring, rows, cols=width * G.n)
+    return RingMatrix._canonical(G.ring, rows, width * G.n)
 
 
 def is_polynomial_gamma_basis(G: PolyMatrix, budget=None):
@@ -263,6 +263,8 @@ class ConvCode:
         self._delay_free = None
         # None until decided; validation witnesses it
         self._gamma_basis = True if validate else None
+        self._distances = {}  # j -> d_j, each walked once
+        self._multiples = None  # see _normalised_weights
 
     def reduced(self):
         if self._reduced is None:
@@ -333,7 +335,8 @@ def column_distance(C: ConvCode, j, budget=DEFAULT_DISTANCE_BUDGET):
     codeword, zero before r and 1 at r: carries only move forward, and 1
     is in T for the Teichmueller and the digit transversal alike.  An
     encoder that ConvCode did not validate is checked for the gamma-basis
-    property once, before its first distance."""
+    property once, before its first distance.  The code remembers each
+    d_j; the checks and the budget apply to every call."""
     if not C.delay_free():
         raise NotDelayFree("column distances need a delay-free encoder")
     q = C.ring.q
@@ -345,7 +348,9 @@ def column_distance(C: ConvCode, j, budget=DEFAULT_DISTANCE_BUDGET):
     if not C.gamma_basis():
         raise PreconditionViolated(
             "column distances need encoder rows that form a gamma-basis")
-    return min(_normalised_weights(C, j))
+    if j not in C._distances:
+        C._distances[j] = min(_normalised_weights(C, j))
+    return C._distances[j]
 
 
 def _normalised_weights(C: ConvCode, j):
@@ -353,18 +358,28 @@ def _normalised_weights(C: ConvCode, j):
     is 1, at r < k.  For each r the later digits run in reflected q-ary Gray
     order (Knuth, TAOCP 4A, 7.2.1.1, Algorithm H), the sparse last rows
     fastest; each step adds one sparse (t' - t) times a row in additive
-    coordinates and updates per-position counts of nonzero coordinates."""
-    ring = C.ring
+    coordinates and updates per-position counts of nonzero coordinates.
+    Row a of block row b of S_j is row a of G_0..G_(j-b) after b zero
+    blocks, so the coordinates of reps[t] times row a of every G_e are
+    built once per code and shared by every j."""
+    ring, k = C.ring, C.k
     reps = ring.representatives()
     if reps[0] != ring.zero or reps[1] != ring.one:
         raise CrossCheckFailed("transversal does not start with 0 and 1")
-    q, S = ring.q, sliding_matrix(C.encoder, j)
-    N = S.rows
+    q, N = ring.q, (j + 1) * k
     M, coords = ring.additive_coords()
     d = len(coords(ring.zero))
+    if C._multiples is None:
+        # [a][t]: coordinates of reps[t] times row a of G_0, G_1, ...
+        C._multiples = [[[c for G_e in C.encoder.coeffs for e in G_e.row(a)
+                          for c in coords(ring.mul(t, e))] for t in reps]
+                        for a in range(k)]
+    nd = C.n * d
+    width = (j + 1) * nd
     # vecs[i][t]: coordinates of reps[t] times row N-1-i, Gray digit i
-    vecs = [[[c for e in S.row(N - 1 - i) for c in coords(ring.mul(t, e))]
-             for t in reps] for i in range(N)]
+    vecs = [[([0] * (b * nd) + m + [0] * width)[:width]
+             for m in C._multiples[a]]
+            for b, a in (divmod(r, k) for r in range(N - 1, -1, -1))]
 
     def delta(new, old):
         return [(c, (x - y) % M, c // d)

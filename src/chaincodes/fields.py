@@ -212,6 +212,9 @@ class ExtField:
     """F_{p^h} via log/antilog and Zech logarithm tables."""
 
     def __init__(self, p, h, modulus=None):
+        if not isinstance(h, int) or h < 2:
+            raise InvalidParams(f"F_(p^h) tables need an integer h >= 2; "
+                                f"got h={h!r}")
         self.p = p
         self.h = h
         self.q = p ** h
@@ -321,9 +324,12 @@ _FIELD_CACHE = {}
 def get_field(p, h=1, modulus=None):
     """Shared field instances so the big Zech tables are built once; the
     cache is keyed on the resolved modulus, so the default and an explicit
-    copy of it share one field.  A p that is not prime is rejected."""
+    copy of it share one field.  A p that is not prime, or an h that is
+    not an integer >= 1, is rejected."""
     if factorize(p) != [p]:
         raise InvalidParams(f"F_(p^h) needs a prime p; got p={p}")
+    if not isinstance(h, int) or h < 1:
+        raise InvalidParams(f"F_(p^h) needs an integer h >= 1; got h={h!r}")
     if h == 1:
         modulus = (0, 1)
     elif modulus is None:

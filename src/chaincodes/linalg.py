@@ -53,12 +53,12 @@ class RingMatrix:
     @classmethod
     def identity(cls, ring, n):
         one, zero = ring.one, ring.zero
-        return cls(ring, [[one if i == j else zero for j in range(n)]
-                          for i in range(n)])
+        return cls._canonical(ring, [[one if i == j else zero
+                                      for j in range(n)] for i in range(n)], n)
 
     @classmethod
     def zeros(cls, ring, m, n):
-        return cls(ring, [[ring.zero] * n for _ in range(m)], cols=n)
+        return cls._canonical(ring, [[ring.zero] * n] * m, n)
 
     def entry(self, i, j):
         return self.data[i][j]
@@ -329,8 +329,9 @@ def _diagonalise(A, transforms):
     if not transforms:
         return tuple(exps)
     R = [[Rt[j][i] for j in range(n)] for i in range(n)]
-    return (tuple(exps), RingMatrix(ring, [row[n:] for row in W], cols=m),
-            RingMatrix(ring, R, cols=n))
+    return (tuple(exps),
+            RingMatrix._canonical(ring, [row[n:] for row in W], m),
+            RingMatrix._canonical(ring, R, n))
 
 
 def shape_of(A):
@@ -461,7 +462,7 @@ def is_gamma_generator_sequence(A, budget=DEFAULT_ORACLE_BUDGET):
         return False
     for i in range(A.rows - 1):
         target = [ring.mul(gamma, e) for e in A.data[i]]
-        tail = RingMatrix(ring, A.data[i + 1:], cols=A.cols)
+        tail = RingMatrix._canonical(ring, A.data[i + 1:], A.cols)
         if gamma_span_solve(tail, target, budget=budget) is None:
             return False
     return True
@@ -531,7 +532,7 @@ def gamma_basis(A):
             if e <= b:
                 g = ring.gamma_power(b - e)
                 out.append([ring.mul(g, x) for x in LA.data[j]])
-    return RingMatrix(ring, out, cols=A.cols)
+    return RingMatrix._canonical(ring, out, A.cols)
 
 
 def standard_form(A):
@@ -568,8 +569,8 @@ def standard_form(A):
         free_rows.remove(pi)
         free_cols.remove(pj)
     perm = tuple(rec[2] for rec in placed) + tuple(free_cols)
-    S = RingMatrix(ring, [[rec[0][j] for j in perm] for rec in placed],
-                   cols=n)
+    S = RingMatrix._canonical(ring, [[rec[0][j] for j in perm]
+                                     for rec in placed], n)
     return S, perm
 
 
@@ -593,7 +594,7 @@ def gamma_standard_form(A):
                         v = _sub_multiple(ring, v, ring.shift_down(v[j], ej),
                                           S.data[j])
                 out.append(v)
-    return RingMatrix(ring, out, cols=A.cols), perm
+    return RingMatrix._canonical(ring, out, A.cols), perm
 
 
 # ---------------------------------------------------------------------------

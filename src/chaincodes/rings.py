@@ -307,9 +307,11 @@ class GaloisRing(ChainRing):
         if self.convention == DIGITS:
             out = (code % self.p,)
         else:
-            # x^(q^(r-1)) is the Teichmueller element over any x projecting
-            # to code: the (q-1)-th root of unity, or 0
-            out = self._pow(self._embed(code), self.q ** (self.r - 1))
+            # x^(p^(r-1)) is the Teichmueller element over c^(p^(r-1)) for
+            # any x over c, so lift a p^k-th power with k = -(r-1) mod s
+            k = -(self.r - 1) % self.s
+            y = self._embed(self.residue.pow(code, self.p ** k))
+            out = self._pow(y, self.p ** (self.r - 1))
         self._lift_cache[code] = out
         return out
 

@@ -121,6 +121,13 @@ def teichmuller_by_iteration(ring, code):
     raise AssertionError("Teichmueller iteration did not fix")
 
 
+def teichmuller_by_power(ring, code):
+    """The Teichmueller element over a residue code of a Galois ring as
+    x^(q^(r-1)) for the coordinate lift x: the (q-1)-th root of unity over
+    code, or 0."""
+    return ring_power(ring, ring.residue.coords(code), ring.q ** (ring.r - 1))
+
+
 def ring_power(ring, a, e):
     """a^e by square-and-multiply in any chain ring."""
     acc = ring.one

@@ -137,15 +137,43 @@ def test_column_distances_322(code322):
 def test_column_distance_needs_delay_free(z4):
     G = PM(z4, [[[0, 0], [0, 0]], [[1, 1], [2, 2]]])  # rows (z,z), (2z,2z)
     C = ConvCode(z4, 2, G)
-    with pytest.raises(NotDelayFree):
-        column_distance(C, 0)
+    for j in (0, 1, 0):
+        with pytest.raises(NotDelayFree):
+            column_distance(C, j)
 
 
 def test_column_distance_budget(code322):
-    with pytest.raises(BudgetExceeded) as exc:
-        column_distance(code322, 1, budget=10)
-    # the budget counts every message, not only the unit-normalised ones
-    assert (exc.value.requested, exc.value.allowed) == (14520, 10)
+    C = ConvCode(code322.ring, code322.n, code322.encoder)
+    for _ in range(2):  # before and after d_1 is known
+        with pytest.raises(BudgetExceeded) as exc:
+            column_distance(C, 1, budget=10)
+        # the budget counts every message, not only the unit-normalised ones
+        assert (exc.value.requested, exc.value.allowed) == (14520, 10)
+        assert column_distance(C, 1) == 5
+
+
+def test_each_column_distance_is_walked_once(monkeypatch):
+    from chaincodes import conv
+    from chaincodes.constructions import lift_from_residue_field
+    walked = []
+    real = conv._normalised_weights
+
+    def counting(C, j):
+        walked.append(j)
+        return real(C, j)
+
+    monkeypatch.setattr(conv, "_normalised_weights", counting)
+    z2 = zmod(2)
+    # the lift to Z4 of the binary (2,1,1) encoder (1, 1) + (0, 1) z: L = 2
+    C = lift_from_residue_field(PM(z2, [[[1, 1]], [[0, 1]]]), zmod(4))
+    assert L_index(C.n, C.k, C.delta, C.ring.nu) == 2
+    assert distance_profile(C, 2) == (2, 3, 3)
+    assert walked == [0, 1, 2]
+    # d_2 = 3 < (n - k0)(2 + 1) + 1 = 4, read from the memo
+    assert not is_mdp(C, DISTANCES)
+    assert distance_profile(C, 2) == (2, 3, 3)
+    assert walked == [0, 1, 2]
+    assert [column_distance_oracle(C, j) for j in range(3)] == [2, 3, 3]
 
 
 def random_poly_matrix(ring, k, n, m, rng):
@@ -178,9 +206,13 @@ def assert_walk_matches_oracle(C, j, weights):
 
 
 def assert_matches_oracle(C):
-    """On a gamma-basis the normalised minimum is the column distance."""
-    for j, weights in oracle_weights(C):
-        assert column_distance(C, j) == min(w for _, w in weights), j
+    """On a gamma-basis the normalised minimum is the column distance,
+    both when the code walks it and when it remembers it."""
+    known = list(oracle_weights(C))
+    for _ in range(2):
+        for j, weights in known:
+            assert column_distance(C, j) == min(w for _, w in weights), j
+    for j, weights in known:
         assert_walk_matches_oracle(C, j, weights)
 
 

@@ -2,7 +2,8 @@ from itertools import product
 
 import pytest
 
-from chaincodes.fields import ExtField, is_irreducible
+from chaincodes.errors import InvalidParams
+from chaincodes.fields import ExtField, get_field, is_irreducible
 from oracles import zech_tables_by_polynomials
 
 # (p, h, modulus); the last two have no primitive z + c, so their generator
@@ -36,3 +37,16 @@ def test_is_irreducible_matches_sympy(p):
             expected = sympy.Poly(list(reversed(coeffs)), x,
                                   modulus=p).is_irreducible
             assert is_irreducible(coeffs, p) == expected, (p, coeffs)
+
+
+@pytest.mark.parametrize("build", [lambda: get_field(2, 0),
+                                   lambda: get_field(3, -1),
+                                   lambda: get_field(3, 1.5),
+                                   lambda: ExtField(5, 1),
+                                   lambda: ExtField(5, 0)],
+                         ids=["get_field(2,0)", "get_field(3,-1)",
+                              "get_field(3,1.5)", "ExtField(5,1)",
+                              "ExtField(5,0)"])
+def test_bad_h_is_rejected(build):
+    with pytest.raises(InvalidParams):
+        build()

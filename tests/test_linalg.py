@@ -62,6 +62,75 @@ def test_derived_matrices_equal_coerced_ones():
             assert (got.rows, got.cols) == (again.rows, again.cols)
 
 
+def library_built_matrices(ring, rng, monkeypatch):
+    """Every matrix the library builds from canonical entries without
+    coercing them again, on seeded inputs over `ring`."""
+    from chaincodes import conv, linalg
+    from chaincodes.constructions import (ToeplitzSpec, extract_mdp_blocks,
+                                          lift_from_residue_field,
+                                          lift_matrix, stack_gamma_layers)
+    from chaincodes.rings import residue_ring
+    els = list(ring.elements())
+    A = random_matrix(ring, 3, 4, rng)
+    while A.is_zero():
+        A = random_matrix(ring, 3, 4, rng)
+    G = conv.PolyMatrix(ring, [random_matrix(ring, 2, 3, rng)
+                               for _ in range(2)], k=2, n=3)
+    yield RingMatrix.identity(ring, 3)
+    yield RingMatrix.zeros(ring, 2, 3)
+    yield G.coefficient(5)
+    yield conv.leading_coefficient_matrix(G)
+    yield conv.sliding_matrix(G, 2)
+    yield conv._expansion_matrix(G, range(2), range(2), 3)
+    yield from diagonal_reduction(A)[1:]
+    yield gamma_basis(A)
+    yield standard_form(A)[0]
+    yield gamma_standard_form(A)[0]
+    tails = []
+    real = linalg.gamma_span_solve
+
+    def recording(tail, target, budget=None):
+        tails.append(tail)
+        return real(tail, target, budget)
+
+    monkeypatch.setattr(linalg, "gamma_span_solve", recording)
+    is_gamma_generator_sequence(gamma_basis(A))
+    monkeypatch.undo()
+    yield from tails
+    spec = ToeplitzSpec(ring, [rng.choice(els) for _ in range(6)])
+    yield spec.materialize()
+    yield from extract_mdp_blocks(spec, n=3, k=1, L=1,
+                                  check_superregular=False,
+                                  assert_minors=False).coeffs
+    square = random_matrix(ring, 3, 3, rng)
+    while diagonal_exponents(square) != (0, 0, 0):
+        square = random_matrix(ring, 3, 3, rng)
+    yield stack_gamma_layers(square, range(3 - ring.nu + 1, 4))
+    field = residue_ring(ring)
+    yield lift_matrix(random_matrix(field, 2, 3, rng), ring)
+    Gt = conv.PolyMatrix(field, [random_matrix(field, 1, 3, rng)
+                                 for _ in range(2)], k=1, n=3)
+    while not (conv.is_reduced(Gt) and Gt.degree == 1):
+        Gt = conv.PolyMatrix(field, [random_matrix(field, 1, 3, rng)
+                                     for _ in range(2)], k=1, n=3)
+    yield from lift_from_residue_field(Gt, ring,
+                                       validate=False).encoder.coeffs
+
+
+@pytest.mark.parametrize("ring", [zmod(8), GaloisRing(3, 2, 2),
+                                  TruncatedPolyRing(4, 2)], ids=repr)
+def test_library_built_matrices_equal_coerced_ones(ring, monkeypatch):
+    # a bare int or an unreduced coordinate that skipped coercion would
+    # differ from its coerced copy
+    rng = random.Random(88)
+    built = 0
+    for got in library_built_matrices(ring, rng, monkeypatch):
+        assert got == RingMatrix(ring, got.data, cols=got.cols)
+        assert got.rows == len(got.data)
+        built += 1
+    assert built >= 18
+
+
 # --------------------------------------------------------------- reduction
 
 def test_diagonal_reduction_identity_plus_gamma(z4):
@@ -274,6 +343,30 @@ def test_determinant_examples():
     assert determinant(M(z8, [[1, 2], [3, 5]])) == (7,)
     assert is_unit_determinant(M(z8, [[1, 2], [3, 5]]))
     assert not is_unit_determinant(M(z8, [[1, 2], [3, 4]]))
+
+
+@pytest.mark.parametrize("m", [8, 9, 121])
+def test_determinant_matches_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    ring = zmod(m)
+    rng = random.Random(m)
+    seen = set()
+    for size in range(1, 6):
+        for trial in range(12):
+            rows = [[rng.randrange(m) for _ in range(size)]
+                    for _ in range(size)]
+            if trial % 4 == 0 and size > 1:
+                # a repeated row: singular
+                rows[-1] = list(rows[0])
+            elif trial % 4 == 1:
+                # a row times the prime: determinant not a unit
+                rows[0] = [ring.p * x % m for x in rows[0]]
+            expected = int(sympy.Matrix(rows).det()) % m
+            (got,) = determinant(M(ring, rows))
+            assert got == expected, (m, rows)
+            seen.add("zero" if got == 0 else
+                     "unit" if got % ring.p else "non-unit")
+    assert seen == {"zero", "unit", "non-unit"}
 
 
 def test_determinant_requires_square(z4):

@@ -6,7 +6,8 @@ from chaincodes import GaloisRing, TruncatedPolyRing, make_ring, residue_ring, z
 from chaincodes.errors import (DigitNotInT, InvalidConvention, InvalidParams,
                                MixedRings, NotAUnit, RejectedModulus)
 from chaincodes.fields import default_modulus, get_field
-from oracles import invert_unit_by_exponent, teichmuller_by_iteration
+from oracles import (invert_unit_by_exponent, teichmuller_by_iteration,
+                     teichmuller_by_power)
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +138,17 @@ def test_lift_matches_the_iteration_oracle(p, r, s):
         [0, 1] + random.Random(707).sample(range(2, ring.q), 200)
     for c in codes:
         assert ring.lift(c) == teichmuller_by_iteration(ring, c)
+
+
+@pytest.mark.parametrize("p, r, s", TEICHMULLER_RINGS + [(5, 3, 3)])
+def test_lift_matches_the_full_power_oracle(p, r, s):
+    # lift(c) = y^(p^(r-1)) with y over c^(p^k), k = -(r-1) mod s, against
+    # x^(q^(r-1)) with x over c itself
+    ring = GaloisRing(p, r, s)
+    rng = random.Random(1231)
+    codes = [0, 1] + [rng.randrange(2, ring.q) for _ in range(300)]
+    for c in codes:
+        assert ring.lift(c) == teichmuller_by_power(ring, c)
 
 
 @pytest.mark.parametrize("ring", [GaloisRing(*prs)

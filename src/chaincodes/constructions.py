@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 from math import comb, isqrt
 
@@ -80,15 +81,16 @@ def is_proper(I, J):
     return all(i <= j for i, j in zip(I, J))
 
 
+@lru_cache(maxsize=None)
 def proper_index_pairs(ell):
     """All proper (I, J) pairs of an ell x ell upper-triangular Toeplitz
-    matrix, 1-based, every size."""
+    matrix, 1-based, every size, by size and then lexicographically; built
+    once per ell."""
     idx = range(1, ell + 1)
-    for s in range(1, ell + 1):
-        for I in combinations(idx, s):
-            for J in combinations(idx, s):
-                if all(i <= j for i, j in zip(I, J)):
-                    yield I, J
+    return tuple((I, J) for s in range(1, ell + 1)
+                 for I in combinations(idx, s)
+                 for J in combinations(idx, s)
+                 if all(i <= j for i, j in zip(I, J)))
 
 
 def is_gamma_superregular(spec: ToeplitzSpec, cross_check=True):

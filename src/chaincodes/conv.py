@@ -265,6 +265,7 @@ class ConvCode:
         self._gamma_basis = True if validate else None
         self._distances = {}  # j -> d_j, each walked once
         self._multiples = None  # see _normalised_weights
+        self._reversed = None  # see is_reverse_mdp
 
     def reduced(self):
         if self._reduced is None:
@@ -644,7 +645,9 @@ def is_reverse_mdp(C: ConvCode, method=MINORS,
     L = L_index(C.n, C.k, C.delta, ring.nu)
     if method == DISTANCES:
         # validation witnesses that the reversed rows are a gamma-basis,
-        # which column_distance's unit normalisation relies on
-        return _distances_condition(ConvCode(ring, C.n, rev), L, k0, budget)
+        # which column_distance's unit normalisation relies on; kept on C
+        if C._reversed is None:
+            C._reversed = ConvCode(ring, C.n, rev)
+        return _distances_condition(C._reversed, L, k0, budget)
     S = sliding_matrix(rev, L)
     return _minors_condition(S, L, C.n, k0)

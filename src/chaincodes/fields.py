@@ -174,6 +174,11 @@ class PrimeField:
     def mul(self, a, b):
         return (a * b) % self.p
 
+    def axpy(self, xs, f, ys):
+        """[x + f*y for x, y in zip(xs, ys)]."""
+        p = self.p
+        return [(x + f * y) % p for x, y in zip(xs, ys)]
+
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
@@ -287,6 +292,22 @@ class ExtField:
         if a == 0 or b == 0:
             return 0
         return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+
+    def axpy(self, xs, f, ys):
+        """[x + f*y for x, y in zip(xs, ys)], with log f looked up once."""
+        if f == 0:
+            return list(xs)
+        log, exp, zech, n = self._log, self._exp, self._zech, self.q - 1
+        lf = log[f]
+        out = []
+        for x, y in zip(xs, ys):
+            if y and x:
+                z = zech[(lf + log[y] - log[x]) % n]
+                x = 0 if z < 0 else exp[(log[x] + z) % n]
+            elif y:
+                x = exp[(lf + log[y]) % n]
+            out.append(x)
+        return out
 
     def inv(self, a):
         if a == 0:

@@ -190,7 +190,7 @@ def field_clear_column(field, rows, start, prow, c):
     by zeros up to c followed by its updated entries after c, so entries
     before c are not read from either row.  Row lists are never changed,
     only replaced."""
-    add, mul = field.add, field.mul
+    axpy, mul = field.axpy, field.mul
     hits = [i for i in range(start, len(rows)) if rows[i][c]]
     if hits:
         f0 = field.neg(field.inv(prow[c]))
@@ -198,9 +198,7 @@ def field_clear_column(field, rows, start, prow, c):
         tail = prow[c + 1:]
         for i in hits:
             row = rows[i]
-            f = mul(row[c], f0)
-            rows[i] = head + [add(x, mul(f, y))
-                              for x, y in zip(row[c + 1:], tail)]
+            rows[i] = head + axpy(row[c + 1:], mul(row[c], f0), tail)
 
 
 def field_rank(field, rows):
@@ -308,7 +306,7 @@ def _diagonalise(A, transforms):
                 row[k], row[pj] = row[pj], row[k]
             if transforms:
                 Rt[k], Rt[pj] = Rt[pj], Rt[k]
-        inv = ring.invert_unit(ring.unit_part(W[k][k]))
+        inv = ring.invert_unit(shift_down(W[k][k], e))
         # columns before k are zero in rows k and below
         pivot = W[k][k:] = [ring.mul(inv, x) for x in W[k][k:]]
         # clear the pivot column with row operations
@@ -553,7 +551,7 @@ def standard_form(A):
         if best is None:
             break
         e, pi, pj = best
-        inv = ring.invert_unit(ring.unit_part(W[pi][pj]))
+        inv = ring.invert_unit(shift_down(W[pi][pj], e))
         W[pi] = [ring.mul(inv, x) for x in W[pi]]
         # clear the pivot column from every other candidate row and from
         # already-placed rows of the same level (keeps the identity blocks)
@@ -601,15 +599,16 @@ def gamma_standard_form(A):
 # determinants
 
 def determinant(A):
-    """Exact determinant via valuation-pivoted elimination (divisions only
-    by units)."""
+    """Exact determinant by valuation-pivoted elimination of the first
+    column (divisions only by units) down to a 2x2 block, which is ad - bc,
+    or a 1x1 block, which is its entry."""
     ring = A.ring
     if A.rows != A.cols:
         raise NotSquare("determinant needs a square matrix")
+    mul, shift_down = ring.mul, ring.shift_down
     W = list(A.data)
     det = ring.one
-    while W:
-        # clear the first column, then go on with the trailing block
+    while len(W) > 2:
         best = _min_valuation_pivot(ring, W, range(len(W)), (0,))
         if best is None:
             return ring.zero
@@ -618,22 +617,34 @@ def determinant(A):
             W[0], W[pi] = W[pi], W[0]
             det = ring.neg(det)
         pivot, tail = W[0][0], W[0][1:]
-        det = ring.mul(det, pivot)
-        inv_unit = ring.invert_unit(ring.unit_part(pivot))
+        det = mul(det, pivot)
+        inv_unit = ring.invert_unit(shift_down(pivot, e))
         trailing = []
         for row in W[1:]:
             if row[0] == ring.zero:
                 trailing.append(row[1:])
             else:
                 # factor = entry / pivot, valid because val(entry) >= e
-                f = ring.mul(ring.shift_down(row[0], e), inv_unit)
+                f = mul(shift_down(row[0], e), inv_unit)
                 trailing.append(_sub_multiple(ring, row[1:], f, tail))
         W = trailing
-    return det
+    if len(W) == 2:
+        (a, b), (c, d) = W
+        return mul(det, ring.sub(mul(a, d), mul(b, c)))
+    return mul(det, W[0][0]) if W else det
 
 
 def residue_determinant(A):
-    """det of the projection, in the residue field."""
+    """det of the projection, in the residue field: ad - bc and a for
+    sizes 2 and 1, field_echelon beyond.  It never reads the ring
+    determinant, so each of the two checks the other."""
     if A.rows != A.cols:
         raise NotSquare("determinant needs a square matrix")
-    return field_echelon(A.ring.residue, A.residue_rows())[2]
+    field, proj = A.ring.residue, A.ring.project
+    if A.rows == 2:
+        (a, b), (c, d) = A.data
+        return field.sub(field.mul(proj(a), proj(d)),
+                         field.mul(proj(b), proj(c)))
+    if A.rows == 1:
+        return proj(A.data[0][0])
+    return field_echelon(field, A.residue_rows())[2]

@@ -143,9 +143,10 @@ class ChainRing:
         """Newton lifting (von zur Gathen & Gerhard, Modern Computer Algebra,
         9.1): if a v = 1 mod gamma^k then a v (2 - a v) = 1 mod gamma^2k,
         starting from the residue-field inverse."""
-        if self.valuation(a) != 0:
+        c = self.project(a)
+        if c == 0:
             raise NotAUnit(f"{a} has positive valuation")
-        v = self._embed(self.residue.inv(self.project(a)))
+        v = self._embed(self.residue.inv(c))
         two = self.add(self.one, self.one)
         precision = 1
         while precision < self.nu:
@@ -158,9 +159,6 @@ class ChainRing:
 
     def size(self):
         return self.q ** self.nu
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     # --- element JSON ----------------------------------------------------
 
@@ -241,15 +239,21 @@ class GaloisRing(ChainRing):
 
     def add(self, a, b):
         m = self.pr
-        return tuple((x + y) % m for x, y in zip(a, b))
+        if self.s == 1:
+            return ((a[0] + b[0]) % m,)
+        return tuple([(x + y) % m for x, y in zip(a, b)])
 
     def sub(self, a, b):
         m = self.pr
-        return tuple((x - y) % m for x, y in zip(a, b))
+        if self.s == 1:
+            return ((a[0] - b[0]) % m,)
+        return tuple([(x - y) % m for x, y in zip(a, b)])
 
     def neg(self, a):
         m = self.pr
-        return tuple((-x) % m for x in a)
+        if self.s == 1:
+            return ((-a[0]) % m,)
+        return tuple([(-x) % m for x in a])
 
     def mul(self, a, b):
         s, m = self.s, self.pr
@@ -270,8 +274,11 @@ class GaloisRing(ChainRing):
         return tuple(res)
 
     def invert_unit(self, a):
-        if self.s == 1 and self.valuation(a) == 0:
-            return (pow(a[0], -1, self.pr),)
+        if self.s == 1:
+            try:
+                return (pow(a[0], -1, self.pr),)
+            except ValueError:
+                raise NotAUnit(f"{a} has positive valuation") from None
         return super().invert_unit(a)
 
     def valuation(self, a):

@@ -1,14 +1,14 @@
 """Brute-force reference enumerators that the fast library paths are
 compared against."""
 
-from itertools import product
+from itertools import combinations, product
 
-from chaincodes.constructions import proper_index_pairs
 from chaincodes.conv import _admissible_column_subsets, sliding_matrix
 from chaincodes.errors import CrossCheckFailed
 from chaincodes.fields import (_digits, _encode, _poly_mulmod, _poly_powmod,
                                factorize)
-from chaincodes.linalg import determinant, field_rank, residue_determinant
+from chaincodes.linalg import (_min_valuation_pivot, _sub_multiple,
+                               determinant, field_rank, residue_determinant)
 
 
 def message_weights(C, j):
@@ -73,7 +73,7 @@ def superregular_minor_valuations(spec):
     ring = spec.ring
     A = spec.materialize()
     out = {}
-    for I, J in proper_index_pairs(spec.size):
+    for I, J in proper_index_pairs_by_generator(spec.size):
         sub = A.submatrix([i - 1 for i in I], [j - 1 for j in J])
         out[I, J] = 0 if is_unit_determinant(sub) \
             else ring.valuation(determinant(sub))
@@ -143,3 +143,43 @@ def invert_unit_by_exponent(ring, a):
     """a^(|units| - 1), the units forming a group of order
     q^(nu-1) (q-1)."""
     return ring_power(ring, a, ring.q ** (ring.nu - 1) * (ring.q - 1) - 1)
+
+
+def determinant_by_elimination(A):
+    """Exact determinant by valuation-pivoted elimination of the first
+    column, block after block down to the empty one, with no closed form
+    for small blocks."""
+    ring = A.ring
+    W = list(A.data)
+    det = ring.one
+    while W:
+        best = _min_valuation_pivot(ring, W, range(len(W)), (0,))
+        if best is None:
+            return ring.zero
+        e, pi, _ = best
+        if pi:
+            W[0], W[pi] = W[pi], W[0]
+            det = ring.neg(det)
+        pivot, tail = W[0][0], W[0][1:]
+        det = ring.mul(det, pivot)
+        inv_unit = ring.invert_unit(ring.unit_part(pivot))
+        trailing = []
+        for row in W[1:]:
+            if row[0] == ring.zero:
+                trailing.append(row[1:])
+            else:
+                f = ring.mul(ring.shift_down(row[0], e), inv_unit)
+                trailing.append(_sub_multiple(ring, row[1:], f, tail))
+        W = trailing
+    return det
+
+
+def proper_index_pairs_by_generator(ell):
+    """The proper (I, J) pairs of an ell x ell upper-triangular Toeplitz
+    matrix, 1-based, generated size by size."""
+    idx = range(1, ell + 1)
+    for s in range(1, ell + 1):
+        for I in combinations(idx, s):
+            for J in combinations(idx, s):
+                if all(i <= j for i, j in zip(I, J)):
+                    yield I, J

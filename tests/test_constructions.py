@@ -25,7 +25,8 @@ from chaincodes.errors import (BadCounts, BudgetExceeded, CrossCheckFailed,
                                SizeMismatch)
 from chaincodes.linalg import (RingMatrix, is_gamma_generator_sequence,
                                is_gamma_linearly_independent)
-from oracles import superregular_minor_valuations
+from oracles import (proper_index_pairs_by_generator,
+                     superregular_minor_valuations)
 
 
 def M(ring, rows):
@@ -72,6 +73,13 @@ def test_is_proper():
 def test_proper_index_pair_counts():
     assert sum(1 for _ in proper_index_pairs(3)) == 13
     assert sum(1 for _ in proper_index_pairs(6)) == 428
+
+
+def test_proper_index_pairs_are_built_once_in_generator_order():
+    for ell in range(1, 8):
+        pairs = proper_index_pairs(ell)
+        assert pairs == tuple(proper_index_pairs_by_generator(ell)), ell
+        assert proper_index_pairs(ell) is pairs
 
 
 # ------------------------------------------------------- superregularity

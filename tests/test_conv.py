@@ -389,6 +389,32 @@ def test_reverse_mdp_by_distances_never_uses_minors(code322, monkeypatch):
     assert is_reverse_mdp(code322, DISTANCES)
 
 
+def test_reversed_code_is_kept_and_walked_once(z121, monkeypatch):
+    from chaincodes import conv
+    C = ConvCode(z121, 3, PM(z121, [[[1, 2, 1], [11, 22, 11]],
+                                    [[1, 3, 4], [11, 33, 44]]]))
+    walked, validated = [], []
+    real_walk, real_basis = conv._normalised_weights, \
+        conv.is_polynomial_gamma_basis
+
+    def counting_walk(code, j):
+        walked.append((code is C, j))
+        return real_walk(code, j)
+
+    def counting_basis(G, budget=None):
+        validated.append(G)
+        return real_basis(G, budget=budget)
+
+    monkeypatch.setattr(conv, "_normalised_weights", counting_walk)
+    monkeypatch.setattr(conv, "is_polynomial_gamma_basis", counting_basis)
+    assert is_reverse_mdp(C, DISTANCES)
+    assert is_reverse_mdp(C, DISTANCES)
+    L = L_index(C.n, C.k, C.delta, z121.nu)
+    assert walked == [(True, j) for j in range(L + 1)] + \
+        [(False, j) for j in range(L + 1)]
+    assert validated == [reverse_encoder(C)]
+
+
 def test_mdp_preconditions(z4, z121):
     # nu does not divide k
     C1 = ConvCode(z4, 2, PM(z4, [[[2, 2]]]))  # torsion row, k=1

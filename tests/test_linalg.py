@@ -5,9 +5,10 @@ import pytest
 
 from chaincodes import GaloisRing, TruncatedPolyRing, zmod
 from chaincodes.errors import MethodPreconditionViolated, NotSquare, ZeroMatrix
+from chaincodes import linalg
 from chaincodes.linalg import (ORACLE, SHAPE_FAST, RingMatrix,
                                determinant, diagonal_exponents,
-                               diagonal_reduction,
+                               diagonal_reduction, field_echelon,
                                field_left_kernel, field_rank,
                                field_solve_left, gamma_basis,
                                gamma_dimension, gamma_span_solve,
@@ -16,7 +17,7 @@ from chaincodes.linalg import (ORACLE, SHAPE_FAST, RingMatrix,
                                is_gamma_linearly_independent,
                                parameters_of, residue_determinant, shape_of,
                                standard_form)
-from oracles import is_unit_determinant
+from oracles import determinant_by_elimination, is_unit_determinant
 
 
 @pytest.fixture(scope="module")
@@ -394,6 +395,81 @@ def test_determinant_galois_ring():
     d = determinant(A)
     assert d == gr.sub(gr.mul(xi, xi), gr.one)
     assert is_unit_determinant(A) == (gr.valuation(d) == 0)
+
+
+# rings of every kind the determinant kernels meet: Z8, Z9, Z121, GR(9,2)
+# with the extension field F_9 as residue, GR(8,3) and F_4[u]/(u^2)
+DET_RINGS = [zmod(8), zmod(9), zmod(121), GaloisRing(3, 2, 2),
+             GaloisRing(2, 3, 3), TruncatedPolyRing(4, 2)]
+
+
+def seeded_square_matrices(ring, seed, sizes=range(7), per_size=16):
+    """Square matrices of the given sizes: random ones, and ones with a
+    zero first column, a first column of non-units, a repeated row
+    (singular) and a row times gamma (a determinant that is not a unit)."""
+    rng = random.Random(seed)
+    els = list(ring.elements())
+    for size in sizes:
+        for trial in range(per_size):
+            rows = [[rng.choice(els) for _ in range(size)]
+                    for _ in range(size)]
+            kind = trial % 5
+            if size and kind == 0:
+                for row in rows:
+                    row[0] = ring.zero
+            elif size and kind == 1:
+                for row in rows:
+                    row[0] = ring.mul(ring.gamma, row[0])
+            elif size > 1 and kind == 2:
+                rows[-1] = list(rows[0])
+            elif size and kind == 3:
+                rows[0] = [ring.mul(ring.gamma, x) for x in rows[0]]
+            yield M(ring, rows)
+
+
+@pytest.mark.parametrize("ring", DET_RINGS, ids=repr)
+def test_determinant_equals_elimination_to_the_empty_block(ring):
+    seen = set()
+    for A in seeded_square_matrices(ring, 41):
+        d = determinant(A)
+        assert d == determinant_by_elimination(A), A.data
+        if A.rows:
+            v = ring.valuation(d)
+            seen.add("unit" if v == 0 else "zero" if v == ring.nu
+                     else "non-unit")
+    assert seen == {"zero", "unit", "non-unit"}
+
+
+@pytest.mark.parametrize("ring", DET_RINGS, ids=repr)
+def test_residue_determinant_equals_the_echelon_determinant(ring):
+    field = ring.residue
+    dets = set()
+    for A in seeded_square_matrices(ring, 43):
+        d = residue_determinant(A)
+        assert d == field_echelon(field, A.residue_rows())[2], A.data
+        dets.add(d == field.zero)
+    assert dets == {True, False}
+
+
+@pytest.mark.parametrize("m", [8, 9, 121])
+def test_determinant_paths_are_independent(m, monkeypatch):
+    ring = zmod(m)
+    mats = list(seeded_square_matrices(ring, m, range(1, 6), 5))
+    residue = [field_echelon(ring.residue, A.residue_rows())[2]
+               for A in mats]
+    exact = [determinant_by_elimination(A) for A in mats]
+
+    def boom(*args):
+        raise AssertionError("the other determinant path was read")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "determinant", boom)
+        assert [residue_determinant(A) for A in mats] == residue
+    # over s = 1 the unit inverse is one pow, so nothing of the ring
+    # determinant projects to the residue field
+    monkeypatch.setattr(ring, "project", boom)
+    monkeypatch.setattr(linalg, "field_echelon", boom)
+    assert [determinant(A) for A in mats] == exact
 
 
 # --------------------------------------------------------------- field core

@@ -1,11 +1,14 @@
-"""Property tests of the unit inverse and the Teichmueller lift over Galois
-rings with s > 1 and truncated polynomial rings over non-prime fields."""
+"""Property tests of the coordinate arithmetic, the unit inverse and the
+Teichmueller lift over Galois rings with s > 1 and truncated polynomial
+rings over non-prime fields, and of the fused field row update."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaincodes import GaloisRing, TruncatedPolyRing
+from chaincodes import GaloisRing, TruncatedPolyRing, zmod
+from chaincodes.errors import NotAUnit
+from chaincodes.fields import get_field
 from oracles import ring_power
 
 RINGS = [GaloisRing(2, 3, 3), GaloisRing(3, 3, 2), GaloisRing(2, 4, 2),
@@ -39,3 +42,44 @@ def test_lift_is_a_fixed_multiplicative_section(ring, data):
     assert ring.project(t) == c
     assert ring_power(ring, t, ring.q) == t
     assert ring.lift(ring.residue.mul(c, d)) == ring.mul(t, ring.lift(d))
+
+
+GALOIS_RINGS = [zmod(8), zmod(121), GaloisRing(3, 2, 2), GaloisRing(2, 3, 3),
+                GaloisRing(11, 2, 5)]
+
+
+@pytest.mark.parametrize("ring", GALOIS_RINGS, ids=repr)
+@SETTINGS
+@given(data=st.data())
+def test_galois_sums_are_coordinate_wise_mod_pr(ring, data):
+    a, b = data.draw(st.tuples(elements(ring), elements(ring)))
+    m = ring.pr
+    assert ring.add(a, b) == tuple((x + y) % m for x, y in zip(a, b))
+    assert ring.sub(a, b) == tuple((x - y) % m for x, y in zip(a, b))
+    assert ring.neg(a) == tuple((-x) % m for x in a)
+
+
+@pytest.mark.parametrize("ring", [zmod(121), zmod(8), GaloisRing(3, 2, 2),
+                                  TruncatedPolyRing(4, 2)], ids=repr)
+@SETTINGS
+@given(data=st.data())
+def test_invert_unit_of_a_non_unit_raises_not_a_unit(ring, data):
+    a = data.draw(elements(ring).filter(lambda x: not ring.is_unit(x)))
+    with pytest.raises(NotAUnit):
+        ring.invert_unit(a)
+
+
+FIELDS = [get_field(2), get_field(11), get_field(2, 3), get_field(3, 2),
+          get_field(11, 2)]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@SETTINGS
+@given(data=st.data())
+def test_axpy_is_add_of_mul(field, data):
+    code = st.one_of(st.just(0), st.integers(0, field.q - 1))
+    f = data.draw(code)
+    pairs = data.draw(st.lists(st.tuples(code, code), max_size=8))
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    assert field.axpy(xs, f, ys) == [field.add(x, field.mul(f, y))
+                                     for x, y in pairs]

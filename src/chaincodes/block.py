@@ -10,11 +10,11 @@ from __future__ import annotations
 from itertools import product
 from math import ceil
 
+from .conv import DEFAULT_DISTANCE_BUDGET
 from .errors import BudgetExceeded, InvalidParams
 from .linalg import (RingMatrix, gamma_basis, is_gamma_generator_sequence,
-                     is_gamma_linearly_independent, parameters_of, shape_of)
-
-DEFAULT_DISTANCE_BUDGET = 10 ** 7
+                     is_gamma_linearly_independent, parameters_of, shape_of,
+                     t_combination)
 
 
 class BlockCode:
@@ -44,16 +44,9 @@ class BlockCode:
     def codewords(self):
         """All q^k codewords (with repetition impossible: rows are a
         gamma-basis)."""
-        ring = self.ring
-        reps = ring.representatives()
-        zero = ring.zero
-        for digits in product(reps, repeat=self.k):
-            word = [zero] * self.n
-            for t, row in zip(digits, self.encoder.data):
-                if t != zero:
-                    for j, e in enumerate(row):
-                        word[j] = ring.add(word[j], ring.mul(t, e))
-            yield tuple(word)
+        ring, rows = self.ring, self.encoder.data
+        for digits in product(ring.representatives(), repeat=self.k):
+            yield tuple(t_combination(ring, digits, rows, self.n))
 
     def __repr__(self):
         return f"BlockCode(n={self.n}, k={self.k}, ring={self.ring!r})"
@@ -66,13 +59,10 @@ def min_distance_block(code: BlockCode, budget=DEFAULT_DISTANCE_BUDGET):
     if total > budget:
         raise BudgetExceeded(f"{total} codewords exceed budget {budget}",
                              requested=total, allowed=budget)
-    zero_word = (ring.zero,) * code.n
     best = None
     for word in code.codewords():
-        if word == zero_word:
-            continue
         w = sum(1 for e in word if e != ring.zero)
-        if best is None or w < best:
+        if w and (best is None or w < best):
             best = w
             if best == 1:
                 break

@@ -14,15 +14,17 @@ import json
 import re
 import sys
 import time
+from contextlib import nullcontext
 
 from . import __version__
 from .block import (BlockCode, is_mds, min_distance_block, nu_optimal_sets,
                     singleton_bound_block)
-from .conv import (DISTANCES, MINORS, ConvCode, distance_bounds,
-                   distance_profile, embedding_preserves_L, field_L_index,
-                   is_mdp, is_polynomial_gamma_basis, is_reverse_mdp, L_index,
-                   optimal_cd_bound)
-from .constructions import (EXHAUSTIVE, RANDOM, ROWS_EXAMPLE, ROWS_FORMULA,
+from .conv import (DEFAULT_DISTANCE_BUDGET, DISTANCES, MINORS, ConvCode,
+                   distance_bounds, distance_profile, embedding_preserves_L,
+                   field_L_index, is_mdp, is_polynomial_gamma_basis,
+                   is_reverse_mdp, L_index, optimal_cd_bound)
+from .constructions import (DEFAULT_SEARCH_BUDGET, EXHAUSTIVE, RANDOM,
+                            ROWS_EXAMPLE, ROWS_FORMULA,
                             ToeplitzSpec, binomial_encoder,
                             extract_mdp_blocks, is_gamma_superregular,
                             is_reverse_gamma_superregular,
@@ -70,10 +72,11 @@ def parse_ring(text):
 
 
 def load_json(path):
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path) as fh:
-        return json.load(fh)
+    with nullcontext(sys.stdin) if path == "-" else open(path) as fh:
+        obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise InvalidParams(f"{path} does not hold a JSON object")
+    return obj
 
 
 def load_code(path, validate=True):
@@ -152,57 +155,56 @@ def cmd_check(args, report):
         res["reduced"] = verdict
     else:
         pred = is_mdp if args.property == "mdp" else is_reverse_mdp
-        if args.method == "both":
-            via_minors = pred(code, method=MINORS, budget=args.budget)
-            via_distances = pred(code, method=DISTANCES, budget=args.budget)
-            if via_minors != via_distances:
-                raise CrossCheckFailed(
-                    f"minors verdict {via_minors} disagrees with "
-                    f"distances verdict {via_distances}")
-            res[args.property] = {"minors": via_minors,
-                                  "distances": via_distances}
-            verdict = via_minors
-        else:
-            method = MINORS if args.method == "minors" else DISTANCES
-            verdict = pred(code, method=method, budget=args.budget)
-            res[args.property] = {method: verdict}
+        methods = [MINORS, DISTANCES] if args.method == "both" \
+            else [args.method]
+        verdicts = {m: pred(code, method=m, budget=args.budget)
+                    for m in methods}
+        if len(set(verdicts.values())) > 1:
+            raise CrossCheckFailed(
+                f"minors verdict {verdicts[MINORS]} disagrees with "
+                f"distances verdict {verdicts[DISTANCES]}")
+        res[args.property] = verdicts
+        verdict = verdicts[methods[0]]
     return EXIT_HOLDS if verdict else EXIT_FAILS
+
+
+# argparse cannot make an option required for some kinds only
+CONSTRUCT_NEEDS = {"binomial": ("--n", "--k", "--delta", "--p"),
+                   "lift": ("--field-code", "--ring"),
+                   "superregular": ("--matrix", "--n", "--k", "--L")}
 
 
 def cmd_construct(args, report):
     res = report.doc["results"]
-    if args.kind == "binomial":
-        encoder, warnings = binomial_encoder(args.n, args.k, args.delta,
-                                             args.p)
-        for w in warnings:
-            report.warn(w)
-        ring = encoder.ring
-        code = ConvCode(ring, args.n, encoder)
-        if args.ring is not None:
-            target = parse_ring(args.ring)
-            if target.nu > 1:
-                code = lift_from_residue_field(encoder, target)
-    elif args.kind == "lift":
+    missing = [opt for opt in CONSTRUCT_NEEDS[args.kind]
+               if getattr(args, opt[2:].replace("-", "_")) is None]
+    if missing:
+        args.usage_error(f"construct {args.kind} needs {', '.join(missing)}")
+    if args.kind == "lift":
         src = load_code(args.field_code)
         if src.ring.nu != 1:
             raise InvalidParams("lift input must live over a nu=1 ring")
         target = parse_ring(args.ring)
         code = lift_from_residue_field(src.encoder, target)
-    elif args.kind == "superregular":
-        spec = load_toeplitz(args.matrix)
-        if spec.ring.nu != 1:
-            raise InvalidParams(
-                "block extraction expects a matrix over a nu=1 ring")
-        rows = ROWS_FORMULA if args.rows == "formula" else ROWS_EXAMPLE
-        encoder = extract_mdp_blocks(spec, n=args.n, k=args.k, L=args.L,
-                                     rows=rows)
-        code = ConvCode(spec.ring, args.n, encoder)
+    else:
+        if args.kind == "binomial":
+            encoder, warnings = binomial_encoder(args.n, args.k, args.delta,
+                                                 args.p)
+            for w in warnings:
+                report.warn(w)
+        else:
+            spec = load_toeplitz(args.matrix)
+            if spec.ring.nu != 1:
+                raise InvalidParams(
+                    "block extraction expects a matrix over a nu=1 ring")
+            encoder = extract_mdp_blocks(spec, n=args.n, k=args.k, L=args.L,
+                                         rows=args.rows)
+        # unlike `lift`, a --ring with nu = 1 keeps the code as built
+        code = ConvCode(encoder.ring, args.n, encoder)
         if args.ring is not None:
             target = parse_ring(args.ring)
             if target.nu > 1:
                 code = lift_from_residue_field(encoder, target)
-    else:  # pragma: no cover - argparse restricts choices
-        raise InvalidParams(f"unknown construction {args.kind!r}")
     res["code"] = code.to_json()
     res["n"] = code.n
     res["k"] = code.k
@@ -223,7 +225,7 @@ def cmd_distances(args, report):
     res["saturated"] = [d == b for d, b in zip(profile, bounds)]
     try:
         res["L"] = L_index(n, k, code.delta, ring.nu)
-    except NuNotDividingK as exc:
+    except (NuNotDividingK, InvalidParams) as exc:
         report.warn(str(exc))
     return EXIT_HOLDS
 
@@ -273,10 +275,9 @@ def cmd_blockcode(args, report):
 def cmd_search(args, report):
     res = report.doc["results"]
     ring = parse_ring(args.ring)
-    strategy = RANDOM if args.strategy == "random" else EXHAUSTIVE
-    if strategy == RANDOM and args.seed is None:
+    if args.strategy == RANDOM and args.seed is None:
         raise InvalidParams("random search requires an explicit --seed")
-    hits = search_superregular(args.ell, ring, strategy=strategy,
+    hits = search_superregular(args.ell, ring, strategy=args.strategy,
                                seed=args.seed, budget=args.budget,
                                reverse=args.reverse)
     res["count"] = len(hits)
@@ -307,6 +308,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def non_negative(text):
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"{text} is negative")
+    return int(text)
+
+
 def build_parser():
     parser = _Parser(
         prog="chaincodes",
@@ -323,9 +330,9 @@ def build_parser():
                                         "reduced", "gamma-basis"])
     p.add_argument("--code", required=True,
                    help="code JSON file, or - for standard input")
-    p.add_argument("--method", choices=["minors", "distances", "both"],
+    p.add_argument("--method", choices=[MINORS, DISTANCES, "both"],
                    default="minors")
-    p.add_argument("--budget", type=int, default=10 ** 7)
+    p.add_argument("--budget", type=int, default=DEFAULT_DISTANCE_BUDGET)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("construct", help="build a code")
@@ -339,14 +346,14 @@ def build_parser():
     p.add_argument("--p", type=int, help="prime for the binomial encoder")
     p.add_argument("--L", type=int, help="block count minus one "
                                          "(superregular extraction)")
-    p.add_argument("--rows", choices=["example", "formula"],
-                   default="example")
-    p.set_defaults(func=cmd_construct)
+    p.add_argument("--rows", choices=[ROWS_EXAMPLE, ROWS_FORMULA],
+                   default=ROWS_EXAMPLE)
+    p.set_defaults(func=cmd_construct, usage_error=p.error)
 
     p = sub.add_parser("distances", help="column distance profile")
     p.add_argument("--code", required=True)
-    p.add_argument("--max-j", type=int, required=True, dest="max_j")
-    p.add_argument("--budget", type=int, default=10 ** 7)
+    p.add_argument("--max-j", type=non_negative, required=True)
+    p.add_argument("--budget", type=int, default=DEFAULT_DISTANCE_BUDGET)
     p.set_defaults(func=cmd_distances)
 
     p = sub.add_parser("bounds", help="distance bounds from parameters")
@@ -354,26 +361,26 @@ def build_parser():
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("--nu", type=int, required=True)
-    p.add_argument("--max-j", type=int, default=None, dest="max_j")
+    p.add_argument("--max-j", type=non_negative, default=None)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("blockcode", help="block-code computations")
     p.add_argument("what", choices=["shape", "standard-form", "params",
                                     "mindist"])
     p.add_argument("--matrix", required=True)
-    p.add_argument("--budget", type=int, default=10 ** 7)
+    p.add_argument("--budget", type=int, default=DEFAULT_DISTANCE_BUDGET)
     p.set_defaults(func=cmd_blockcode)
 
     p = sub.add_parser("search", help="search superregular matrices")
     p.add_argument("what", choices=["superregular"])
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--ring", required=True)
-    p.add_argument("--strategy", choices=["exhaustive", "random"],
-                   default="exhaustive")
+    p.add_argument("--strategy", choices=[EXHAUSTIVE, RANDOM],
+                   default=EXHAUSTIVE)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--budget", type=int, default=10 ** 6)
+    p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
     p.add_argument("--reverse", action="store_true")
-    p.add_argument("--max-hits", type=int, default=20, dest="max_hits")
+    p.add_argument("--max-hits", type=non_negative, default=20)
     p.set_defaults(func=cmd_search)
 
     return parser

@@ -26,6 +26,8 @@ from .rings import zmod
 EXHAUSTIVE = "exhaustive"
 RANDOM = "random"
 
+DEFAULT_SEARCH_BUDGET = 10 ** 6
+
 
 @dataclass(frozen=True)
 class ToeplitzSpec:
@@ -208,10 +210,7 @@ def binomial_encoder(n, k, delta, p):
     """(encoder over F_p, warnings).  Coefficient i has entries
     binom(mn+n-k, (i+1)n-k+a-b) at row a, column b (1-based), computed
     exactly and reduced mod p."""
-    if not (1 <= k < n) or delta < 0 or delta % k:
-        raise InvalidParams(
-            f"need 1 <= k < n and k | delta; got n={n}, k={k}, "
-            f"delta={delta}")
+    large_enough = binomial_field_large_enough(n, k, delta, p)  # validates
     m = delta // k
     M = m * n + n - k
     field_ring = zmod(p)
@@ -221,7 +220,7 @@ def binomial_encoder(n, k, delta, p):
                  for b in range(1, n + 1)] for a in range(1, k + 1)]
         coeffs.append(RingMatrix(field_ring, rows, cols=n))
     warnings = []
-    if not binomial_field_large_enough(n, k, delta, p):
+    if not large_enough:
         warnings.append(
             f"p={p} does not exceed the sufficient-field-size bound "
             f"{binomial_bound(n, k, delta)}; the construction may still "
@@ -229,16 +228,22 @@ def binomial_encoder(n, k, delta, p):
     return PolyMatrix(field_ring, coeffs, k=k, n=n), warnings
 
 
-def binomial_bound(n, k, delta):
-    """binom(M, floor(M/2))^(k(L+1)) * (k(L+1))^(k(L+1)/2) with
-    M = mn+n-k and L = delta/k + floor(delta/(n-k)); floor of the exact
-    value when the half-integer exponent makes it irrational."""
+def _binomial_bound_parts(n, k, delta):
+    """(binom(M, floor(M/2)), k(L+1)) with M = mn+n-k, m = delta/k and
+    L = delta/k + floor(delta/(n-k)), for valid parameters."""
     if not (1 <= k < n) or delta < 0 or delta % k:
-        raise InvalidParams(f"bad parameters n={n}, k={k}, delta={delta}")
+        raise InvalidParams(
+            f"need 1 <= k < n and k | delta; got n={n}, k={k}, "
+            f"delta={delta}")
     m = delta // k
     M = m * n + n - k
-    e = k * (delta // k + delta // (n - k) + 1)
-    b = comb(M, M // 2)
+    return comb(M, M // 2), k * (m + delta // (n - k) + 1)
+
+
+def binomial_bound(n, k, delta):
+    """binom(M, floor(M/2))^(k(L+1)) * (k(L+1))^(k(L+1)/2); floor of the
+    exact value when the half-integer exponent makes it irrational."""
+    b, e = _binomial_bound_parts(n, k, delta)
     if e % 2 == 0:
         return b ** e * e ** (e // 2)
     return isqrt(b ** (2 * e) * e ** e)
@@ -246,10 +251,7 @@ def binomial_bound(n, k, delta):
 
 def binomial_field_large_enough(n, k, delta, p):
     """Exact comparison p > bound (squared to avoid the square root)."""
-    m = delta // k
-    M = m * n + n - k
-    e = k * (delta // k + delta // (n - k) + 1)
-    b = comb(M, M // 2)
+    b, e = _binomial_bound_parts(n, k, delta)
     return p ** 2 > b ** (2 * e) * e ** e
 
 
@@ -321,36 +323,30 @@ def extract_mdp_blocks(spec: ToeplitzSpec, n, k, L, rows=ROWS_EXAMPLE,
 # search
 
 def search_superregular(ell, ring, strategy=EXHAUSTIVE, seed=None,
-                        budget=10 ** 6, reverse=False):
+                        budget=DEFAULT_SEARCH_BUDGET, reverse=False):
     """Find (reverse-)gamma-superregular upper-triangular Toeplitz specs
-    with a_1 normalized to 1 (unit scaling preserves superregularity)."""
-    check = is_reverse_gamma_superregular if reverse \
-        else is_gamma_superregular
-    hits = []
+    with a_1 normalized to 1 (unit scaling preserves superregularity).
+    The candidate tails (a_2, ..., a_ell) are all of them in lexicographic
+    order (EXHAUSTIVE) or the distinct ones among `budget` seeded draws,
+    in draw order (RANDOM)."""
     if strategy == EXHAUSTIVE:
         total = ring.size() ** (ell - 1)
         if total > budget:
             raise BudgetExceeded(
                 f"exhaustive search needs {total} candidates",
                 requested=total, allowed=budget)
-        for tail in product(ring.elements(), repeat=ell - 1):
-            spec = ToeplitzSpec(ring, (ring.one,) + tail)
-            if check(spec, cross_check=False):
-                hits.append(spec)
-        return hits
-    if strategy == RANDOM:
+        tails = product(ring.elements(), repeat=ell - 1)
+    elif strategy == RANDOM:
         if seed is None:
             raise InvalidParams("random search requires an explicit seed")
         rng = random.Random(seed)
         els = list(ring.elements())
-        seen = set()
-        for _ in range(budget):
-            tail = tuple(rng.choice(els) for _ in range(ell - 1))
-            if tail in seen:
-                continue
-            seen.add(tail)
-            spec = ToeplitzSpec(ring, (ring.one,) + tail)
-            if check(spec, cross_check=False):
-                hits.append(spec)
-        return hits
-    raise InvalidParams(f"unknown strategy {strategy!r}")
+        draws = (tuple(rng.choice(els) for _ in range(ell - 1))
+                 for _ in range(budget))
+        tails = dict.fromkeys(draws)  # distinct, in draw order
+    else:
+        raise InvalidParams(f"unknown strategy {strategy!r}")
+    check = is_reverse_gamma_superregular if reverse \
+        else is_gamma_superregular
+    specs = (ToeplitzSpec(ring, (ring.one,) + tail) for tail in tails)
+    return [spec for spec in specs if check(spec, cross_check=False)]

@@ -473,13 +473,15 @@ def optimal_cd_bound(j, n, k, nu):
 
 def L_index(n, k, delta, nu):
     """Largest j whose column-distance bound stays within the Singleton
-    bound; closed form available only when nu divides k."""
+    bound; closed form available only when nu divides k and n > k/nu."""
     if k < 1 or nu < 1:
         raise InvalidParams(f"bad parameters k={k}, nu={nu}")
     if k % nu:
         raise NuNotDividingK(
             f"L has no implemented closed form when nu={nu} does not "
             f"divide k={k}")
+    if n <= k // nu:
+        raise InvalidParams(f"L needs n > k/nu; got n={n}, k={k}, nu={nu}")
     return delta // k + (delta // nu) // (n - k // nu)
 
 

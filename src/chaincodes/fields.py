@@ -17,16 +17,14 @@ from .errors import InvalidParams
 
 def prime_power_split(n):
     """(p, e) with n = p**e, or raise ValueError."""
-    for p in range(2, n + 1):
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            if n != 1:
-                raise ValueError("not a prime power")
-            return p, e
-    raise ValueError("not a prime power")
+    factors = factorize(n)
+    if len(factors) != 1:
+        raise ValueError("not a prime power")
+    p, e = factors[0], 0
+    while n > 1:
+        n //= p
+        e += 1
+    return p, e
 
 
 def factorize(n):
@@ -151,16 +149,32 @@ def _encode(digits, p):
 # ---------------------------------------------------------------------------
 
 
-class PrimeField:
+class _Field:
+    """Shared behaviour: the elements are the codes 0..q-1, and a field is
+    identified by its `key`."""
+
+    zero = 0
+    one = 1
+
+    def elements(self):
+        return range(self.q)
+
+    def __eq__(self, other):
+        return isinstance(other, _Field) and other.key == self.key
+
+    def __hash__(self):
+        return hash(self.key)
+
+
+class PrimeField(_Field):
     """F_p with elements 0..p-1."""
 
     def __init__(self, p):
         self.p = p
         self.h = 1
         self.q = p
-        self.zero = 0
-        self.one = 1
         self.modulus = (0, 1)
+        self.key = ("PrimeField", p)
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -187,9 +201,6 @@ class PrimeField:
     def pow(self, a, e):
         return pow(a, e, self.p)
 
-    def elements(self):
-        return range(self.p)
-
     def generator(self):
         facs = factorize(self.p - 1) if self.p > 2 else []
         for g in range(1, self.p):
@@ -203,17 +214,11 @@ class PrimeField:
     def from_coords(self, coords):
         return coords[0] % self.p
 
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
-
     def __repr__(self):
         return f"F_{self.p}"
 
 
-class ExtField:
+class ExtField(_Field):
     """F_{p^h} via log/antilog and Zech logarithm tables."""
 
     def __init__(self, p, h, modulus=None):
@@ -231,8 +236,7 @@ class ExtField:
         if not is_irreducible(list(modulus), p):
             raise ValueError("modulus reducible over F_p")
         self.modulus = modulus
-        self.zero = 0
-        self.one = 1
+        self.key = ("ExtField", p, h, modulus)
         self._build_tables()
 
     def _build_tables(self):
@@ -319,21 +323,11 @@ class ExtField:
             return 0 if e else 1
         return self._exp[(self._log[a] * e) % (self.q - 1)]
 
-    def elements(self):
-        return range(self.q)
-
     def coords(self, a):
         return tuple(_digits(a, self.p, self.h))
 
     def from_coords(self, coords):
         return _encode([c % self.p for c in coords], self.p)
-
-    def __eq__(self, other):
-        return (isinstance(other, ExtField) and other.p == self.p
-                and other.h == self.h and other.modulus == self.modulus)
-
-    def __hash__(self):
-        return hash(("ExtField", self.p, self.h, self.modulus))
 
     def __repr__(self):
         return f"F_{self.p}^{self.h}"

@@ -12,7 +12,7 @@ this is sound and complete because lift(project(t)) == t for t in T.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain, product
 
 from .errors import (BudgetExceeded, MethodPreconditionViolated, NotSquare,
                      ZeroMatrix)
@@ -227,6 +227,17 @@ def field_solve_left(field, rows, target):
     return None
 
 
+def t_combination(ring, digits, rows, n):
+    """sum(t_i * row_i) over the length-n rows, as a list of entries."""
+    add, mul, zero = ring.add, ring.mul, ring.zero
+    acc = [zero] * n
+    for t, row in zip(digits, rows):
+        if t != zero:
+            for j, e in enumerate(row):
+                acc[j] = add(acc[j], mul(t, e))
+    return acc
+
+
 def iter_span(field, basis, include_zero=False):
     """All vectors in the span of `basis` (list of row vectors)."""
     d = len(basis)
@@ -399,12 +410,11 @@ def gamma_span_solve(A, target, budget=DEFAULT_ORACLE_BUDGET):
     ring = A.ring
     field = ring.residue
     m = A.rows
-    if m == 0:
-        z = ring.zero
-        return () if all(e == z for e in target) else None
     # trivial hits that need no search
     if all(e == ring.zero for e in target):
         return (ring.zero,) * m
+    if m == 0:
+        return None
     tlist = list(target)
     for i, row in enumerate(A.data):
         if list(row) == tlist:
@@ -423,28 +433,20 @@ def gamma_span_solve(A, target, budget=DEFAULT_ORACLE_BUDGET):
         raise BudgetExceeded(
             f"span membership needs {field.q}^{len(kernel)} candidates",
             requested=field.q ** len(kernel), allowed=budget)
-    lift = ring.lift
-    zero = ring.zero
+    coset = chain([part], ([field.add(a, b) for a, b in zip(part, kvec)]
+                           for kvec in iter_span(field, kernel)))
+    return _lifted_solution(A, target, coset)
 
-    def check(codes):
-        acc = [zero] * A.cols
-        ts = []
-        for c, row in zip(codes, A.data):
-            t = lift(c)
-            ts.append(t)
-            if t != zero:
-                for j, e in enumerate(row):
-                    acc[j] = ring.add(acc[j], ring.mul(t, e))
-        return tuple(ts) if list(acc) == list(target) else None
 
-    got = check(part)
-    if got is not None:
-        return got
-    for kvec in iter_span(field, kernel):
-        cand = [field.add(a, b) for a, b in zip(part, kvec)]
-        got = check(cand)
-        if got is not None:
-            return got
+def _lifted_solution(A, target, candidates):
+    """The digits t = lift(c) of the first candidate residue vector c with
+    sum(t_i * row_i) == target, or None when no candidate gives it."""
+    ring = A.ring
+    lift, target = ring.lift, list(target)
+    for codes in candidates:
+        digits = [lift(c) for c in codes]
+        if t_combination(ring, digits, A.data, A.cols) == target:
+            return tuple(digits)
     return None
 
 
@@ -500,19 +502,10 @@ def is_gamma_linearly_independent(A, method=ORACLE,
         raise BudgetExceeded(
             f"oracle needs {field.q}^{len(kernel)} kernel lifts",
             requested=field.q ** len(kernel), allowed=budget)
-    zero = ring.zero
-    for cand in iter_span(field, kernel):
-        acc = [zero] * A.cols
-        nontrivial = False
-        for c, row in zip(cand, A.data):
-            t = ring.lift(c)
-            if t != zero:
-                nontrivial = True
-                for j, e in enumerate(row):
-                    acc[j] = ring.add(acc[j], ring.mul(t, e))
-        if nontrivial and all(e == zero for e in acc):
-            return False
-    return True
+    # a nonzero kernel vector lifts to a nonzero T-vector: lift is
+    # injective and lift(0) == 0
+    return _lifted_solution(A, [ring.zero] * A.cols,
+                            iter_span(field, kernel)) is None
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ and the unique digit expansion a = sum(t_i * gamma^i) over T.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import (DigitNotInT, InvalidConvention, InvalidParams,
                      MixedRings, NotAUnit, RejectedModulus)
@@ -45,21 +46,19 @@ class RingElement:
         self.ring = ring
         self.coords = coords
 
-    def _check(self, other):
+    def _apply(self, op, other):
         if not isinstance(other, RingElement) or other.ring != self.ring:
             raise MixedRings("operands come from different rings")
+        return RingElement(self.ring, op(self.coords, other.coords))
 
     def __add__(self, other):
-        self._check(other)
-        return RingElement(self.ring, self.ring.add(self.coords, other.coords))
+        return self._apply(self.ring.add, other)
 
     def __sub__(self, other):
-        self._check(other)
-        return RingElement(self.ring, self.ring.sub(self.coords, other.coords))
+        return self._apply(self.ring.sub, other)
 
     def __mul__(self, other):
-        self._check(other)
-        return RingElement(self.ring, self.ring.mul(self.coords, other.coords))
+        return self._apply(self.ring.mul, other)
 
     def __neg__(self):
         return RingElement(self.ring, self.ring.neg(self.coords))
@@ -85,7 +84,38 @@ class RingElement:
 
 
 class ChainRing:
-    """Shared behaviour; subclasses provide the coordinate arithmetic."""
+    """Shared behaviour; subclasses provide the coordinate arithmetic, the
+    modulus `coord_modulus` of each coordinate and the identity `key`."""
+
+    _reps = None
+    _rep_set = None
+
+    # --- coordinates ------------------------------------------------------
+
+    def coerce(self, x):
+        if isinstance(x, RingElement):
+            if x.ring != self:
+                raise MixedRings("element from another ring")
+            return x.coords
+        m, width = self.coord_modulus, len(self.zero)
+        if isinstance(x, int):
+            return tuple([x % m] + [0] * (width - 1))
+        x = tuple(int(c) % m for c in x)
+        if len(x) != width:
+            raise ValueError(f"expected {width} coordinates")
+        return x
+
+    def elements(self):
+        return product(range(self.coord_modulus), repeat=len(self.zero))
+
+    def _pow(self, a, e):
+        acc = self.one
+        while e:
+            if e & 1:
+                acc = self.mul(acc, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return acc
 
     # --- digit expansion -------------------------------------------------
 
@@ -111,10 +141,7 @@ class ChainRing:
         return acc
 
     def gamma_power(self, e):
-        acc = self.one
-        for _ in range(e):
-            acc = self.mul(acc, self.gamma)
-        return acc
+        return self._pow(self.gamma, e)
 
     def representatives(self):
         """T as a list, indexed by residue code."""
@@ -172,6 +199,14 @@ class ChainRing:
             return self.coerce(obj)
         return self.coerce(tuple(obj))
 
+    # --- identity ----------------------------------------------------------
+
+    def __eq__(self, other):
+        return isinstance(other, ChainRing) and other.key == self.key
+
+    def __hash__(self):
+        return hash(self.key)
+
 
 class GaloisRing(ChainRing):
     """GR(p^r, s) = Z_{p^r}[z]/(modulus); elements are s-tuples mod p^r."""
@@ -187,7 +222,7 @@ class GaloisRing(ChainRing):
         self.p = p
         self.r = r
         self.s = s
-        self.pr = p ** r
+        self.pr = self.coord_modulus = p ** r
         self.nu = r
         self.q = p ** s
         if modulus is None:
@@ -207,11 +242,10 @@ class GaloisRing(ChainRing):
         if convention not in (TEICHMULLER, DIGITS):
             raise InvalidConvention(convention)
         self.convention = convention
+        self.key = ("galois", p, r, s, modulus, convention)
         self.zero = (0,) * s
         self.one = tuple([1] + [0] * (s - 1))
         self.gamma = tuple([p % self.pr] + [0] * (s - 1))
-        self._reps = None
-        self._rep_set = None
         self._lift_cache = {}
         # reduction rows: z^(s+i) mod modulus, i = 0..s-2
         rows = [tuple((-c) % self.pr for c in modulus[:-1])]
@@ -224,18 +258,6 @@ class GaloisRing(ChainRing):
         self._red_rows = rows
 
     # --- coordinate arithmetic --------------------------------------------
-
-    def coerce(self, x):
-        if isinstance(x, RingElement):
-            if x.ring != self:
-                raise MixedRings("element from another ring")
-            return x.coords
-        if isinstance(x, int):
-            return tuple([x % self.pr] + [0] * (self.s - 1))
-        x = tuple(int(c) % self.pr for c in x)
-        if len(x) != self.s:
-            raise ValueError(f"expected {self.s} coordinates")
-        return x
 
     def add(self, a, b):
         m = self.pr
@@ -326,19 +348,6 @@ class GaloisRing(ChainRing):
         """The residue code as an element by its coordinates."""
         return self.residue.coords(code)
 
-    def _pow(self, a, e):
-        acc = self.one
-        while e:
-            if e & 1:
-                acc = self.mul(acc, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return acc
-
-    def elements(self):
-        from itertools import product
-        return (t for t in product(range(self.pr), repeat=self.s))
-
     def additive_coords(self):
         """(M, f), f an additive isomorphism onto (Z/M)^s, M = p^r."""
         return self.pr, tuple
@@ -348,16 +357,6 @@ class GaloisRing(ChainRing):
     def descriptor(self):
         return {"family": "galois", "p": self.p, "r": self.r, "s": self.s,
                 "modulus": list(self.modulus), "convention": self.convention}
-
-    def __eq__(self, other):
-        return (isinstance(other, GaloisRing) and other.p == self.p
-                and other.r == self.r and other.s == self.s
-                and other.modulus == self.modulus
-                and other.convention == self.convention)
-
-    def __hash__(self):
-        return hash(("galois", self.p, self.r, self.s, self.modulus,
-                     self.convention))
 
     def __repr__(self):
         if self.s == 1:
@@ -375,28 +374,15 @@ class TruncatedPolyRing(ChainRing):
             raise InvalidParams(f"F_q[u]/(u^nu) needs integers q, nu >= 1; "
                                 f"got q={q!r}, nu={nu!r}")
         self.p, self.h = prime_power_split(q)
-        self.q = q
+        self.q = self.coord_modulus = q
         self.nu = nu
+        self.key = ("truncated", q, nu)
         self.residue = get_field(self.p, self.h)
         self.zero = (0,) * nu
         self.one = tuple([1] + [0] * (nu - 1))
         self.gamma = tuple(1 if i == 1 else 0 for i in range(nu)) \
             if nu > 1 else (0,)
         self.convention = TEICHMULLER  # constants satisfy t^q = t
-        self._reps = None
-        self._rep_set = None
-
-    def coerce(self, x):
-        if isinstance(x, RingElement):
-            if x.ring != self:
-                raise MixedRings("element from another ring")
-            return x.coords
-        if isinstance(x, int):
-            return tuple([x % self.q] + [0] * (self.nu - 1))
-        x = tuple(int(c) % self.q for c in x)
-        if len(x) != self.nu:
-            raise ValueError(f"expected {self.nu} coordinates")
-        return x
 
     def add(self, a, b):
         f = self.residue
@@ -439,10 +425,6 @@ class TruncatedPolyRing(ChainRing):
 
     _embed = lift
 
-    def elements(self):
-        from itertools import product
-        return (t for t in product(range(self.q), repeat=self.nu))
-
     def additive_coords(self):
         """(M, f), f an additive isomorphism onto (Z/p)^(nu h): the h base-p
         digits of each of the nu field codes."""
@@ -451,13 +433,6 @@ class TruncatedPolyRing(ChainRing):
 
     def descriptor(self):
         return {"family": "truncated", "q": self.q, "nu": self.nu}
-
-    def __eq__(self, other):
-        return (isinstance(other, TruncatedPolyRing) and other.q == self.q
-                and other.nu == self.nu)
-
-    def __hash__(self):
-        return hash(("truncated", self.q, self.nu))
 
     def __repr__(self):
         return f"F_{self.q}[u]/(u^{self.nu})"

@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -215,9 +216,80 @@ def test_threads_flag_rejected(capsys):
 @pytest.mark.parametrize("argv", [
     ["distances", "--code", "code.json"],  # missing --max-j
     ["ring", "--ring", "z4", "--bogus"],   # unknown flag after a subcommand
-    []])                                   # missing subcommand
+    [],                                    # missing subcommand
+    # options that only some construction kinds need
+    ["construct", "binomial", "--k", "1", "--delta", "1", "--p", "7"],
+    ["construct", "lift", "--ring", "z121"],
+    ["construct", "lift", "--field-code", "code.json"],
+    ["construct", "superregular", "--n", "3", "--k", "1", "--L", "1"],
+    ["construct", "superregular", "--matrix", "t6.json", "--n", "3",
+     "--k", "1"]])
 def test_usage_errors_report_json(capsys, argv):
     assert_usage_error_report(capsys, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "superregular", "--ell", "3", "--ring", "z11",
+     "--max-hits", "-1"],
+    ["distances", "--code", "code.json", "--max-j", "-1"],
+    ["bounds", "--n", "3", "--k", "2", "--delta", "2", "--nu", "2",
+     "--max-j", "-1"]])
+def test_negative_counts_are_usage_errors(capsys, argv):
+    assert_usage_error_report(capsys, argv)
+
+
+def test_search_max_hits_zero_lists_none(capsys):
+    code, doc = run(capsys, "search", "superregular", "--ell", "3",
+                    "--ring", "z5", "--max-hits", "0")
+    assert code == 0
+    assert doc["results"]["count"] == 12 and doc["results"]["hits"] == []
+    assert doc["warnings"] == ["only the first 0 of 12 hits are listed"]
+
+
+@pytest.fixture()
+def full_code(tmp_path):
+    """All of Z4 as a code of length 1: k = nu * n, so L is undefined."""
+    z4 = zmod(4)
+    path = tmp_path / "full_z4.json"
+    G = PolyMatrix(z4, [RingMatrix(z4, [[1], [2]])])
+    path.write_text(json.dumps(ConvCode(z4, 1, G).to_json()))
+    return str(path)
+
+
+def test_L_undefined_exits_2_or_is_omitted(capsys, full_code):
+    code, doc = run(capsys, "bounds", "--n", "2", "--k", "4", "--delta", "3",
+                    "--nu", "2")
+    assert code == 2
+    assert doc["results"]["error"]["type"] == "InvalidParams"
+    for prop in ("mdp", "reverse-mdp"):
+        code, doc = run(capsys, "check", prop, "--code", full_code)
+        assert code == 2
+        assert doc["results"]["error"]["type"] == "InvalidParams"
+    code, doc = run(capsys, "distances", "--code", full_code, "--max-j", "0")
+    assert code == 0
+    assert doc["results"]["profile"] == [1]
+    assert "L" not in doc["results"]
+    assert doc["warnings"] == ["L needs n > k/nu; got n=1, k=2, nu=2"]
+
+
+@pytest.mark.parametrize("text", ["5", "[1, 2]", '"x"', "null"])
+@pytest.mark.parametrize("argv", [
+    ["check", "mdp", "--code"],
+    ["blockcode", "shape", "--matrix"],
+    ["construct", "superregular", "--n", "3", "--k", "1", "--L", "1",
+     "--matrix"]])
+def test_json_that_is_not_an_object_is_invalid(capsys, tmp_path, monkeypatch,
+                                                text, argv):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, doc = run(capsys, *argv, str(path))
+    assert code == 2
+    assert doc["results"]["error"]["type"] == "InvalidParams"
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, doc = run(capsys, *argv, "-")
+    assert code == 2
+    assert doc["results"]["error"] == {
+        "type": "InvalidParams", "message": "- does not hold a JSON object"}
 
 
 def test_help_is_unchanged(capsys):

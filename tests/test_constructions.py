@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -265,6 +266,22 @@ def test_binomial_bound_exact():
     assert not binomial_field_large_enough(3, 1, 1, 199)
 
 
+@pytest.mark.parametrize("n, k, delta", [(3, 2, 3), (2, 2, 2), (3, 0, 0),
+                                          (3, 1, -1)])
+def test_binomial_bound_and_field_size_reject_bad_params(n, k, delta):
+    with pytest.raises(InvalidParams):
+        binomial_bound(n, k, delta)
+    with pytest.raises(InvalidParams):
+        binomial_field_large_enough(n, k, delta, 211)
+
+
+def test_binomial_field_size_is_p_above_the_bound():
+    for n, k, delta in ((3, 1, 1), (4, 2, 2), (5, 2, 4), (4, 1, 2)):
+        bound = binomial_bound(n, k, delta)
+        assert binomial_field_large_enough(n, k, delta, bound + 1)
+        assert not binomial_field_large_enough(n, k, delta, bound)
+
+
 def binomial_field_code(n, k, delta, p):
     Fp = GaloisRing(p, 1, 1)
     enc, _ = binomial_encoder(n, k, delta, p)
@@ -364,6 +381,42 @@ def test_search_random_reverse(z11):
     again = search_superregular(3, z11, strategy=RANDOM, seed=1, budget=60,
                                 reverse=True)
     assert [h.first_row for h in again] == [h.first_row for h in hits]
+
+
+def _distinct_draws(ell, ring, seed, budget):
+    """The tails of `budget` seeded draws, each the first time it is
+    drawn."""
+    rng = random.Random(seed)
+    els = list(ring.elements())
+    tails = []
+    for _ in range(budget):
+        tail = tuple(rng.choice(els) for _ in range(ell - 1))
+        if tail not in tails:
+            tails.append(tail)
+    return tails
+
+
+@pytest.mark.parametrize("ell, ring, seed, budget", [
+    (3, zmod(11), 1, 60), (4, zmod(13), 5, 150), (4, zmod(121), 9, 150),
+    (3, GaloisRing(2, 2, 2), 2, 100), (3, TruncatedPolyRing(4, 2), 3, 80)],
+    ids=repr)
+def test_search_candidates_are_the_distinct_draws_or_all_tails(ell, ring,
+                                                                seed, budget):
+    for reverse in (False, True):
+        check = is_reverse_gamma_superregular if reverse \
+            else is_gamma_superregular
+        want = [(ring.one,) + t for t in _distinct_draws(ell, ring, seed,
+                                                          budget)
+                if check(ToeplitzSpec(ring, (ring.one,) + t))]
+        hits = search_superregular(ell, ring, strategy=RANDOM, seed=seed,
+                                   budget=budget, reverse=reverse)
+        assert [h.first_row for h in hits] == want
+        if ring.size() ** (ell - 1) <= 400:
+            want = [(ring.one,) + t
+                    for t in product(ring.elements(), repeat=ell - 1)
+                    if check(ToeplitzSpec(ring, (ring.one,) + t))]
+            hits = search_superregular(ell, ring, reverse=reverse)
+            assert [h.first_row for h in hits] == want
 
 
 # determinant is patched to a non-unit, so the ring path disagrees with the

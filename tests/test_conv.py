@@ -356,6 +356,26 @@ def test_L_indices():
     assert embedding_preserves_L(7, 2, 4)
 
 
+@pytest.mark.parametrize("n, k, delta, nu", [(2, 4, 3, 2), (1, 2, 0, 2),
+                                              (1, 4, 1, 2), (3, 3, 0, 1)])
+def test_L_index_needs_n_above_k_over_nu(n, k, delta, nu):
+    with pytest.raises(InvalidParams):
+        L_index(n, k, delta, nu)
+    with pytest.raises(InvalidParams):
+        distance_bounds(n, k, delta, nu)
+
+
+def test_mdp_of_the_full_code_is_invalid():
+    # k = nu * n: the whole of Z4 as a code of length 1, with no L
+    z4 = zmod(4)
+    C = ConvCode(z4, 1, PolyMatrix(z4, [RingMatrix(z4, [[1], [2]])]))
+    assert C.delay_free() and C.reduced()
+    for pred in (is_mdp, is_reverse_mdp):
+        for method in (MINORS, DISTANCES):
+            with pytest.raises(InvalidParams):
+                pred(C, method=method)
+
+
 def test_distance_bounds_struct():
     b = distance_bounds(3, 2, 2, 2)
     assert b.L == 1 and b.N == 0

@@ -534,3 +534,53 @@ def test_field_core_against_brute_force(p, s):
             det = residue_determinant(M(ring, [[ring.lift(c) for c in row]
                                                for row in rows]))
             assert (det != field.zero) == (rank == n)
+
+
+def _t_words(A):
+    """(sum t_i * row_i, t) for every t in T^m, summed entry by entry with
+    the ring's own add and mul."""
+    ring = A.ring
+    for t in product(ring.representatives(), repeat=A.rows):
+        acc = [ring.zero] * A.cols
+        for ti, row in zip(t, A.data):
+            for j, e in enumerate(row):
+                acc[j] = ring.add(acc[j], ring.mul(ti, e))
+        yield tuple(acc), t
+
+
+@pytest.mark.parametrize("ring", [zmod(4), zmod(8), zmod(9),
+                                  GaloisRing(2, 2, 2), TruncatedPolyRing(4, 2)],
+                         ids=repr)
+def test_span_and_independence_match_enumerated_T_combinations(ring):
+    rng = random.Random(17)
+    reps = ring.representatives()
+    zero_row = (ring.zero,) * 3
+    for _ in range(40):
+        m, n = rng.randint(1, 3), rng.randint(1, 3)
+        A = random_matrix(ring, m, n, rng)
+        if rng.random() < 0.3:
+            # a gamma multiple of a row: the projection gains a kernel
+            A = M(ring, list(A.data) + [[ring.mul(ring.gamma, e)
+                                         for e in A.data[0]]])
+        words = list(_t_words(A))
+        span = {word for word, _ in words}
+        nontrivial_zero = any(word == zero_row[:n]
+                              and any(t != ring.zero for t in digits)
+                              for word, digits in words)
+        assert is_gamma_linearly_independent(A) == (not nontrivial_zero)
+        for _ in range(4):
+            target = [rng.choice(list(ring.elements())) for _ in range(n)]
+            if rng.random() < 0.5:
+                target = list(rng.choice(list(span)))
+            t = gamma_span_solve(A, target)
+            assert (t is not None) == (tuple(target) in span)
+            if t is not None:
+                assert all(d in reps for d in t)
+                assert linalg.t_combination(ring, t, A.data, n) == target
+
+
+def test_t_combination_sums_the_digit_multiples(z9):
+    assert linalg.t_combination(z9, (), (), 2) == [z9.zero, z9.zero]
+    A = M(z9, [[1, 3], [2, 0]])
+    assert linalg.t_combination(z9, (z9.coerce(2), z9.coerce(1)), A.data,
+                                2) == [z9.coerce(4), z9.coerce(6)]

@@ -251,3 +251,45 @@ def test_default_and_explicit_modulus_share_one_field():
 def test_get_field_rejects_a_p_that_is_not_prime(p, h):
     with pytest.raises(InvalidParams):
         get_field(p, h)
+
+
+def test_identity_is_family_and_parameters():
+    assert zmod(4) == GaloisRing(2, 2, 1) and zmod(4) is not GaloisRing(2, 2, 1)
+    assert hash(zmod(4)) == hash(GaloisRing(2, 2, 1))
+    assert zmod(4) != zmod(4, convention="teichmuller")
+    assert zmod(4) != zmod(8) and zmod(9) != zmod(4)
+    # F_4 as a Galois ring and as a truncated ring with nu = 1
+    assert GaloisRing(2, 1, 2) != TruncatedPolyRing(4, 1)
+    assert TruncatedPolyRing(4, 2) == TruncatedPolyRing(4, 2)
+    assert TruncatedPolyRing(4, 2) != TruncatedPolyRing(4, 3)
+    assert len({zmod(4), GaloisRing(2, 2, 1), TruncatedPolyRing(4, 2),
+                TruncatedPolyRing(4, 2), GaloisRing(2, 1, 2)}) == 3
+    assert get_field(5) == get_field(5) and get_field(5) != get_field(7)
+    assert get_field(2, 2) != get_field(2)
+    # F_9 by two moduli: the same p and h, different fields
+    assert get_field(3, 2, (1, 0, 1)) == get_field(3, 2)
+    assert get_field(3, 2, (2, 2, 1)) != get_field(3, 2)
+    assert len({get_field(2, 2), get_field(3), get_field(3, 2)}) == 3
+
+
+@pytest.mark.parametrize("ring", [zmod(4), zmod(9), GaloisRing(2, 2, 2),
+                                  TruncatedPolyRing(4, 2),
+                                  TruncatedPolyRing(2, 3)], ids=repr)
+def test_coordinates_are_reduced_and_enumerated_in_order(ring):
+    m = ring.pr if isinstance(ring, GaloisRing) else ring.q
+    width = len(ring.zero)
+    els = list(ring.elements())
+    assert len(els) == ring.size() == m ** width
+    assert els == sorted(els) and els[0] == ring.zero
+    assert ring.coerce(m + 1) == ring.one
+    assert ring.coerce([m + c for c in range(width)]) == tuple(
+        c % m for c in range(width))
+    with pytest.raises(ValueError):
+        ring.coerce((0,) * (width + 1))
+    with pytest.raises(MixedRings):
+        ring.coerce(zmod(25).element(1))
+    assert ring.coerce(ring.element(3)) == ring.coerce(3)
+    g = ring.one
+    for e in range(ring.nu + 2):
+        assert ring.gamma_power(e) == g
+        g = ring.mul(g, ring.gamma)

@@ -10,16 +10,18 @@ prime field feeds the lifting route.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb, isqrt
 
 from . import linalg
 from .conv import ConvCode, PolyMatrix, _minors_condition, is_reduced
-from .errors import (BadCounts, BudgetExceeded, CrossCheckFailed,
-                     DependentRows, InconsistentBlocks, InvalidParams,
-                     NotReduced, NotSuperregular, SizeMismatch)
+from .errors import (MALFORMED, BadCounts, BudgetExceeded,
+                     CrossCheckFailed, DependentRows, InconsistentBlocks,
+                     InvalidParams, NotReduced, NotSuperregular,
+                     SizeMismatch)
+from .fields import factorize
 from .linalg import RingMatrix, diagonal_exponents, field_clear_column
 from .rings import zmod
 
@@ -29,15 +31,14 @@ RANDOM = "random"
 DEFAULT_SEARCH_BUDGET = 10 ** 6
 
 
-@dataclass(frozen=True)
-class ToeplitzSpec:
+class ToeplitzSpec(namedtuple("ToeplitzSpec", "ring first_row")):
     """Upper-triangular Toeplitz matrix given by its first row."""
-    ring: object
-    first_row: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "first_row",
-                           tuple(self.ring.coerce(a) for a in self.first_row))
+    __slots__ = ()
+
+    def __new__(cls, ring, first_row):
+        return super().__new__(cls, ring,
+                               tuple(ring.coerce(a) for a in first_row))
 
     @property
     def size(self):
@@ -63,10 +64,13 @@ class ToeplitzSpec:
     @classmethod
     def from_json(cls, obj, ring=None):
         from .rings import make_ring
-        if ring is None:
-            ring = make_ring(obj["ring"])
-        return cls(ring, tuple(ring.element_from_json(a)
-                               for a in obj["first_row"]))
+        try:
+            if ring is None:
+                ring = make_ring(obj["ring"])
+            return cls(ring, tuple(ring.element_from_json(a)
+                                   for a in obj["first_row"]))
+        except MALFORMED as exc:
+            raise InvalidParams(f"malformed Toeplitz matrix: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +215,9 @@ def binomial_encoder(n, k, delta, p):
     binom(mn+n-k, (i+1)n-k+a-b) at row a, column b (1-based), computed
     exactly and reduced mod p."""
     large_enough = binomial_field_large_enough(n, k, delta, p)  # validates
+    if factorize(p) != [p]:
+        raise InvalidParams(f"the binomial encoder needs a prime p; "
+                            f"got p={p}")
     m = delta // k
     M = m * n + n - k
     field_ring = zmod(p)

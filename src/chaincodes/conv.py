@@ -10,8 +10,7 @@ criterion on the L-th sliding matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from math import ceil
 
 from .errors import (BudgetExceeded, CodeLoadError, CrossCheckFailed,
@@ -416,12 +415,8 @@ def _normalised_weights(C: ConvCode, j):
             yield weight
 
 
-@dataclass(frozen=True)
-class DistanceBounds:
-    L: int
-    N: int
-    per_j: tuple
-    generalized_singleton: int
+DistanceBounds = namedtuple("DistanceBounds",
+                            "L N per_j generalized_singleton")
 
 
 def distance_profile(C: ConvCode, max_j, budget=DEFAULT_DISTANCE_BUDGET):
@@ -438,8 +433,8 @@ def generalized_singleton_bound(n, k, delta, nu):
     if k < 1 or n < 1 or nu < 1 or delta < 0:
         raise InvalidParams(f"bad parameters n={n}, k={k}, delta={delta}")
     f = delta // k
-    frac = Fraction(k, nu) * (f + 1) - Fraction(delta, nu)
-    return n * (f + 1) - ceil(frac) + 1
+    # n(f+1) - ceil((k(f+1) - delta)/nu) + 1, in integers
+    return n * (f + 1) + (delta - k * (f + 1)) // nu + 1
 
 
 def column_distance_bound(j, n, params, k):

@@ -51,6 +51,11 @@ class InvalidParams(ChainCodesError):
     """Numeric parameters out of range for a bound or construction."""
 
 
+# what reading a JSON descriptor with a missing key, or of the wrong JSON
+# type, raises; the readers report it as InvalidParams
+MALFORMED = (KeyError, TypeError, AttributeError)
+
+
 class BudgetExceeded(ChainCodesError):
     """An exhaustive enumeration would exceed the configured budget; the
     amounts are in `requested` and `allowed`."""

@@ -4,7 +4,10 @@ A field element is an int.  For a prime field it is the value in [0, p).
 For an extension field F_{p^h} it encodes the polynomial coordinates
 (c_0, ..., c_{h-1}) as sum(c_i * p**i); multiplication goes through
 discrete log/antilog tables and addition through a Zech logarithm table,
-so all hot-loop operations are table lookups on ints.
+so all hot-loop operations are table lookups on ints.  The tables are
+built on the first lookup, once per process for each field `get_field`
+hands out; constructing a field only validates its modulus and finds a
+generator.
 """
 
 from __future__ import annotations
@@ -218,8 +221,27 @@ class PrimeField(_Field):
         return f"F_{self.p}"
 
 
+class _UnbuiltTable:
+    """Stand-in for one of an ExtField's tables until the first lookup,
+    which builds all three and puts the real lists in their place."""
+
+    __slots__ = ("field", "name")
+
+    def __init__(self, field, name):
+        self.field = field
+        self.name = name
+
+    def __getitem__(self, i):
+        table = getattr(self.field, self.name)
+        if table is self:
+            self.field._build_tables()
+            table = getattr(self.field, self.name)
+        return table[i]
+
+
 class ExtField(_Field):
-    """F_{p^h} via log/antilog and Zech logarithm tables."""
+    """F_{p^h} via log/antilog and Zech logarithm tables, built on the first
+    lookup; from then on `_exp`, `_log` and `_zech` are plain lists."""
 
     def __init__(self, p, h, modulus=None):
         if not isinstance(h, int) or h < 2:
@@ -237,19 +259,24 @@ class ExtField(_Field):
             raise ValueError("modulus reducible over F_p")
         self.modulus = modulus
         self.key = ("ExtField", p, h, modulus)
-        self._build_tables()
-
-    def _build_tables(self):
-        p, h, q = self.p, self.h, self.q
-        mod = list(self.modulus)
-        facs = factorize(q - 1)
-        for code in range(p, q):  # start at the class of z
+        mod, n = list(modulus), self.q - 1
+        facs = factorize(n)
+        for code in range(p, self.q):  # start at the class of z
             gen = _digits(code, p, h)
-            if all(_poly_trim(_poly_powmod(gen, (q - 1) // f, mod, p)) != [1]
+            if all(_poly_trim(_poly_powmod(gen, n // f, mod, p)) != [1]
                    for f in facs):
                 break
         else:
             raise AssertionError("no multiplicative generator found")
+        self._gen = code
+        self._exp = _UnbuiltTable(self, "_exp")
+        self._log = _UnbuiltTable(self, "_log")
+        self._zech = _UnbuiltTable(self, "_zech")
+
+    def _build_tables(self):
+        p, h, q = self.p, self.h, self.q
+        mod = list(self.modulus)
+        gen = _digits(self._gen, p, h)
         # one step multiplies the digit vector by the generator: row i holds
         # digit i of gen * z^j mod the modulus, for j = 0..h-1
         cols = [_poly_mulmod(gen, [0] * j + [1], mod, p) for j in range(h)]
@@ -269,8 +296,6 @@ class ExtField(_Field):
                       else log[e - top] if e != top else -1 for e in exp]
         self._exp = exp
         self._log = log
-        self._gen = code
-        self._neg_one = 1 if p == 2 else exp[(q - 1) // 2]
 
     def generator(self):
         return self._gen
@@ -287,7 +312,11 @@ class ExtField(_Field):
         return self._exp[(la + z) % (self.q - 1)]
 
     def neg(self, a):
-        return self.mul(a, self._neg_one)
+        # -1 = g^((q-1)/2) for odd p, and -a = a in characteristic 2
+        if a == 0 or self.p == 2:
+            return a
+        n = self.q - 1
+        return self._exp[(self._log[a] + n // 2) % n]
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -337,10 +366,12 @@ _FIELD_CACHE = {}
 
 
 def get_field(p, h=1, modulus=None):
-    """Shared field instances so the big Zech tables are built once; the
-    cache is keyed on the resolved modulus, so the default and an explicit
-    copy of it share one field.  A p that is not prime, or an h that is
-    not an integer >= 1, is rejected."""
+    """Shared field instances so the big Zech tables are built at most once
+    per process, on the first lookup; a ring that never computes in its
+    residue field never builds them.  The cache is keyed on the resolved
+    modulus, so the default and an explicit copy of it share one field.
+    A p that is not prime, or an h that is not an integer >= 1, is
+    rejected."""
     if factorize(p) != [p]:
         raise InvalidParams(f"F_(p^h) needs a prime p; got p={p}")
     if not isinstance(h, int) or h < 1:

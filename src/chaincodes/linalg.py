@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from itertools import chain, product
 
-from .errors import (BudgetExceeded, MethodPreconditionViolated, NotSquare,
-                     ZeroMatrix)
+from .errors import (MALFORMED, BudgetExceeded, InvalidParams,
+                     MethodPreconditionViolated, NotSquare, ZeroMatrix)
 
 ORACLE = "oracle"
 SHAPE_FAST = "shape-fast"
@@ -123,14 +123,17 @@ class RingMatrix:
     @classmethod
     def from_json(cls, obj, ring=None):
         from .rings import make_ring
-        if ring is None:
-            ring = make_ring(obj["ring"])
-        m, n = obj["rows"], obj["cols"]
-        entries = [ring.element_from_json(e) for e in obj["entries"]]
-        if len(entries) != m * n:
-            raise ValueError("entry count does not match rows*cols")
-        return cls(ring, [entries[i * n:(i + 1) * n] for i in range(m)],
-                   cols=n)
+        try:
+            if ring is None:
+                ring = make_ring(obj["ring"])
+            m, n = obj["rows"], obj["cols"]
+            entries = [ring.element_from_json(e) for e in obj["entries"]]
+            if len(entries) != m * n:
+                raise ValueError("entry count does not match rows*cols")
+            return cls(ring, [entries[i * n:(i + 1) * n] for i in range(m)],
+                       cols=n)
+        except MALFORMED as exc:
+            raise InvalidParams(f"malformed matrix: {exc!r}") from exc
 
     def __eq__(self, other):
         return (isinstance(other, RingMatrix) and other.ring == self.ring

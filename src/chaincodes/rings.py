@@ -14,27 +14,21 @@ and the unique digit expansion a = sum(t_i * gamma^i) over T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 
-from .errors import (DigitNotInT, InvalidConvention, InvalidParams,
-                     MixedRings, NotAUnit, RejectedModulus)
+from .errors import (MALFORMED, DigitNotInT, InvalidConvention,
+                     InvalidParams, MixedRings, NotAUnit, RejectedModulus)
 from .fields import default_modulus, factorize, get_field, prime_power_split
 
 TEICHMULLER = "teichmuller"
 DIGITS = "digits"
 
 
-@dataclass(frozen=True)
-class ChainRingSpec:
-    family: str  # "galois" | "truncated"
-    p: int | None = None
-    r: int | None = None
-    s: int | None = None
-    modulus: tuple | None = None
-    q: int | None = None
-    nu: int | None = None
-    convention: str | None = None
+# family is "galois" or "truncated"; every other field defaults to None
+ChainRingSpec = namedtuple("ChainRingSpec",
+                           "family p r s modulus q nu convention",
+                           defaults=(None,) * 7)
 
 
 class RingElement:
@@ -439,19 +433,25 @@ class TruncatedPolyRing(ChainRing):
 
 
 def make_ring(spec):
-    """Build a ring from a ChainRingSpec or a JSON-style descriptor dict."""
-    if isinstance(spec, dict):
-        spec = ChainRingSpec(
-            family=spec["family"],
-            p=spec.get("p"), r=spec.get("r"), s=spec.get("s"),
-            modulus=tuple(spec["modulus"]) if spec.get("modulus") else None,
-            q=spec.get("q"), nu=spec.get("nu"),
-            convention=spec.get("convention"))
-    if spec.family == "galois":
-        return GaloisRing(spec.p, spec.r, spec.s, spec.modulus,
-                          spec.convention)
-    if spec.family == "truncated":
-        return TruncatedPolyRing(spec.q, spec.nu)
+    """Build a ring from a ChainRingSpec or a JSON-style descriptor dict;
+    a descriptor with a missing key or of the wrong type raises
+    InvalidParams."""
+    try:
+        if isinstance(spec, dict):
+            modulus = spec.get("modulus")
+            spec = ChainRingSpec(
+                family=spec["family"],
+                p=spec.get("p"), r=spec.get("r"), s=spec.get("s"),
+                modulus=tuple(modulus) if modulus else None,
+                q=spec.get("q"), nu=spec.get("nu"),
+                convention=spec.get("convention"))
+        if spec.family == "galois":
+            return GaloisRing(spec.p, spec.r, spec.s, spec.modulus,
+                              spec.convention)
+        if spec.family == "truncated":
+            return TruncatedPolyRing(spec.q, spec.nu)
+    except MALFORMED as exc:
+        raise InvalidParams(f"malformed ring descriptor: {exc!r}") from exc
     raise ValueError(f"unknown ring family {spec.family!r}")
 
 

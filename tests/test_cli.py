@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -327,3 +331,75 @@ def test_ring_with_degenerate_or_missing_parameters_rejected(capsys, name):
     code, doc = run(capsys, "ring", "--ring", name)
     assert code == 2
     assert doc["results"]["error"]["type"] == "InvalidParams"
+
+
+def test_matrix_without_a_ring_is_invalid(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("{}"))
+    code, doc = run(capsys, "blockcode", "shape", "--matrix", "-")
+    assert code == 2
+    assert doc["results"]["error"]["type"] == "InvalidParams"
+
+
+def test_ring_descriptor_without_a_family_is_invalid(capsys):
+    code, doc = run(capsys, "ring", "--ring", "{}")
+    assert code == 2
+    assert doc["results"]["error"]["type"] == "InvalidParams"
+
+
+def test_ring_file_holding_a_list_is_invalid(capsys, tmp_path):
+    path = tmp_path / "ring.json"
+    path.write_text("[1]")
+    code, doc = run(capsys, "ring", "--ring", str(path))
+    assert code == 2
+    assert doc["results"]["error"]["type"] == "InvalidParams"
+
+
+@pytest.mark.parametrize("p", ["4", "9"])
+def test_construct_binomial_rejects_a_prime_power(capsys, p):
+    code, doc = run(capsys, "construct", "binomial", "--n", "3", "--k", "1",
+                    "--delta", "1", "--p", p)
+    assert code == 2
+    assert doc["results"]["error"] == {
+        "type": "InvalidParams",
+        "message": f"the binomial encoder needs a prime p; got p={p}"}
+
+
+def run_python(source):
+    """Standard output of `source` run by a fresh interpreter (module-level
+    caches such as the field cache start empty there)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-c", source], capture_output=True,
+                          text=True, env=env, check=True).stdout
+
+
+RING_BUILDS_NO_TABLE = """
+import contextlib, io
+from chaincodes import cli
+from chaincodes.fields import get_field
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["ring", "--ring", "gr(11,2,5)"])
+print(code, type(get_field(11, 5)._exp).__name__)
+"""
+
+
+def test_ring_report_builds_no_field_table():
+    code, kind = run_python(RING_BUILDS_NO_TABLE).split()
+    assert code == "0"
+    assert kind != "list"
+
+
+IMPORTED_BY_CLI = """
+import sys
+before = set(sys.modules)
+import chaincodes.cli
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_cli_import_leaves_out_slow_stdlib_modules():
+    imported = set(run_python(IMPORTED_BY_CLI).split())
+    assert "chaincodes.cli" in imported
+    assert not {"dataclasses", "inspect", "fractions"} & imported

@@ -57,6 +57,24 @@ def test_materialize(z11):
         [[1, 2, 3], [0, 1, 2], [0, 0, 1]]
 
 
+def test_toeplitz_spec_is_an_immutable_value(z11, toeplitz6):
+    spec = ToeplitzSpec(ring=z11, first_row=[12, 2, 1, 1, 3, 4])
+    assert spec.first_row == ((1,), (2,), (1,), (1,), (3,), (4,))
+    assert spec == toeplitz6 and hash(spec) == hash(toeplitz6)
+    assert spec != ToeplitzSpec(z11, (1, 2, 1, 1, 3, 5))
+    assert spec.size == 6
+    with pytest.raises(AttributeError):
+        spec.first_row = ()
+
+
+@pytest.mark.parametrize("obj", [{}, {"ring": {"family": "galois", "p": 11,
+                                              "r": 1, "s": 1}},
+                                 {"ring": [1], "first_row": [1]}])
+def test_toeplitz_from_malformed_json_is_invalid_params(obj):
+    with pytest.raises(InvalidParams):
+        ToeplitzSpec.from_json(obj)
+
+
 def test_json_round_trip(toeplitz6):
     clone = ToeplitzSpec.from_json(toeplitz6.to_json())
     assert clone == toeplitz6
@@ -258,6 +276,12 @@ def test_binomial_encoder_rejects_bad_params():
         binomial_encoder(3, 2, 3, 11)  # k does not divide delta
     with pytest.raises(InvalidParams):
         binomial_encoder(2, 2, 2, 11)  # k = n
+
+
+@pytest.mark.parametrize("p", [4, 9])
+def test_binomial_encoder_rejects_a_prime_power(p):
+    with pytest.raises(InvalidParams, match=f"p={p}"):
+        binomial_encoder(3, 1, 1, p)
 
 
 def test_binomial_bound_exact():

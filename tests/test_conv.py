@@ -1,11 +1,14 @@
 import random
 from collections import Counter
+from fractions import Fraction
+from math import ceil
 
 import pytest
 
 from chaincodes import GaloisRing, zmod
-from chaincodes.conv import (DISTANCES, MINORS, ConvCode, PolyMatrix,
-                             column_distance, column_distance_bound,
+from chaincodes.conv import (DISTANCES, MINORS, ConvCode, DistanceBounds,
+                             PolyMatrix, column_distance,
+                             column_distance_bound,
                              distance_bounds, distance_profile,
                              embedding_preserves_L, field_L_index,
                              gamma_degree, generalized_singleton_bound,
@@ -327,6 +330,28 @@ def test_generalized_singleton_bound():
     assert generalized_singleton_bound(3, 2, 2, 1) == 5
     with pytest.raises(InvalidParams):
         generalized_singleton_bound(0, 2, 2, 2)
+
+
+def test_generalized_singleton_bound_matches_the_rational_formula():
+    for n in range(2, 9):
+        for k in range(1, n):
+            for delta in range(13):
+                for nu in range(1, 5):
+                    f = delta // k
+                    frac = Fraction(k, nu) * (f + 1) - Fraction(delta, nu)
+                    assert generalized_singleton_bound(n, k, delta, nu) == \
+                        n * (f + 1) - ceil(frac) + 1, (n, k, delta, nu)
+
+
+def test_distance_bounds_is_an_immutable_value():
+    b = distance_bounds(3, 2, 2, 2)
+    assert b == DistanceBounds(L=1, N=0, per_j=(3, 5),
+                               generalized_singleton=6)
+    assert hash(b) == hash(distance_bounds(3, 2, 2, 2))
+    assert b != DistanceBounds(L=1, N=0, per_j=(3, 5),
+                               generalized_singleton=7)
+    with pytest.raises(AttributeError):
+        b.L = 2
 
 
 def test_optimal_cd_bound_322():

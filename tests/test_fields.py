@@ -15,6 +15,7 @@ FIELDS = [(11, 5, None), (2, 8, None), (13, 4, None),
 @pytest.mark.parametrize("p, h, modulus", FIELDS)
 def test_tables_match_the_polynomial_oracle(p, h, modulus):
     field = ExtField(p, h, modulus)
+    field.mul(1, 1)
     gen, exp, log, zech = zech_tables_by_polynomials(field)
     assert field.generator() == gen
     assert field._exp == exp
@@ -50,3 +51,33 @@ def test_is_irreducible_matches_sympy(p):
 def test_bad_h_is_rejected(build):
     with pytest.raises(InvalidParams):
         build()
+
+
+def test_tables_are_built_on_the_first_lookup_as_plain_lists():
+    field = ExtField(13, 3)
+    names = ("_exp", "_log", "_zech")
+    assert field.generator() == 15  # z + 2, found without the tables
+    assert not any(isinstance(getattr(field, n), list) for n in names)
+    assert field.add(1, 1) == 2
+    assert all(type(getattr(field, n)) is list for n in names)
+    # no per-read hook on the class
+    assert not {"__getattr__", "__getattribute__"} & set(vars(ExtField))
+    assert not any(isinstance(v, property) for v in vars(ExtField).values())
+
+
+def test_a_stand_in_held_across_the_build_still_reads_the_tables():
+    eager = ExtField(5, 3)
+    eager.mul(1, 1)
+    lazy = ExtField(5, 3)  # axpy holds all three stand-ins in locals
+    xs, ys = list(range(0, 125, 3)), list(range(1, 125, 3))
+    assert lazy.axpy(xs, 7, ys) == eager.axpy(xs, 7, ys) == [
+        eager.add(x, eager.mul(7, y)) for x, y in zip(xs, ys)]
+
+
+@pytest.mark.parametrize("p, h", [(2, 8), (3, 4), (11, 2)])
+def test_neg_is_the_additive_inverse(p, h):
+    field = ExtField(p, h)
+    assert field.neg(0) == 0
+    for a in field.elements():
+        assert field.add(a, field.neg(a)) == 0
+        assert field.sub(a, a) == 0

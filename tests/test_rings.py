@@ -3,6 +3,7 @@ import random
 import pytest
 
 from chaincodes import GaloisRing, TruncatedPolyRing, make_ring, residue_ring, zmod
+from chaincodes.rings import ChainRingSpec
 from chaincodes.errors import (DigitNotInT, InvalidConvention, InvalidParams,
                                MixedRings, NotAUnit, RejectedModulus)
 from chaincodes.fields import default_modulus, get_field
@@ -233,6 +234,28 @@ def test_make_ring_roundtrip(gr83):
     for ring in (zmod(8), gr83, TruncatedPolyRing(4, 2)):
         clone = make_ring(ring.descriptor())
         assert clone == ring
+
+
+def test_chain_ring_spec_is_an_immutable_value():
+    spec = ChainRingSpec(family="galois", p=3, r=2, s=2)
+    assert spec == ChainRingSpec("galois", 3, 2, 2)
+    assert hash(spec) == hash(ChainRingSpec(family="galois", p=3, r=2, s=2))
+    assert spec != ChainRingSpec(family="galois", p=3, r=2, s=3)
+    assert (spec.modulus, spec.q, spec.nu, spec.convention) == (None,) * 4
+    with pytest.raises(AttributeError):
+        spec.p = 5
+    assert make_ring(spec) == GaloisRing(3, 2, 2)
+    assert make_ring(ChainRingSpec(family="truncated", q=4, nu=2)) == \
+        TruncatedPolyRing(4, 2)
+
+
+@pytest.mark.parametrize("descriptor", [
+    {}, {"p": 3, "r": 2, "s": 1}, [1], "z9", None,
+    {"family": "galois", "p": 3, "r": 2, "s": 1, "modulus": 5},
+    {"family": "galois", "p": 3, "r": 2, "s": 1, "modulus": ["a", 1]}])
+def test_malformed_descriptor_is_invalid_params(descriptor):
+    with pytest.raises(InvalidParams):
+        make_ring(descriptor)
 
 
 def test_residue_ring_wraps_field(z9):

@@ -97,8 +97,9 @@ def load_toeplitz(path):
     if "first_row" in obj:
         return ToeplitzSpec.from_json(obj)
     A = RingMatrix.from_json(obj)
-    if A.rows != A.cols:
-        raise InvalidParams("Toeplitz matrix file must be square")
+    if A.rows != A.cols or A.rows == 0:
+        raise InvalidParams("Toeplitz matrix file must be square and "
+                            "nonempty")
     spec = ToeplitzSpec(A.ring, tuple(A.row(0)))
     if spec.materialize() != A:
         raise InvalidParams("matrix is not upper-triangular Toeplitz")

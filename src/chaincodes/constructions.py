@@ -319,8 +319,7 @@ def extract_mdp_blocks(spec: ToeplitzSpec, n, k, L, rows=ROWS_EXAMPLE,
     coeffs = [RingMatrix._canonical(ring, blocks[d], n)
               for d in range(L + 1)]
     # full-size admissible minors of the extracted matrix are units
-    if assert_minors and not _minors_condition(sub, L, n, k,
-                                               assert_genseq=False):
+    if assert_minors and not _minors_condition(sub, L, n, k):
         raise NotSuperregular("an admissible full-size minor of the "
                               "extracted matrix is not a unit")
     return PolyMatrix(ring, coeffs, k=k, n=n)
@@ -336,6 +335,8 @@ def search_superregular(ell, ring, strategy=EXHAUSTIVE, seed=None,
     The candidate tails (a_2, ..., a_ell) are all of them in lexicographic
     order (EXHAUSTIVE) or the distinct ones among `budget` seeded draws,
     in draw order (RANDOM)."""
+    if ell < 1:
+        raise InvalidParams(f"search needs ell >= 1; got ell={ell}")
     if strategy == EXHAUSTIVE:
         total = ring.size() ** (ell - 1)
         if total > budget:

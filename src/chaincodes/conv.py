@@ -16,8 +16,9 @@ from math import ceil
 from .errors import (BudgetExceeded, CodeLoadError, CrossCheckFailed,
                      InvalidParams, NotDelayFree, NotReduced, NuNotDividingK,
                      PreconditionViolated, UnequalRowDegrees, ZeroRow)
-from .linalg import (RingMatrix, diagonal_exponents, field_clear_column,
-                     gamma_span_solve, is_gamma_generator_sequence,
+from .linalg import (DEFAULT_ORACLE_BUDGET, RingMatrix, diagonal_exponents,
+                     field_clear_column, gamma_span_solve,
+                     is_gamma_generator_sequence,
                      is_gamma_linearly_independent, module_solve_left)
 from .rings import make_ring
 
@@ -119,15 +120,13 @@ def leading_coefficient_matrix(G: PolyMatrix) -> RingMatrix:
     return RingMatrix._canonical(G.ring, rows, G.n)
 
 
-def is_reduced(G: PolyMatrix, budget=None):
-    kwargs = {} if budget is None else {"budget": budget}
+def is_reduced(G: PolyMatrix, budget=DEFAULT_ORACLE_BUDGET):
     return is_gamma_linearly_independent(leading_coefficient_matrix(G),
-                                         **kwargs)
+                                         budget)
 
 
-def is_delay_free(G: PolyMatrix, budget=None):
-    kwargs = {} if budget is None else {"budget": budget}
-    return is_gamma_linearly_independent(G.coefficient(0), **kwargs)
+def is_delay_free(G: PolyMatrix, budget=DEFAULT_ORACLE_BUDGET):
+    return is_gamma_linearly_independent(G.coefficient(0), budget)
 
 
 def gamma_degree(G: PolyMatrix):
@@ -152,94 +151,58 @@ def sliding_matrix(G: PolyMatrix, j: int) -> RingMatrix:
 
 
 # ---------------------------------------------------------------------------
-# coefficient-expansion helpers (bounded-degree polynomial linear algebra)
+# bounded-degree polynomial linear algebra
 
-def _expand_row(G: PolyMatrix, i, shift, width):
-    """Coefficient vector of z^shift * row_i(z), width blocks of n."""
-    ring = G.ring
-    out = []
-    for d in range(width):
-        if d >= shift:
-            out.extend(G.coefficient(d - shift).row(i))
-        else:
-            out.extend([ring.zero] * G.n)
-    return out
+def _shifted_rows(S, k, row_idx, shifts):
+    """The rows z^t * row_i(z) of G, i-major, as rows t*k + i of the
+    sliding matrix S of G."""
+    return RingMatrix._canonical(S.ring, [S.data[t * k + i] for i in row_idx
+                                          for t in shifts], S.cols)
 
 
-def _expansion_matrix(G: PolyMatrix, row_idx, shifts, width):
-    rows = [_expand_row(G, i, t, width) for i in row_idx for t in shifts]
-    return RingMatrix._canonical(G.ring, rows, width * G.n)
-
-
-def is_polynomial_gamma_basis(G: PolyMatrix, budget=None):
+def is_polynomial_gamma_basis(G: PolyMatrix, budget=DEFAULT_ORACLE_BUDGET):
     """Whether the rows of G(z) form a gamma-basis of the module they span.
 
     Decided on the coefficient expansion with digit polynomials of degree
-    up to deg(G): shifted copies of the rows are stacked into a block
-    matrix and the block-level oracle machinery is applied.  Dependencies
-    requiring higher-degree digits are not detected (documented bound)."""
+    up to deg(G): shifted copies of the rows, cut from the sliding matrix
+    S_(2 deg G), are stacked and the block-level oracle machinery is
+    applied.  Dependencies requiring higher-degree digits are not detected
+    (documented bound)."""
     ring = G.ring
     m = max(G.degree, 0)
-    width = 2 * m + 1
     shifts = range(m + 1)
-    kwargs = {} if budget is None else {"budget": budget}
-    stacked = _expansion_matrix(G, range(G.k), shifts, width)
-    if not is_gamma_linearly_independent(stacked, **kwargs):
+    S = sliding_matrix(G, 2 * m)
+    if not is_gamma_linearly_independent(
+            _shifted_rows(S, G.k, range(G.k), shifts), budget):
         return False
-    # gamma-generator-sequence at the polynomial level
-    gamma = ring.gamma
+    # gamma-generator-sequence at the polynomial level; the last row has
+    # an empty tail, whose span is zero
     for i in range(G.k):
-        target = [ring.mul(gamma, e) for e in _expand_row(G, i, 0, width)]
-        if i == G.k - 1:
-            if any(e != ring.zero for e in target):
-                return False
-            continue
-        tail = _expansion_matrix(G, range(i + 1, G.k), shifts, width)
-        if gamma_span_solve(tail, target, **kwargs) is None:
+        target = [ring.mul(ring.gamma, e) for e in S.data[i]]
+        tail = _shifted_rows(S, G.k, range(i + 1, G.k), shifts)
+        if gamma_span_solve(tail, target, budget) is None:
             return False
     return True
 
 
-def is_free_code(G: PolyMatrix, degree_slack=2):
+def is_free_code(G: PolyMatrix):
     """Whether the row module of G(z) over R[z] is free.
 
-    Certified through bounded-degree coefficient stacking: greedily select
-    rows that are R[z]-linearly independent of the earlier selection; the
-    module is free iff the remaining rows lie in the R[z]-span of the
-    selection.  Digit-polynomial degrees are bounded by deg(G) +
-    degree_slack."""
-    ring = G.ring
+    Certified through bounded-degree coefficient stacking: greedily keep
+    the rows that are not in the R[z]-span of the rows kept before them,
+    so every row lies in the span of the kept ones; the module is free iff
+    no gamma-power kills a nonzero combination of the kept rows.
+    Digit-polynomial degrees are bounded by deg(G) + 2."""
     m = max(G.degree, 0)
-    bound = m + degree_slack
-    width = m + bound + 1
-    shifts = range(bound + 1)
+    shifts = range(m + 3)
+    S = sliding_matrix(G, 2 * m + 2)
     kept = []
-    deferred = []
     for i in range(G.k):
-        row = _expand_row(G, i, 0, width)
-        if all(e == ring.zero for e in row):
-            continue
-        if not kept:
+        if not module_solve_left(_shifted_rows(S, G.k, kept, shifts),
+                                 S.data[i]):
             kept.append(i)
-            continue
-        A = _expansion_matrix(G, kept, shifts, width)
-        if module_solve_left(A, row):
-            deferred.append(i)
-            continue
-        # row is independent from the kept ones; check it is torsion-free
-        kept.append(i)
-    if not kept:
-        return True  # zero module is free
-    A = _expansion_matrix(G, kept, shifts, width)
-    # the kept rows must be R[z]-independent: no gamma-power kills them
-    exps = diagonal_exponents(A)
-    expected = len(kept) * len(shifts)
-    if len(exps) != expected or any(e != 0 for e in exps):
-        return False
-    for i in deferred:
-        if not module_solve_left(A, _expand_row(G, i, 0, width)):
-            return False
-    return True
+    exps = diagonal_exponents(_shifted_rows(S, G.k, kept, shifts))
+    return len(exps) == len(kept) * len(shifts) and not any(exps)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +212,7 @@ class ConvCode:
     """Convolutional code given by a gamma-encoder."""
 
     def __init__(self, ring, n, encoder: PolyMatrix, validate=True,
-                 budget=None):
+                 budget=DEFAULT_ORACLE_BUDGET):
         if encoder.n != n or encoder.ring != ring:
             raise ValueError("encoder does not match ring or length")
         if validate and not is_polynomial_gamma_basis(encoder, budget=budget):
@@ -506,30 +469,6 @@ def distance_bounds(n, k, delta, nu, max_j=None):
 # ---------------------------------------------------------------------------
 # MDP predicates
 
-def _admissible_column_subsets(L, n, k0):
-    """0-based column index tuples t_1 < ... < t_{(L+1)k0} of the L-th
-    sliding matrix with t_{s*k0+1} > s*n (1-based), lexicographic."""
-    total = (L + 1) * n
-    need = (L + 1) * k0
-
-    def rec(start, chosen):
-        c = len(chosen)
-        if c == need:
-            yield tuple(chosen)
-            return
-        lo = start
-        if c % k0 == 0:
-            s = c // k0
-            if 1 <= s <= L:
-                lo = max(lo, s * n)
-        for t in range(lo, total - (need - c) + 1):
-            chosen.append(t)
-            yield from rec(t + 1, chosen)
-            chosen.pop()
-
-    yield from rec(0, [])
-
-
 def _check_mdp_preconditions(C: ConvCode):
     from .linalg import parameters_of
     ring = C.ring
@@ -550,7 +489,20 @@ def _check_mdp_preconditions(C: ConvCode):
     return k0
 
 
-def _minors_condition(S: RingMatrix, L, n, k0, assert_genseq=True):
+def _licensed_sliding_matrix(G: PolyMatrix, L):
+    """S_L of G, after the size-guarded check that its rows form a
+    gamma-generator sequence.  That licenses _minors_condition's rank
+    criterion on every column selection at once: a T-combination identity
+    between rows holds on any subset of the columns."""
+    S = sliding_matrix(G, L)
+    if G.ring.q ** S.rows <= GENSEQ_ASSERT_LIMIT \
+            and not is_gamma_generator_sequence(S):
+        raise CrossCheckFailed(
+            "sliding matrix rows are not a gamma-generator sequence")
+    return S
+
+
+def _minors_condition(S: RingMatrix, L, n, k0):
     """Every admissible column selection of the sliding-type matrix S has
     gamma-linearly independent rows; decided by the residue-rank fast path
     (valid because the selections are gamma-generator sequences and the
@@ -569,12 +521,6 @@ def _minors_condition(S: RingMatrix, L, n, k0, assert_genseq=True):
     ring = S.ring
     field = ring.residue
     need, total = (L + 1) * k0, (L + 1) * n
-    if assert_genseq and field.q ** S.rows <= GENSEQ_ASSERT_LIMIT:
-        # licensing check for the fast path, size-guarded
-        first = next(_admissible_column_subsets(L, n, k0))
-        if not is_gamma_generator_sequence(S.select_columns(first)):
-            raise CrossCheckFailed("column selection broke the "
-                                   "generator-sequence property")
 
     def independent(rows, c, start):
         # admissible choices for position c: t_(s*k0+1) > s*n (1-based)
@@ -612,12 +558,8 @@ def is_mdp(C: ConvCode, method=MINORS, budget=DEFAULT_DISTANCE_BUDGET):
         return _distances_condition(C, L, k0, budget)
     if method != MINORS:
         raise ValueError(f"unknown method {method!r}")
-    S = sliding_matrix(C.encoder, L)
-    if ring.q ** S.rows <= GENSEQ_ASSERT_LIMIT \
-            and not is_gamma_generator_sequence(S):
-        raise CrossCheckFailed(
-            "sliding matrix rows are not a gamma-generator sequence")
-    return _minors_condition(S, L, C.n, k0)
+    return _minors_condition(_licensed_sliding_matrix(C.encoder, L), L, C.n,
+                             k0)
 
 
 def reverse_encoder(C: ConvCode) -> PolyMatrix:
@@ -646,5 +588,4 @@ def is_reverse_mdp(C: ConvCode, method=MINORS,
         if C._reversed is None:
             C._reversed = ConvCode(ring, C.n, rev)
         return _distances_condition(C._reversed, L, k0, budget)
-    S = sliding_matrix(rev, L)
-    return _minors_condition(S, L, C.n, k0)
+    return _minors_condition(_licensed_sliding_matrix(rev, L), L, C.n, k0)

@@ -37,10 +37,6 @@ class ZeroMatrix(ChainCodesError):
     """Standard forms are undefined for the all-zero matrix."""
 
 
-class MethodPreconditionViolated(ChainCodesError):
-    """Fast-path method requested outside its precondition."""
-
-
 class CrossCheckFailed(ChainCodesError):
     """Two independent computations of the same fact disagree."""
 

@@ -14,11 +14,8 @@ from __future__ import annotations
 
 from itertools import chain, product
 
-from .errors import (MALFORMED, BudgetExceeded, InvalidParams,
-                     MethodPreconditionViolated, NotSquare, ZeroMatrix)
-
-ORACLE = "oracle"
-SHAPE_FAST = "shape-fast"
+from .errors import (MALFORMED, BudgetExceeded, InvalidParams, NotSquare,
+                     ZeroMatrix)
 
 DEFAULT_ORACLE_BUDGET = 10 ** 6
 
@@ -127,6 +124,8 @@ class RingMatrix:
             if ring is None:
                 ring = make_ring(obj["ring"])
             m, n = obj["rows"], obj["cols"]
+            if m < 0 or n < 0:
+                raise InvalidParams(f"matrix size {m}x{n} is negative")
             entries = [ring.element_from_json(e) for e in obj["entries"]]
             if len(entries) != m * n:
                 raise ValueError("entry count does not match rows*cols")
@@ -241,12 +240,12 @@ def t_combination(ring, digits, rows, n):
     return acc
 
 
-def iter_span(field, basis, include_zero=False):
-    """All vectors in the span of `basis` (list of row vectors)."""
+def iter_span(field, basis):
+    """All nonzero combinations of `basis` (list of row vectors)."""
     d = len(basis)
     m = len(basis[0]) if basis else 0
     for coeffs in product(field.elements(), repeat=d):
-        if not include_zero and all(c == 0 for c in coeffs):
+        if not any(coeffs):
             continue
         vec = [0] * m
         for c, brow in zip(coeffs, basis):
@@ -372,20 +371,14 @@ def parameters_of(A):
 # gamma-span membership and independence
 
 def module_solve_left(A, target):
-    """Whether some u in R^m solves u*A == target (full ring coefficients)."""
-    ring = A.ring
-    exps, _, R = diagonal_reduction(A)
-    # u*A = target  <=>  y*D = target*R with y = u*L^{-1} unconstrained
-    for j in range(A.cols):
-        acc = ring.zero
-        for i in range(A.cols):
-            acc = ring.add(acc, ring.mul(target[i], R.entry(i, j)))
-        if j < len(exps):
-            if ring.valuation(acc) < exps[j]:
-                return False
-        elif acc != ring.zero:
-            return False
-    return True
+    """Whether some u in R^m solves u*A == target (full ring coefficients).
+
+    The row module of A lies in that of (A; target), and a module has
+    q^(gamma-dimension) elements, so the two are equal exactly when their
+    gamma-dimensions are."""
+    with_target = RingMatrix._canonical(A.ring, A.data + (tuple(target),),
+                                        A.cols)
+    return gamma_dimension(with_target) == gamma_dimension(A)
 
 
 def _is_layer_closed(A):
@@ -471,35 +464,19 @@ def is_gamma_generator_sequence(A, budget=DEFAULT_ORACLE_BUDGET):
     return True
 
 
-def is_gamma_linearly_independent(A, method=ORACLE,
-                                  budget=DEFAULT_ORACLE_BUDGET,
-                                  check_precondition=True):
+def is_gamma_linearly_independent(A, budget=DEFAULT_ORACLE_BUDGET):
     """No nontrivial T-combination of the rows is zero.
 
-    ORACLE enumerates the lifted left kernel of the projection (complete
-    for arbitrary row sets).  SHAPE_FAST compares the gamma-dimension with
-    the row count and is only valid on gamma-generator sequences."""
+    An empty residue kernel answers True at once.  Rows that are layer
+    closed form a gamma-generator sequence, on which independence is
+    gamma-dimension == row count; any other rows have their lifted
+    residue kernel enumerated, which is complete for arbitrary row sets."""
     ring = A.ring
-    if A.rows == 0:
-        return True
-    if method == SHAPE_FAST:
-        if check_precondition and not is_gamma_generator_sequence(A, budget):
-            raise MethodPreconditionViolated(
-                "shape-fast independence needs a gamma-generator sequence")
-        if A.rows == ring.nu * A.cols:
-            # full gamma-dimension forces every diagonal exponent to be 0,
-            # which is exactly full column rank of the projection
-            return field_rank(ring.residue, A.residue_rows()) == A.cols
-        return gamma_dimension(A) == A.rows
-    if method != ORACLE:
-        raise ValueError(f"unknown method {method!r}")
     field = ring.residue
     kernel = field_left_kernel(field, A.residue_rows())
     if not kernel:
         return True
     if _is_layer_closed(A):
-        # the rows form a gamma-generator sequence by inspection, so the
-        # shape criterion decides independence without enumeration
         return gamma_dimension(A) == A.rows
     if field.q ** len(kernel) > budget:
         raise BudgetExceeded(

@@ -3,12 +3,13 @@ compared against."""
 
 from itertools import combinations, product
 
-from chaincodes.conv import _admissible_column_subsets, sliding_matrix
+from chaincodes.conv import sliding_matrix
 from chaincodes.errors import CrossCheckFailed
 from chaincodes.fields import (_digits, _encode, _poly_mulmod, _poly_powmod,
                                factorize)
 from chaincodes.linalg import (_min_valuation_pivot, _sub_multiple,
-                               determinant, field_rank, residue_determinant)
+                               determinant, field_left_kernel, field_rank,
+                               residue_determinant)
 
 
 def message_weights(C, j):
@@ -44,6 +45,30 @@ def column_distance_oracle(C, j):
     return min(w for _, w in message_weights(C, j))
 
 
+def _admissible_column_subsets(L, n, k0):
+    """0-based column index tuples t_1 < ... < t_{(L+1)k0} of the L-th
+    sliding matrix with t_{s*k0+1} > s*n (1-based), lexicographic."""
+    total = (L + 1) * n
+    need = (L + 1) * k0
+
+    def rec(start, chosen):
+        c = len(chosen)
+        if c == need:
+            yield tuple(chosen)
+            return
+        lo = start
+        if c % k0 == 0:
+            s = c // k0
+            if 1 <= s <= L:
+                lo = max(lo, s * n)
+        for t in range(lo, total - (need - c) + 1):
+            chosen.append(t)
+            yield from rec(t + 1, chosen)
+            chosen.pop()
+
+    yield from rec(0, [])
+
+
 def minors_condition_oracle(S, L, n, k0):
     """Whether every admissible column selection of S has projected rows
     of full column rank, one field_rank call per selection."""
@@ -52,6 +77,29 @@ def minors_condition_oracle(S, L, n, k0):
     proj = S.residue_rows()
     return all(field_rank(field, [[row[c] for c in subset] for row in proj])
                == need for subset in _admissible_column_subsets(L, n, k0))
+
+
+def independent_by_enumeration(A):
+    """Whether no nontrivial T-combination of the rows of A is zero, by
+    lifting every nonzero vector of the residue left kernel through T: a
+    zero T-combination projects to a kernel vector, and its digits are the
+    lifts of that vector's codes.  No shape criterion is consulted."""
+    ring = A.ring
+    field = ring.residue
+    basis = field_left_kernel(field, A.residue_rows())
+    for coeffs in product(range(field.q), repeat=len(basis)):
+        if not any(coeffs):
+            continue
+        codes = [0] * A.rows
+        for c, vec in zip(coeffs, basis):
+            codes = [field.add(x, field.mul(c, y)) for x, y in zip(codes, vec)]
+        acc = [ring.zero] * A.cols
+        for code, row in zip(codes, A.data):
+            t = ring.lift(code)
+            acc = [ring.add(x, ring.mul(t, e)) for x, e in zip(acc, row)]
+        if all(e == ring.zero for e in acc):
+            return False
+    return True
 
 
 def is_unit_determinant(A):

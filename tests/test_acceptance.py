@@ -22,8 +22,9 @@ from chaincodes.conv import (DISTANCES, MINORS, ConvCode, PolyMatrix,
                              generalized_singleton_bound, is_delay_free,
                              is_free_code, is_mdp, is_reduced,
                              is_reverse_mdp)
-from chaincodes.linalg import (ORACLE, SHAPE_FAST, RingMatrix, gamma_basis,
+from chaincodes.linalg import (RingMatrix, gamma_basis, gamma_dimension,
                                is_gamma_linearly_independent, parameters_of)
+from oracles import independent_by_enumeration
 
 
 def criterion(number, title, limit_seconds):
@@ -78,7 +79,7 @@ def test_criterion_03():
     rows = M(z4, [[1, 1, 1, 1, 1, 1], [2, 2, 2, 2, 2, 2],
                   [0, 0, 0, 0, 0, 0], [0, 0, 0, 1, 1, 1],
                   [0, 0, 0, 2, 2, 2], [0, 0, 0, 0, 0, 0]])
-    assert not is_gamma_linearly_independent(rows, method=ORACLE)
+    assert not is_gamma_linearly_independent(rows)
 
 
 @criterion(4, "nu-optimal parameter sets: claimed pair for (16,5); "
@@ -230,7 +231,8 @@ def test_criterion_11():
                 assert all(profile[i] == bounds[i] for i in range(j))
 
 
-@criterion(12, "ShapeFast and Oracle agree on 500 random gamma-generator "
+@criterion(12, "kernel enumeration, the shape criterion and the "
+               "independence decision agree on 500 random gamma-generator "
                "sequences per ring", 120)
 def test_criterion_12():
     rng = random.Random(12)
@@ -244,8 +246,9 @@ def test_criterion_12():
             B = gamma_basis(A)
             if B.rows == 0:
                 continue
-            assert (is_gamma_linearly_independent(B, method=ORACLE)
-                    == is_gamma_linearly_independent(B, method=SHAPE_FAST))
+            assert (independent_by_enumeration(B)
+                    == (gamma_dimension(B) == B.rows)
+                    == is_gamma_linearly_independent(B))
             done += 1
 
 

@@ -403,3 +403,31 @@ def test_cli_import_leaves_out_slow_stdlib_modules():
     imported = set(run_python(IMPORTED_BY_CLI).split())
     assert "chaincodes.cli" in imported
     assert not {"dataclasses", "inspect", "fractions"} & imported
+
+
+def test_matrix_with_negative_sizes_is_invalid(capsys, tmp_path):
+    # (-1) * (-1) matches the single entry
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"ring": zmod(4).descriptor(), "rows": -1,
+                                "cols": -1, "entries": [1]}))
+    code, doc = run(capsys, "blockcode", "params", "--matrix", str(path))
+    assert code == 2
+    assert doc["results"]["error"] == {
+        "type": "InvalidParams", "message": "matrix size -1x-1 is negative"}
+
+
+def test_empty_toeplitz_matrix_is_invalid(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(RingMatrix(zmod(11), [], cols=0).to_json()))
+    code, doc = run(capsys, "construct", "superregular", "--n", "3", "--k",
+                    "1", "--L", "1", "--matrix", str(path))
+    assert code == 2
+    assert doc["results"]["error"]["type"] == "InvalidParams"
+
+
+def test_search_with_ell_zero_is_invalid(capsys):
+    code, doc = run(capsys, "search", "superregular", "--ell", "0",
+                    "--ring", "z5")
+    assert code == 2
+    assert doc["results"]["error"] == {
+        "type": "InvalidParams", "message": "search needs ell >= 1; got ell=0"}

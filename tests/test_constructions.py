@@ -390,6 +390,12 @@ def test_search_exhaustive_budget():
     assert (exc.value.requested, exc.value.allowed) == (11 ** 5, 10)
 
 
+@pytest.mark.parametrize("strategy", [EXHAUSTIVE, RANDOM])
+def test_search_needs_a_positive_ell(z11, strategy):
+    with pytest.raises(InvalidParams, match="ell >= 1"):
+        search_superregular(0, z11, strategy=strategy, seed=1)
+
+
 def test_search_random_requires_seed(z11):
     with pytest.raises(InvalidParams):
         search_superregular(3, z11, strategy=RANDOM)

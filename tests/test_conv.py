@@ -22,7 +22,8 @@ from chaincodes.errors import (BudgetExceeded, CodeLoadError, InvalidParams,
                                NotDelayFree, NotReduced, NuNotDividingK,
                                PreconditionViolated, UnequalRowDegrees,
                                ZeroRow)
-from chaincodes.linalg import (RingMatrix, is_gamma_generator_sequence,
+from chaincodes.linalg import (DEFAULT_ORACLE_BUDGET, RingMatrix,
+                               is_gamma_generator_sequence,
                                is_gamma_linearly_independent, parameters_of)
 from chaincodes.rings import TruncatedPolyRing, residue_ring
 from oracles import (column_distance_oracle, message_weights,
@@ -261,7 +262,7 @@ def test_column_distance_checks_an_unvalidated_encoder_once(code322,
     calls = []
     real = conv.is_polynomial_gamma_basis
 
-    def counting(G, budget=None):
+    def counting(G, budget=DEFAULT_ORACLE_BUDGET):
         calls.append(G)
         return real(G, budget)
 
@@ -446,7 +447,7 @@ def test_reversed_code_is_kept_and_walked_once(z121, monkeypatch):
         walked.append((code is C, j))
         return real_walk(code, j)
 
-    def counting_basis(G, budget=None):
+    def counting_basis(G, budget=DEFAULT_ORACLE_BUDGET):
         validated.append(G)
         return real_basis(G, budget=budget)
 
@@ -558,7 +559,7 @@ def test_minors_condition_matches_oracle(ring):
             # rows that need not be layer-closed
             S = M(ring, random_sparse_matrix(ring, (L + 1) * k0 * nu,
                                              (L + 1) * n, density, rng))
-        verdict = _minors_condition(S, L, n, k0, assert_genseq=False)
+        verdict = _minors_condition(S, L, n, k0)
         assert verdict == minors_condition_oracle(S, L, n, k0), trial
         verdicts[verdict] += 1
     assert min(verdicts[True], verdicts[False]) >= 15, verdicts
@@ -589,7 +590,7 @@ def test_delta_runs_the_reducedness_check_once(code322, monkeypatch):
     calls = []
     real = conv.is_reduced
 
-    def counting(G, budget=None):
+    def counting(G, budget=DEFAULT_ORACLE_BUDGET):
         calls.append(G)
         return real(G, budget)
 

@@ -4,20 +4,20 @@ from itertools import product
 import pytest
 
 from chaincodes import GaloisRing, TruncatedPolyRing, zmod
-from chaincodes.errors import MethodPreconditionViolated, NotSquare, ZeroMatrix
+from chaincodes.errors import NotSquare, ZeroMatrix
 from chaincodes import linalg
-from chaincodes.linalg import (ORACLE, SHAPE_FAST, RingMatrix,
-                               determinant, diagonal_exponents,
-                               diagonal_reduction, field_echelon,
-                               field_left_kernel, field_rank,
+from chaincodes.linalg import (RingMatrix, _is_layer_closed, determinant,
+                               diagonal_exponents, diagonal_reduction,
+                               field_echelon, field_left_kernel, field_rank,
                                field_solve_left, gamma_basis,
                                gamma_dimension, gamma_span_solve,
                                gamma_standard_form,
                                is_gamma_generator_sequence,
                                is_gamma_linearly_independent,
-                               parameters_of, residue_determinant, shape_of,
-                               standard_form)
-from oracles import determinant_by_elimination, is_unit_determinant
+                               module_solve_left, parameters_of,
+                               residue_determinant, shape_of, standard_form)
+from oracles import (determinant_by_elimination, independent_by_enumeration,
+                     is_unit_determinant)
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +82,7 @@ def library_built_matrices(ring, rng, monkeypatch):
     yield G.coefficient(5)
     yield conv.leading_coefficient_matrix(G)
     yield conv.sliding_matrix(G, 2)
-    yield conv._expansion_matrix(G, range(2), range(2), 3)
+    yield conv._shifted_rows(conv.sliding_matrix(G, 2), 2, range(2), range(2))
     yield from diagonal_reduction(A)[1:]
     yield gamma_basis(A)
     yield standard_form(A)[0]
@@ -226,12 +226,6 @@ def test_generator_sequence_predicate(z4):
     assert not is_gamma_generator_sequence(bad)
 
 
-def test_shape_fast_requires_generator_sequence(z4):
-    bad = M(z4, [[1, 0], [0, 2]])
-    with pytest.raises(MethodPreconditionViolated):
-        is_gamma_linearly_independent(bad, method=SHAPE_FAST)
-
-
 def test_methods_agree_on_generator_sequences(z4, z9):
     from chaincodes import TruncatedPolyRing
     rng = random.Random(11)
@@ -242,8 +236,82 @@ def test_methods_agree_on_generator_sequences(z4, z9):
             B = gamma_basis(A)
             if B.rows == 0:
                 continue
-            assert (is_gamma_linearly_independent(B, method=ORACLE)
-                    == is_gamma_linearly_independent(B, method=SHAPE_FAST))
+            assert (independent_by_enumeration(B)
+                    == (gamma_dimension(B) == B.rows)
+                    == is_gamma_linearly_independent(B))
+
+
+def test_generator_sequence_that_is_not_layer_closed(z4):
+    # gamma * (1, 1) = (2, 0) + (0, 2) is a T-combination of the later
+    # rows but not literally one of them, and the projection has a kernel
+    A = M(z4, [[1, 1], [2, 0], [0, 2]])
+    assert is_gamma_generator_sequence(A) and not _is_layer_closed(A)
+    assert field_left_kernel(z4.residue, A.residue_rows())
+    assert independent_by_enumeration(A)
+    assert gamma_dimension(A) == A.rows
+    assert is_gamma_linearly_independent(A)
+
+
+@pytest.mark.parametrize("ring", [zmod(4), zmod(9), TruncatedPolyRing(4, 2)],
+                         ids=repr)
+def test_deciders_agree_off_the_layer_closed_shortcut(ring):
+    # generator sequences that only kernel enumeration decides inside
+    # is_gamma_linearly_independent
+    rng = random.Random(12)
+    gamma, zero = ring.gamma, ring.zero
+    verdicts = []
+    while len(verdicts) < 200:
+        m, n = rng.randint(2, 4), rng.randint(1, 3)
+        A = random_matrix(ring, m, n, rng)
+        if (any(ring.mul(gamma, e) != zero for e in A.data[-1])
+                or _is_layer_closed(A)
+                or not field_left_kernel(ring.residue, A.residue_rows())
+                or not is_gamma_generator_sequence(A)):
+            continue
+        verdict = independent_by_enumeration(A)
+        assert verdict == (gamma_dimension(A) == A.rows)
+        assert verdict == is_gamma_linearly_independent(A)
+        verdicts.append(verdict)
+    assert set(verdicts) == {True, False}
+
+
+def _row_module(A):
+    """Every u*A over u in R^m, by brute force."""
+    ring = A.ring
+    out = set()
+    for u in product(list(ring.elements()), repeat=A.rows):
+        acc = [ring.zero] * A.cols
+        for c, row in zip(u, A.data):
+            acc = [ring.add(x, ring.mul(c, e)) for x, e in zip(acc, row)]
+        out.add(tuple(acc))
+    return out
+
+
+@pytest.mark.parametrize("ring", [zmod(4), zmod(8), zmod(9),
+                                  GaloisRing(2, 2, 2), TruncatedPolyRing(4, 2),
+                                  TruncatedPolyRing(2, 3)], ids=repr)
+def test_module_solve_left_matches_the_enumerated_row_module(ring):
+    rng = random.Random(41)
+    els = list(ring.elements())
+    members = 0
+    for trial in range(50):
+        m, n = trial % 4, rng.randint(1, 3)
+        A = random_matrix(ring, m, n, rng) if m else \
+            RingMatrix(ring, [], cols=n)
+        if rng.random() < 0.3 and m:
+            # gamma multiples make torsion rows
+            A = A.scalar_mul(ring.gamma)
+        module = _row_module(A)
+        listed = list(module)
+        for _ in range(7):
+            if rng.random() < 0.5:
+                target = list(rng.choice(listed))
+            else:
+                target = [rng.choice(els) for _ in range(n)]
+            got = module_solve_left(A, target)
+            assert got == (tuple(target) in module), (A.data, target)
+            members += got
+    assert 0 < members < 350
 
 
 # --------------------------------------------------------------- gamma-basis

@@ -83,3 +83,38 @@ def test_axpy_is_add_of_mul(field, data):
     xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
     assert field.axpy(xs, f, ys) == [field.add(x, field.mul(f, y))
                                      for x, y in pairs]
+
+
+AXIOM_RINGS = [zmod(8), zmod(121), GaloisRing(3, 2, 2), GaloisRing(2, 3, 3),
+               TruncatedPolyRing(4, 2), TruncatedPolyRing(2, 3)]
+
+
+@pytest.mark.parametrize("ring", AXIOM_RINGS, ids=repr)
+@SETTINGS
+@given(data=st.data())
+def test_ring_axioms(ring, data):
+    a, b, c = data.draw(st.tuples(*[elements(ring)] * 3))
+    add, mul = ring.add, ring.mul
+    assert add(add(a, b), c) == add(a, add(b, c))
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert add(a, b) == add(b, a)
+    assert mul(a, b) == mul(b, a)
+    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+
+
+@pytest.mark.parametrize("ring", AXIOM_RINGS, ids=repr)
+def test_gamma_is_nilpotent_of_index_nu(ring):
+    powers = [ring.one]
+    for _ in range(ring.nu):
+        powers.append(ring.mul(powers[-1], ring.gamma))
+    assert powers[ring.nu] == ring.zero
+    assert powers[ring.nu - 1] != ring.zero
+
+
+@pytest.mark.parametrize("ring", AXIOM_RINGS, ids=repr)
+@SETTINGS
+@given(data=st.data())
+def test_valuation_of_a_product(ring, data):
+    a, b = data.draw(st.tuples(elements(ring), elements(ring)))
+    v = ring.valuation
+    assert v(ring.mul(a, b)) == min(ring.nu, v(a) + v(b))

@@ -12,8 +12,8 @@ from math import ceil
 
 from .conv import DEFAULT_DISTANCE_BUDGET
 from .errors import BudgetExceeded, InvalidParams
-from .linalg import (RingMatrix, gamma_basis, is_gamma_generator_sequence,
-                     is_gamma_linearly_independent, parameters_of, shape_of,
+from .linalg import (RingMatrix, gamma_basis, gamma_dimension,
+                     is_gamma_generator_sequence, parameters_of, shape_of,
                      t_combination)
 
 
@@ -28,8 +28,10 @@ class BlockCode:
         self.ring = generator.ring
         self.n = generator.cols
         self.source = generator
+        # a gamma-generator sequence is a gamma-basis exactly when its
+        # gamma-dimension is its row count
         if (is_gamma_generator_sequence(generator)
-                and is_gamma_linearly_independent(generator)):
+                and gamma_dimension(generator) == generator.rows):
             self.encoder = generator
         else:
             self.encoder = gamma_basis(generator)

@@ -24,7 +24,6 @@ from .conv import (DEFAULT_DISTANCE_BUDGET, DISTANCES, MINORS, ConvCode,
                    field_L_index, is_mdp, is_polynomial_gamma_basis,
                    is_reverse_mdp, L_index, optimal_cd_bound)
 from .constructions import (DEFAULT_SEARCH_BUDGET, EXHAUSTIVE, RANDOM,
-                            ROWS_EXAMPLE, ROWS_FORMULA,
                             ToeplitzSpec, binomial_encoder,
                             extract_mdp_blocks, is_gamma_superregular,
                             is_reverse_gamma_superregular,
@@ -198,8 +197,7 @@ def cmd_construct(args, report):
             if spec.ring.nu != 1:
                 raise InvalidParams(
                     "block extraction expects a matrix over a nu=1 ring")
-            encoder = extract_mdp_blocks(spec, n=args.n, k=args.k, L=args.L,
-                                         rows=args.rows)
+            encoder = extract_mdp_blocks(spec, n=args.n, k=args.k, L=args.L)
         # unlike `lift`, a --ring with nu = 1 keeps the code as built
         code = ConvCode(encoder.ring, args.n, encoder)
         if args.ring is not None:
@@ -347,8 +345,6 @@ def build_parser():
     p.add_argument("--p", type=int, help="prime for the binomial encoder")
     p.add_argument("--L", type=int, help="block count minus one "
                                          "(superregular extraction)")
-    p.add_argument("--rows", choices=[ROWS_EXAMPLE, ROWS_FORMULA],
-                   default=ROWS_EXAMPLE)
     p.set_defaults(func=cmd_construct, usage_error=p.error)
 
     p = sub.add_parser("distances", help="column distance profile")

@@ -16,11 +16,11 @@ from itertools import combinations, product
 from math import comb, isqrt
 
 from . import linalg
-from .conv import ConvCode, PolyMatrix, _minors_condition, is_reduced
+from .conv import (ConvCode, PolyMatrix, _minors_condition, is_reduced,
+                   sliding_matrix)
 from .errors import (MALFORMED, BadCounts, BudgetExceeded,
-                     CrossCheckFailed, DependentRows, InconsistentBlocks,
-                     InvalidParams, NotReduced, NotSuperregular,
-                     SizeMismatch)
+                     CrossCheckFailed, DependentRows, InvalidParams,
+                     NotReduced, NotSuperregular, SizeMismatch)
 from .fields import factorize
 from .linalg import RingMatrix, diagonal_exponents, field_clear_column
 from .rings import zmod
@@ -185,8 +185,7 @@ def lift_matrix(M: RingMatrix, ring) -> RingMatrix:
                                  M.cols)
 
 
-def lift_from_residue_field(Gtilde: PolyMatrix, ring,
-                            validate=True) -> ConvCode:
+def lift_from_residue_field(Gtilde: PolyMatrix, ring) -> ConvCode:
     """Lift a reduced residue-field encoder to a gamma-encoder over `ring`
     by stacking gamma-layers of the transversal lift of each coefficient."""
     if not is_reduced(Gtilde):
@@ -200,7 +199,7 @@ def lift_from_residue_field(Gtilde: PolyMatrix, ring,
             block = block.stack(lifted.scalar_mul(ring.gamma_power(layer)))
         coeffs.append(block)
     encoder = PolyMatrix(ring, coeffs, k=nu * Gtilde.k, n=Gtilde.n)
-    return ConvCode(ring, Gtilde.n, encoder, validate=validate)
+    return ConvCode(ring, Gtilde.n, encoder)
 
 
 # ---------------------------------------------------------------------------
@@ -265,64 +264,30 @@ def binomial_field_large_enough(n, k, delta, p):
 # ---------------------------------------------------------------------------
 # block extraction from superregular Toeplitz matrices
 
-ROWS_FORMULA = "formula"
-ROWS_EXAMPLE = "example"
+def extract_mdp_blocks(spec: ToeplitzSpec, n, k, L):
+    """Encoder blocks G_0..G_L, as a PolyMatrix, of the (L+1)k x (L+1)n
+    block-Toeplitz submatrix of a gamma-superregular Toeplitz matrix.
 
-
-def extract_mdp_blocks(spec: ToeplitzSpec, n, k, L, rows=ROWS_EXAMPLE,
-                       check_superregular=True, assert_minors=True):
-    """Extract the (L+1)k x (L+1)n block-Toeplitz submatrix of a
-    gamma-superregular Toeplitz matrix and return the encoder blocks
-    G_0..G_L as a PolyMatrix.
-
-    Row conventions: "formula" takes row block j at (j+1)n + j(k-1)
-    (1-based start), "example" takes it at j(n+k-1)+1; both read the same
-    column blocks and both yield block-Toeplitz results."""
-    ring = spec.ring
-    ell = spec.size
-    period = n + k - 1
+    With period P = n + k - 1, G_d is rows 0..k-1 of the Toeplitz matrix
+    at columns d*P + b, b < n.  The submatrix on rows r*P + i and columns
+    c*P + b has entry a_((c-r)P + b - i) in block (r, c), zero where the
+    index is negative (every block with c < r), so it is the sliding
+    matrix S_L of these blocks; its admissible full-size minors must be
+    units."""
+    ell, period = spec.size, n + k - 1
     if ell != (L + 1) * period:
         raise SizeMismatch(
             f"Toeplitz size {ell} != (L+1)(n+k-1) = {(L + 1) * period}")
-    if check_superregular and not is_gamma_superregular(spec,
-                                                        cross_check=False):
+    if not is_gamma_superregular(spec, cross_check=False):
         raise NotSuperregular("matrix is not gamma-superregular")
     A = spec.materialize()
-    if rows == ROWS_FORMULA:
-        row_idx = [(j + 1) * n + j * (k - 1) - 1 + a
-                   for j in range(L + 1) for a in range(k)]
-    elif rows == ROWS_EXAMPLE:
-        row_idx = [j * period + a
-                   for j in range(L + 1) for a in range(k)]
-    else:
-        raise InvalidParams(f"unknown row convention {rows!r}")
-    col_idx = [j * period + b for j in range(L + 1) for b in range(n)]
-    sub = A.submatrix(row_idx, col_idx)
-    # slice into (L+1) x (L+1) blocks and check Toeplitz consistency
-    blocks = {}
-    zero_block = [[ring.zero] * n for _ in range(k)]
-    for br in range(L + 1):
-        for bc in range(L + 1):
-            blk = [[sub.entry(br * k + a, bc * n + b) for b in range(n)]
-                   for a in range(k)]
-            d = bc - br
-            if d < 0:
-                if blk != zero_block:
-                    raise InconsistentBlocks(
-                        f"nonzero block below the diagonal at ({br},{bc})")
-            elif d in blocks:
-                if blocks[d] != blk:
-                    raise InconsistentBlocks(
-                        f"block diagonal {d} is not constant")
-            else:
-                blocks[d] = blk
-    coeffs = [RingMatrix._canonical(ring, blocks[d], n)
+    blocks = [A.submatrix(range(k), range(d * period, d * period + n))
               for d in range(L + 1)]
-    # full-size admissible minors of the extracted matrix are units
-    if assert_minors and not _minors_condition(sub, L, n, k):
+    G = PolyMatrix(spec.ring, blocks, k=k, n=n)
+    if not _minors_condition(sliding_matrix(G, L), L, n, k):
         raise NotSuperregular("an admissible full-size minor of the "
                               "extracted matrix is not a unit")
-    return PolyMatrix(ring, coeffs, k=k, n=n)
+    return G
 
 
 # ---------------------------------------------------------------------------

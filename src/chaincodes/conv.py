@@ -16,9 +16,8 @@ from math import ceil
 from .errors import (BudgetExceeded, CodeLoadError, CrossCheckFailed,
                      InvalidParams, NotDelayFree, NotReduced, NuNotDividingK,
                      PreconditionViolated, UnequalRowDegrees, ZeroRow)
-from .linalg import (DEFAULT_ORACLE_BUDGET, RingMatrix, diagonal_exponents,
-                     field_clear_column, gamma_span_solve,
-                     is_gamma_generator_sequence,
+from .linalg import (RingMatrix, diagonal_exponents, field_clear_column,
+                     gamma_span_solve, is_gamma_generator_sequence,
                      is_gamma_linearly_independent, module_solve_left)
 from .rings import make_ring
 
@@ -120,13 +119,12 @@ def leading_coefficient_matrix(G: PolyMatrix) -> RingMatrix:
     return RingMatrix._canonical(G.ring, rows, G.n)
 
 
-def is_reduced(G: PolyMatrix, budget=DEFAULT_ORACLE_BUDGET):
-    return is_gamma_linearly_independent(leading_coefficient_matrix(G),
-                                         budget)
+def is_reduced(G: PolyMatrix):
+    return is_gamma_linearly_independent(leading_coefficient_matrix(G))
 
 
-def is_delay_free(G: PolyMatrix, budget=DEFAULT_ORACLE_BUDGET):
-    return is_gamma_linearly_independent(G.coefficient(0), budget)
+def is_delay_free(G: PolyMatrix):
+    return is_gamma_linearly_independent(G.coefficient(0))
 
 
 def gamma_degree(G: PolyMatrix):
@@ -160,7 +158,7 @@ def _shifted_rows(S, k, row_idx, shifts):
                                           for t in shifts], S.cols)
 
 
-def is_polynomial_gamma_basis(G: PolyMatrix, budget=DEFAULT_ORACLE_BUDGET):
+def is_polynomial_gamma_basis(G: PolyMatrix):
     """Whether the rows of G(z) form a gamma-basis of the module they span.
 
     Decided on the coefficient expansion with digit polynomials of degree
@@ -173,14 +171,14 @@ def is_polynomial_gamma_basis(G: PolyMatrix, budget=DEFAULT_ORACLE_BUDGET):
     shifts = range(m + 1)
     S = sliding_matrix(G, 2 * m)
     if not is_gamma_linearly_independent(
-            _shifted_rows(S, G.k, range(G.k), shifts), budget):
+            _shifted_rows(S, G.k, range(G.k), shifts)):
         return False
     # gamma-generator-sequence at the polynomial level; the last row has
     # an empty tail, whose span is zero
     for i in range(G.k):
         target = [ring.mul(ring.gamma, e) for e in S.data[i]]
         tail = _shifted_rows(S, G.k, range(i + 1, G.k), shifts)
-        if gamma_span_solve(tail, target, budget) is None:
+        if gamma_span_solve(tail, target) is None:
             return False
     return True
 
@@ -211,11 +209,10 @@ def is_free_code(G: PolyMatrix):
 class ConvCode:
     """Convolutional code given by a gamma-encoder."""
 
-    def __init__(self, ring, n, encoder: PolyMatrix, validate=True,
-                 budget=DEFAULT_ORACLE_BUDGET):
+    def __init__(self, ring, n, encoder: PolyMatrix, validate=True):
         if encoder.n != n or encoder.ring != ring:
             raise ValueError("encoder does not match ring or length")
-        if validate and not is_polynomial_gamma_basis(encoder, budget=budget):
+        if validate and not is_polynomial_gamma_basis(encoder):
             raise ValueError("encoder rows do not form a gamma-basis")
         self.ring = ring
         self.n = n

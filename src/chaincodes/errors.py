@@ -104,10 +104,6 @@ class NotSuperregular(ChainCodesError):
     """The supplied Toeplitz matrix is not superregular."""
 
 
-class InconsistentBlocks(ChainCodesError):
-    """Extracted blocks are not Toeplitz-consistent."""
-
-
 class CodeLoadError(ChainCodesError):
     """A serialized code descriptor failed validation on load."""
 

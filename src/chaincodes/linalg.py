@@ -17,7 +17,9 @@ from itertools import chain, product
 from .errors import (MALFORMED, BudgetExceeded, InvalidParams, NotSquare,
                      ZeroMatrix)
 
-DEFAULT_ORACLE_BUDGET = 10 ** 6
+# the most residue-field candidates one enumeration may lift; read at call
+# time by gamma_span_solve and is_gamma_linearly_independent
+ORACLE_BUDGET = 10 ** 6
 
 
 class RingMatrix:
@@ -101,9 +103,6 @@ class RingMatrix:
         return RingMatrix._canonical(self.ring,
                                      [[self.data[i][j] for j in col_idx]
                                       for i in row_idx], len(col_idx))
-
-    def select_columns(self, col_idx):
-        return self.submatrix(range(self.rows), col_idx)
 
     def residue_rows(self):
         """Projection to the residue field, as lists of field codes."""
@@ -381,28 +380,12 @@ def module_solve_left(A, target):
     return gamma_dimension(with_target) == gamma_dimension(A)
 
 
-def _is_layer_closed(A):
-    """Whether gamma times each row is zero or literally a later row.
-
-    Matrices stacked from gamma-layers have this property; it certifies
-    the gamma-generator-sequence condition without any search."""
-    ring = A.ring
-    gamma = ring.gamma
-    for i in range(A.rows):
-        g = [ring.mul(gamma, e) for e in A.data[i]]
-        if all(e == ring.zero for e in g):
-            continue
-        if not any(list(A.data[j]) == g for j in range(i + 1, A.rows)):
-            return False
-    return True
-
-
-def gamma_span_solve(A, target, budget=DEFAULT_ORACLE_BUDGET):
+def gamma_span_solve(A, target):
     """Coefficients t in T^m with sum(t_i * row_i) == target, or None.
 
     Solves the projected system over the residue field, then enumerates the
     affine solution coset, lifting each candidate through T and checking
-    exactly over the ring.  Cost q^(kernel dim)."""
+    exactly over the ring.  Cost q^(kernel dim), at most ORACLE_BUDGET."""
     ring = A.ring
     field = ring.residue
     m = A.rows
@@ -421,14 +404,14 @@ def gamma_span_solve(A, target, budget=DEFAULT_ORACLE_BUDGET):
     if part is None:
         return None
     kernel = field_left_kernel(field, rows)
-    if field.q ** len(kernel) > budget:
+    if field.q ** len(kernel) > ORACLE_BUDGET:
         # membership in the full module span is necessary for membership in
         # the T-span; a cheap reduction settles clear negatives exactly
         if not module_solve_left(A, target):
             return None
         raise BudgetExceeded(
             f"span membership needs {field.q}^{len(kernel)} candidates",
-            requested=field.q ** len(kernel), allowed=budget)
+            requested=field.q ** len(kernel), allowed=ORACLE_BUDGET)
     coset = chain([part], ([field.add(a, b) for a, b in zip(part, kvec)]
                            for kvec in iter_span(field, kernel)))
     return _lifted_solution(A, target, coset)
@@ -446,42 +429,56 @@ def _lifted_solution(A, target, candidates):
     return None
 
 
-def is_gamma_generator_sequence(A, budget=DEFAULT_ORACLE_BUDGET):
-    """True iff the ordered rows satisfy: gamma*row_i is a T-combination of
-    the later rows, and gamma*last == 0."""
+def is_gamma_generator_sequence(A):
+    """True iff gamma * last row == 0 and, for every earlier row,
+    gamma * row_i is a T-combination of the rows after it.
+
+    Decided from the last row up with no enumeration: gamma * row_i
+    passes at once when it is zero or equal to a later row, and otherwise
+    exactly when it lies in the row module of the rows after i
+    (module_solve_left).  That is exact because those rows already
+    passed, and the T-span of a gamma-generator sequence g_1..g_m is its
+    R-span (Kuijper & Pinto, "On minimality of convolutional ring
+    encoders", IEEE Trans. IT 55 (2009), for p-generator sequences).
+    Proof by induction from the last row: write a coefficient c of g_j as
+    t + gamma*a' with t in T; then c*g_j = t*g_j + a'*(gamma*g_j), and
+    gamma*g_j is zero (always for j = m) or a T-combination of the rows
+    after j.  So c*g_j plus an R-combination of g_(j+1)..g_m is t*g_j plus
+    another one, which is a T-combination by induction."""
     ring = A.ring
-    if A.rows == 0:
-        return True
-    gamma = ring.gamma
-    last = [ring.mul(gamma, e) for e in A.data[-1]]
-    if any(e != ring.zero for e in last):
-        return False
-    for i in range(A.rows - 1):
-        target = [ring.mul(gamma, e) for e in A.data[i]]
-        tail = RingMatrix._canonical(ring, A.data[i + 1:], A.cols)
-        if gamma_span_solve(tail, target, budget=budget) is None:
+    gamma, zero = ring.gamma, ring.zero
+    later = set()
+    for i in range(A.rows - 1, -1, -1):
+        g = tuple(ring.mul(gamma, e) for e in A.data[i])
+        if (any(e != zero for e in g) and g not in later
+                and not module_solve_left(RingMatrix._canonical(
+                    ring, A.data[i + 1:], A.cols), g)):
             return False
+        later.add(A.data[i])
     return True
 
 
-def is_gamma_linearly_independent(A, budget=DEFAULT_ORACLE_BUDGET):
+def is_gamma_linearly_independent(A):
     """No nontrivial T-combination of the rows is zero.
 
-    An empty residue kernel answers True at once.  Rows that are layer
-    closed form a gamma-generator sequence, on which independence is
-    gamma-dimension == row count; any other rows have their lifted
-    residue kernel enumerated, which is complete for arbitrary row sets."""
+    An empty residue kernel answers True at once.  A gamma-generator
+    sequence is independent exactly when its q^(row count)
+    T-combinations are distinct (Kuijper & Pinto, as above), and they
+    make up its row module, of q^(gamma-dimension) elements, so that is
+    gamma-dimension == row count.  Any other rows have their lifted
+    residue kernel enumerated, at most ORACLE_BUDGET candidates, which is
+    complete for arbitrary row sets."""
     ring = A.ring
     field = ring.residue
     kernel = field_left_kernel(field, A.residue_rows())
     if not kernel:
         return True
-    if _is_layer_closed(A):
+    if is_gamma_generator_sequence(A):
         return gamma_dimension(A) == A.rows
-    if field.q ** len(kernel) > budget:
+    if field.q ** len(kernel) > ORACLE_BUDGET:
         raise BudgetExceeded(
             f"oracle needs {field.q}^{len(kernel)} kernel lifts",
-            requested=field.q ** len(kernel), allowed=budget)
+            requested=field.q ** len(kernel), allowed=ORACLE_BUDGET)
     # a nonzero kernel vector lifts to a nonzero T-vector: lift is
     # injective and lift(0) == 0
     return _lifted_solution(A, [ring.zero] * A.cols,

@@ -9,7 +9,7 @@ from chaincodes.fields import (_digits, _encode, _poly_mulmod, _poly_powmod,
                                factorize)
 from chaincodes.linalg import (_min_valuation_pivot, _sub_multiple,
                                determinant, field_left_kernel, field_rank,
-                               residue_determinant)
+                               residue_determinant, t_combination)
 
 
 def message_weights(C, j):
@@ -98,6 +98,22 @@ def independent_by_enumeration(A):
             t = ring.lift(code)
             acc = [ring.add(x, ring.mul(t, e)) for x, e in zip(acc, row)]
         if all(e == ring.zero for e in acc):
+            return False
+    return True
+
+
+def generator_sequence_by_enumeration(A):
+    """Whether gamma * row_i is a T-combination of the rows after i for
+    every i (the empty combination, zero, for the last row), by
+    enumerating every T-digit vector of the later rows.  No
+    gamma-dimension is consulted."""
+    ring = A.ring
+    reps = ring.representatives()
+    for i, row in enumerate(A.data):
+        target = [ring.mul(ring.gamma, e) for e in row]
+        later = A.data[i + 1:]
+        if not any(t_combination(ring, digits, later, A.cols) == target
+                   for digits in product(reps, repeat=len(later))):
             return False
     return True
 

@@ -106,7 +106,7 @@ def test_check_missing_file_exit_2(capsys):
 def test_construct_superregular_matches_lift(capsys, golden):
     code, doc = run(capsys, "construct", "superregular",
                     "--matrix", str(golden["t6"]), "--n", "3", "--k", "1",
-                    "--L", "1", "--ring", "z121", "--rows", "example")
+                    "--L", "1", "--ring", "z121")
     assert code == 0
     code2, doc2 = run(capsys, "construct", "lift",
                       "--field-code", str(golden["field311"]),
@@ -227,7 +227,10 @@ def test_threads_flag_rejected(capsys):
     ["construct", "lift", "--field-code", "code.json"],
     ["construct", "superregular", "--n", "3", "--k", "1", "--L", "1"],
     ["construct", "superregular", "--matrix", "t6.json", "--n", "3",
-     "--k", "1"]])
+     "--k", "1"],
+    # there is one row convention, so no --rows
+    ["construct", "superregular", "--matrix", "t6.json", "--n", "3",
+     "--k", "1", "--L", "1", "--rows", "example"]])
 def test_usage_errors_report_json(capsys, argv):
     assert_usage_error_report(capsys, argv)
 

@@ -10,8 +10,7 @@ import pytest
 
 from chaincodes import (GaloisRing, TruncatedPolyRing, constructions, linalg,
                         zmod)
-from chaincodes.constructions import (EXHAUSTIVE, RANDOM, ROWS_EXAMPLE,
-                                      ROWS_FORMULA, ToeplitzSpec,
+from chaincodes.constructions import (EXHAUSTIVE, RANDOM, ToeplitzSpec,
                                       binomial_bound, binomial_encoder,
                                       binomial_field_large_enough,
                                       extract_mdp_blocks, is_gamma_superregular,
@@ -333,23 +332,12 @@ def test_binomial_code_can_fail_below_bound():
 # ------------------------------------------------------- block extraction
 
 def test_extract_blocks_example_rows(toeplitz6, z121):
-    Gt = extract_mdp_blocks(toeplitz6, n=3, k=1, L=1, rows=ROWS_EXAMPLE)
+    Gt = extract_mdp_blocks(toeplitz6, n=3, k=1, L=1)
     got = [[[e[0] for e in row] for row in c.data] for c in Gt.coeffs]
     assert got == [[[1, 2, 1]], [[1, 3, 4]]]
     lifted = lift_from_residue_field(Gt, z121)
     assert is_mdp(lifted, MINORS)
     assert is_reverse_mdp(lifted)
-
-
-def test_extract_blocks_formula_rows(toeplitz6):
-    # the alternative row convention picks blocks whose admissible minors
-    # are not all units on this matrix, so the assertion must be disabled
-    Gt = extract_mdp_blocks(toeplitz6, n=3, k=1, L=1, rows=ROWS_FORMULA,
-                            assert_minors=False)
-    got = [[[e[0] for e in row] for row in c.data] for c in Gt.coeffs]
-    assert got == [[[0, 0, 1]], [[2, 1, 1]]]
-    with pytest.raises(NotSuperregular):
-        extract_mdp_blocks(toeplitz6, n=3, k=1, L=1, rows=ROWS_FORMULA)
 
 
 def test_extract_blocks_size_check(toeplitz6):
@@ -363,14 +351,18 @@ def test_extract_blocks_requires_superregular(z11):
         extract_mdp_blocks(spec, n=3, k=1, L=1)
 
 
-def test_extraction_checks_minors_without_the_superregular_check(z11):
-    # with the Toeplitz check off, the admissible minors of the extracted
-    # matrix still refuse a matrix that is not superregular
+def test_extraction_checks_minors_without_the_superregular_check(
+        z11, monkeypatch):
+    # with the Toeplitz check passed over, the admissible minors of the
+    # extracted matrix still refuse a matrix that is not superregular
     spec = ToeplitzSpec(z11, (1, 0, 0, 0, 0, 0))
+    monkeypatch.setattr(constructions, "is_gamma_superregular",
+                        lambda spec, cross_check: True)
     with pytest.raises(NotSuperregular):
-        extract_mdp_blocks(spec, n=3, k=1, L=1, check_superregular=False)
-    Gt = extract_mdp_blocks(spec, n=3, k=1, L=1, check_superregular=False,
-                            assert_minors=False)
+        extract_mdp_blocks(spec, n=3, k=1, L=1)
+    monkeypatch.setattr(constructions, "_minors_condition",
+                        lambda S, L, n, k0: True)
+    Gt = extract_mdp_blocks(spec, n=3, k=1, L=1)
     assert Gt.degree == 0
     assert [[e[0] for e in row] for row in Gt.coefficient(0).data] == \
         [[1, 0, 0]]

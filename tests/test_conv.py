@@ -22,8 +22,7 @@ from chaincodes.errors import (BudgetExceeded, CodeLoadError, InvalidParams,
                                NotDelayFree, NotReduced, NuNotDividingK,
                                PreconditionViolated, UnequalRowDegrees,
                                ZeroRow)
-from chaincodes.linalg import (DEFAULT_ORACLE_BUDGET, RingMatrix,
-                               is_gamma_generator_sequence,
+from chaincodes.linalg import (RingMatrix, is_gamma_generator_sequence,
                                is_gamma_linearly_independent, parameters_of)
 from chaincodes.rings import TruncatedPolyRing, residue_ring
 from oracles import (column_distance_oracle, message_weights,
@@ -262,9 +261,9 @@ def test_column_distance_checks_an_unvalidated_encoder_once(code322,
     calls = []
     real = conv.is_polynomial_gamma_basis
 
-    def counting(G, budget=DEFAULT_ORACLE_BUDGET):
+    def counting(G):
         calls.append(G)
-        return real(G, budget)
+        return real(G)
 
     monkeypatch.setattr(conv, "is_polynomial_gamma_basis", counting)
     assert distance_profile(code322, 1) == (3, 5)
@@ -447,9 +446,9 @@ def test_reversed_code_is_kept_and_walked_once(z121, monkeypatch):
         walked.append((code is C, j))
         return real_walk(code, j)
 
-    def counting_basis(G, budget=DEFAULT_ORACLE_BUDGET):
+    def counting_basis(G):
         validated.append(G)
-        return real_basis(G, budget=budget)
+        return real_basis(G)
 
     monkeypatch.setattr(conv, "_normalised_weights", counting_walk)
     monkeypatch.setattr(conv, "is_polynomial_gamma_basis", counting_basis)
@@ -590,9 +589,9 @@ def test_delta_runs_the_reducedness_check_once(code322, monkeypatch):
     calls = []
     real = conv.is_reduced
 
-    def counting(G, budget=DEFAULT_ORACLE_BUDGET):
+    def counting(G):
         calls.append(G)
-        return real(G, budget)
+        return real(G)
 
     monkeypatch.setattr(conv, "is_reduced", counting)
     C = ConvCode(code322.ring, code322.n, code322.encoder)

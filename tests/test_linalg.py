@@ -4,9 +4,10 @@ from itertools import product
 import pytest
 
 from chaincodes import GaloisRing, TruncatedPolyRing, zmod
-from chaincodes.errors import NotSquare, ZeroMatrix
+from chaincodes.block import BlockCode
+from chaincodes.errors import BudgetExceeded, NotSquare, ZeroMatrix
 from chaincodes import linalg
-from chaincodes.linalg import (RingMatrix, _is_layer_closed, determinant,
+from chaincodes.linalg import (RingMatrix, determinant,
                                diagonal_exponents, diagonal_reduction,
                                field_echelon, field_left_kernel, field_rank,
                                field_solve_left, gamma_basis,
@@ -16,8 +17,9 @@ from chaincodes.linalg import (RingMatrix, _is_layer_closed, determinant,
                                is_gamma_linearly_independent,
                                module_solve_left, parameters_of,
                                residue_determinant, shape_of, standard_form)
-from oracles import (determinant_by_elimination, independent_by_enumeration,
-                     is_unit_determinant)
+from oracles import (determinant_by_elimination,
+                     generator_sequence_by_enumeration,
+                     independent_by_enumeration, is_unit_determinant)
 
 
 @pytest.fixture(scope="module")
@@ -47,14 +49,15 @@ def test_outside_entries_are_coerced():
 
 
 def test_derived_matrices_equal_coerced_ones():
-    # submatrix, select_columns, stack, scalar_mul and matmul keep the
-    # canonical entries without coercing them again
+    # submatrix, stack, scalar_mul and matmul keep the canonical entries
+    # without coercing them again
     rng = random.Random(77)
     for ring in (zmod(8), GaloisRing(2, 2, 2), TruncatedPolyRing(4, 2)):
         A = random_matrix(ring, 3, 4, rng)
         B = random_matrix(ring, 4, 2, rng)
         c = rng.choice(list(ring.elements()))
-        for got in (A.submatrix([2, 0], [1, 3]), A.select_columns([3, 1]),
+        for got in (A.submatrix([2, 0], [1, 3]),
+                    A.submatrix(range(A.rows), [3, 1]),
                     A.stack(A), A.scalar_mul(c), A.matmul(B),
                     A.submatrix([], [0, 1])):
             again = RingMatrix(ring, [list(row) for row in got.data],
@@ -88,21 +91,29 @@ def library_built_matrices(ring, rng, monkeypatch):
     yield standard_form(A)[0]
     yield gamma_standard_form(A)[0]
     tails = []
-    real = linalg.gamma_span_solve
+    real = linalg.module_solve_left
 
-    def recording(tail, target, budget=None):
+    def recording(tail, target):
         tails.append(tail)
-        return real(tail, target, budget)
+        return real(tail, target)
 
-    monkeypatch.setattr(linalg, "gamma_span_solve", recording)
-    is_gamma_generator_sequence(gamma_basis(A))
+    # gamma * (1, 1, 0, 0) is the sum of two later rows, not one of them,
+    # so the tail after the first row is passed to module_solve_left
+    layers = [[1, 1, 0, 0]] + [[ring.gamma_power(e) if j == c else ring.zero
+                                for j in range(4)]
+                               for e in range(1, ring.nu) for c in (0, 1)]
+    monkeypatch.setattr(linalg, "module_solve_left", recording)
+    assert is_gamma_generator_sequence(M(ring, layers))
     monkeypatch.undo()
+    assert tails
     yield from tails
     spec = ToeplitzSpec(ring, [rng.choice(els) for _ in range(6)])
     yield spec.materialize()
-    yield from extract_mdp_blocks(spec, n=3, k=1, L=1,
-                                  check_superregular=False,
-                                  assert_minors=False).coeffs
+    # two units make a superregular 2 x 2 Toeplitz matrix
+    units = [e for e in els if ring.valuation(e) == 0]
+    yield from extract_mdp_blocks(ToeplitzSpec(ring, [rng.choice(units),
+                                                      rng.choice(units)]),
+                                  n=2, k=1, L=0).coeffs
     square = random_matrix(ring, 3, 3, rng)
     while diagonal_exponents(square) != (0, 0, 0):
         square = random_matrix(ring, 3, 3, rng)
@@ -114,8 +125,7 @@ def library_built_matrices(ring, rng, monkeypatch):
     while not (conv.is_reduced(Gt) and Gt.degree == 1):
         Gt = conv.PolyMatrix(field, [random_matrix(field, 1, 3, rng)
                                      for _ in range(2)], k=1, n=3)
-    yield from lift_from_residue_field(Gt, ring,
-                                       validate=False).encoder.coeffs
+    yield from lift_from_residue_field(Gt, ring).encoder.coeffs
 
 
 @pytest.mark.parametrize("ring", [zmod(8), GaloisRing(3, 2, 2),
@@ -241,11 +251,22 @@ def test_methods_agree_on_generator_sequences(z4, z9):
                     == is_gamma_linearly_independent(B))
 
 
+def layer_closed(A):
+    """Whether gamma times each row is zero or literally a later row, the
+    shape of matrices stacked from gamma-layers."""
+    ring = A.ring
+    for i, row in enumerate(A.data):
+        g = tuple(ring.mul(ring.gamma, e) for e in row)
+        if any(e != ring.zero for e in g) and g not in A.data[i + 1:]:
+            return False
+    return True
+
+
 def test_generator_sequence_that_is_not_layer_closed(z4):
     # gamma * (1, 1) = (2, 0) + (0, 2) is a T-combination of the later
     # rows but not literally one of them, and the projection has a kernel
     A = M(z4, [[1, 1], [2, 0], [0, 2]])
-    assert is_gamma_generator_sequence(A) and not _is_layer_closed(A)
+    assert is_gamma_generator_sequence(A) and not layer_closed(A)
     assert field_left_kernel(z4.residue, A.residue_rows())
     assert independent_by_enumeration(A)
     assert gamma_dimension(A) == A.rows
@@ -255,8 +276,7 @@ def test_generator_sequence_that_is_not_layer_closed(z4):
 @pytest.mark.parametrize("ring", [zmod(4), zmod(9), TruncatedPolyRing(4, 2)],
                          ids=repr)
 def test_deciders_agree_off_the_layer_closed_shortcut(ring):
-    # generator sequences that only kernel enumeration decides inside
-    # is_gamma_linearly_independent
+    # generator sequences that are not layer-closed, found by enumeration
     rng = random.Random(12)
     gamma, zero = ring.gamma, ring.zero
     verdicts = []
@@ -264,15 +284,110 @@ def test_deciders_agree_off_the_layer_closed_shortcut(ring):
         m, n = rng.randint(2, 4), rng.randint(1, 3)
         A = random_matrix(ring, m, n, rng)
         if (any(ring.mul(gamma, e) != zero for e in A.data[-1])
-                or _is_layer_closed(A)
+                or layer_closed(A)
                 or not field_left_kernel(ring.residue, A.residue_rows())
-                or not is_gamma_generator_sequence(A)):
+                or not generator_sequence_by_enumeration(A)):
             continue
         verdict = independent_by_enumeration(A)
         assert verdict == (gamma_dimension(A) == A.rows)
         assert verdict == is_gamma_linearly_independent(A)
         verdicts.append(verdict)
     assert set(verdicts) == {True, False}
+
+
+# the rings of the seeded generator-sequence comparison
+GENSEQ_RINGS = [zmod(4), zmod(8), zmod(9), zmod(27), TruncatedPolyRing(4, 2),
+                GaloisRing(2, 2, 2), TruncatedPolyRing(2, 3)]
+
+
+def mixed_sequences(ring, seed, count=150):
+    """Seeded matrices: one or two random rows followed by their
+    gamma-multiples, layer by layer, then up to three edits that add a later
+    row to an earlier one, scale a row by a random element or swap two
+    rows, so that both verdicts occur and so do generator sequences that
+    are not layer-closed."""
+    rng = random.Random(seed)
+    els = list(ring.elements())
+    for _ in range(count):
+        n = rng.randint(1, 3)
+        layer = [[rng.choice(els) for _ in range(n)]
+                 for _ in range(rng.randint(1, 2))]
+        rows = []
+        for _ in range(ring.nu):
+            rows += layer
+            layer = [[ring.mul(ring.gamma, e) for e in row] for row in layer]
+        for _ in range(rng.randint(0, 3)):
+            i, j = sorted(rng.randrange(len(rows)) for _ in range(2))
+            kind = rng.randrange(3)
+            if kind == 0:
+                rows[i] = [ring.add(x, y) for x, y in zip(rows[i], rows[j])]
+            elif kind == 1:
+                c = rng.choice(els)
+                rows[i] = [ring.mul(c, e) for e in rows[i]]
+            else:
+                rows[i], rows[j] = rows[j], rows[i]
+        yield M(ring, rows)
+
+
+@pytest.mark.parametrize("ring", GENSEQ_RINGS, ids=repr)
+def test_generator_sequence_matches_enumeration(ring):
+    kinds = set()
+    for A in mixed_sequences(ring, 13):
+        verdict = generator_sequence_by_enumeration(A)
+        assert is_gamma_generator_sequence(A) == verdict, A.data
+        kinds.add((verdict, layer_closed(A)))
+    assert kinds == {(True, True), (True, False), (False, False)}
+
+
+@pytest.mark.parametrize("ring", GENSEQ_RINGS, ids=repr)
+def test_generator_sequence_check_enumerates_nothing(ring, monkeypatch):
+    mats = list(mixed_sequences(ring, 13))
+    expected = [generator_sequence_by_enumeration(A) for A in mats]
+
+    def boom(*args):
+        raise AssertionError("the generator-sequence check enumerated")
+
+    monkeypatch.setattr(linalg, "iter_span", boom)
+    monkeypatch.setattr(linalg, "_lifted_solution", boom)
+    assert [is_gamma_generator_sequence(A) for A in mats] == expected
+
+
+def test_generator_sequence_past_the_oracle_budget():
+    # the rows after the first project to zero, so a search of their
+    # T-span for gamma * (1, 1, 0, ..., 0) would lift 11^7 candidates
+    z121 = zmod(121)
+    A = M(z121, [[1, 1, 0, 0, 0, 0, 0]]
+          + [[11 if j == i else 0 for j in range(7)] for i in range(7)])
+    tail = A.submatrix(range(1, 8), range(7))
+    with pytest.raises(BudgetExceeded) as exc:
+        gamma_span_solve(tail, [z121.mul(z121.gamma, e) for e in A.row(0)])
+    assert exc.value.requested == 11 ** 7 == 19487171
+    assert is_gamma_generator_sequence(A)
+    assert is_gamma_linearly_independent(A)
+    code = BlockCode(A)
+    assert code.k == 8 and code.encoder is A
+
+
+def test_span_solve_over_the_oracle_budget(z4, monkeypatch):
+    # residue rows that are all zero leave a kernel of dimension 1 or 2
+    monkeypatch.setattr(linalg, "ORACLE_BUDGET", 1)
+    two = z4.coerce(2)
+    # not even in the row module: answered without enumeration
+    assert gamma_span_solve(M(z4, [[2, 2]]), [two, z4.zero]) is None
+    with pytest.raises(BudgetExceeded) as exc:
+        gamma_span_solve(M(z4, [[2, 0], [0, 2]]), [two, two])
+    assert (exc.value.requested, exc.value.allowed) == (4, 1)
+
+
+def test_independence_over_the_oracle_budget(z4, monkeypatch):
+    monkeypatch.setattr(linalg, "ORACLE_BUDGET", 1)
+    # gamma * last row != 0: not a generator sequence, so enumerated
+    with pytest.raises(BudgetExceeded) as exc:
+        is_gamma_linearly_independent(M(z4, [[1, 0], [1, 0]]))
+    assert (exc.value.requested, exc.value.allowed) == (2, 1)
+    # a generator sequence is decided by gamma-dimension within any budget
+    assert not is_gamma_linearly_independent(M(z4, [[2, 0], [2, 0]]))
+    assert is_gamma_linearly_independent(M(z4, [[1, 1], [2, 0], [0, 2]]))
 
 
 def _row_module(A):
@@ -399,7 +514,7 @@ def test_gamma_standard_form_invariants(z4, z9):
             assert is_gamma_generator_sequence(G)
             assert is_gamma_linearly_independent(G)
             # spans the permuted original rows
-            P = A.select_columns(perm)
+            P = A.submatrix(range(A.rows), perm)
             for row in P.data:
                 assert gamma_span_solve(G, list(row)) is not None
 

@@ -17,7 +17,7 @@ from .errors import (BudgetExceeded, CodeLoadError, CrossCheckFailed,
                      InvalidParams, NotDelayFree, NotReduced, NuNotDividingK,
                      PreconditionViolated, UnequalRowDegrees, ZeroRow)
 from .linalg import (RingMatrix, diagonal_exponents, field_clear_column,
-                     gamma_span_solve, is_gamma_generator_sequence,
+                     is_gamma_generator_sequence,
                      is_gamma_linearly_independent, module_solve_left)
 from .rings import make_ring
 
@@ -159,26 +159,35 @@ def _shifted_rows(S, k, row_idx, shifts):
 
 
 def is_polynomial_gamma_basis(G: PolyMatrix):
-    """Whether the rows of G(z) form a gamma-basis of the module they span.
+    """Whether the rows of G(z) form a gamma-basis of their module: they
+    are gamma-linearly independent and a gamma-generator sequence over T[z].
 
-    Decided on the coefficient expansion with digit polynomials of degree
-    up to deg(G): shifted copies of the rows, cut from the sliding matrix
-    S_(2 deg G), are stacked and the block-level oracle machinery is
-    applied.  Dependencies requiring higher-degree digits are not detected
-    (documented bound)."""
+    Independence.  A delay-free encoder has it: in a relation
+    sum a_i(z) g_i(z) = 0 with T-digit polynomials a_i not all zero, the
+    coefficient of the lowest power z^s in any a_i is
+    sum a_(i,s) G_0[i] = 0, a T-dependency of the rows of G_0.  Any other
+    encoder is decided on the shifted rows z^t g_i, t <= deg G, cut from
+    S_(2 deg G), which miss a dependency with higher-degree digits.
+
+    Generator sequence.  From the last row up, gamma g_i passes when it is
+    zero, a shifted later row, or in their row module (module_solve_left).
+    A pass is proven, and at degree 0 the answer is exact: by induction
+    from the last row the R[z]-span of a polynomial gamma-generator
+    sequence is its T[z]-span, since c(z) = t(z) + gamma a'(z) with t(z)
+    in T[z] gives c g_j = t g_j + a' (gamma g_j), with gamma g_j in the
+    span of the later rows."""
     ring = G.ring
     m = max(G.degree, 0)
     shifts = range(m + 1)
     S = sliding_matrix(G, 2 * m)
-    if not is_gamma_linearly_independent(
+    if not is_delay_free(G) and not is_gamma_linearly_independent(
             _shifted_rows(S, G.k, range(G.k), shifts)):
         return False
-    # gamma-generator-sequence at the polynomial level; the last row has
-    # an empty tail, whose span is zero
-    for i in range(G.k):
-        target = [ring.mul(ring.gamma, e) for e in S.data[i]]
+    for i in range(G.k - 1, -1, -1):
+        target = tuple(ring.mul(ring.gamma, e) for e in S.data[i])
         tail = _shifted_rows(S, G.k, range(i + 1, G.k), shifts)
-        if gamma_span_solve(tail, target) is None:
+        if (any(e != ring.zero for e in target) and target not in tail.data
+                and not module_solve_left(tail, target)):
             return False
     return True
 
@@ -512,20 +521,41 @@ def _minors_condition(S: RingMatrix, L, n, k0):
     node holds the rows its prefix did not take as pivots, with the
     prefix's columns cleared; choosing column t takes the first of them
     that is nonzero at t as the pivot, clears t from the rest and hands
-    them to the child, and at the last position only a nonzero entry at t
-    is needed.  With no pivot the prefix is dependent, so every selection
-    through it fails and the answer is False."""
-    ring = S.ring
-    field = ring.residue
+    them to the child.  With no pivot the prefix is dependent, so every
+    selection through it fails and the answer is False.  At a single
+    position a nonzero column is enough; at the last two, two columns
+    have rank 2 exactly when both are nonzero and differ once each is
+    scaled to a first nonzero entry of 1, so one sweep keeps the scaled
+    next-to-last candidates and tests each last one against earlier ones."""
+    field = S.ring.residue
+    inv, mul = field.inv, field.mul
     need, total = (L + 1) * k0, (L + 1) * n
+    # admissible choices for position c: t_(s*k0+1) > s*n (1-based)
+    last_lo = (need - 1) // k0 * n if (need - 1) % k0 == 0 else 0
+
+    def last_two(rows, lo):
+        seen = set()
+        for t in range(lo, total):
+            col = [row[t] for row in rows]
+            head = next(filter(None, col), 0)
+            last = t > lo and t >= last_lo  # after some next-to-last t' < t
+            if head:
+                f = inv(head)
+                col = tuple([mul(f, e) for e in col])
+                if last and col in seen:
+                    return False
+                seen.add(col)
+            elif last or t < total - 1:
+                return False
+        return True
 
     def independent(rows, c, start):
-        # admissible choices for position c: t_(s*k0+1) > s*n (1-based)
         lo = max(start, (c // k0) * n) if c % k0 == 0 else start
-        cols = range(lo, total - (need - c) + 1)
         if c == need - 1:
-            return all(any(row[t] for row in rows) for t in cols)
-        for t in cols:
+            return all(any(row[t] for row in rows) for t in range(lo, total))
+        if c == need - 2:
+            return last_two(rows, lo)
+        for t in range(lo, total - (need - c) + 1):
             for i, prow in enumerate(rows):
                 if prow[t]:
                     break

@@ -7,8 +7,10 @@ from chaincodes.conv import sliding_matrix
 from chaincodes.errors import CrossCheckFailed
 from chaincodes.fields import (_digits, _encode, _poly_mulmod, _poly_powmod,
                                factorize)
-from chaincodes.linalg import (_min_valuation_pivot, _sub_multiple,
-                               determinant, field_left_kernel, field_rank,
+from chaincodes.linalg import (RingMatrix, _min_valuation_pivot,
+                               _sub_multiple, determinant, field_left_kernel,
+                               field_rank, gamma_span_solve,
+                               is_gamma_linearly_independent,
                                residue_determinant, t_combination)
 
 
@@ -114,6 +116,39 @@ def generator_sequence_by_enumeration(A):
         later = A.data[i + 1:]
         if not any(t_combination(ring, digits, later, A.cols) == target
                    for digits in product(reps, repeat=len(later))):
+            return False
+    return True
+
+
+def _stacked_shifts(G, row_idx):
+    """The rows z^t * g_i(z), t <= deg G, for i in row_idx (i-major), as
+    coefficient rows of width (2 deg G + 1) n."""
+    m = max(G.degree, 0)
+    S = sliding_matrix(G, 2 * m)
+    return RingMatrix(G.ring, [S.data[t * G.k + i] for i in row_idx
+                               for t in range(m + 1)], S.cols)
+
+
+def stacked_independence(G):
+    """Whether the shifted rows z^t * g_i, t <= deg G, of a polynomial
+    matrix are gamma-linearly independent, on the whole
+    k(m+1) x (2m+1)n stack, whether or not G is delay-free."""
+    return is_gamma_linearly_independent(_stacked_shifts(G, range(G.k)))
+
+
+def polynomial_gamma_basis_by_stacking(G):
+    """Whether the rows of G(z) form a gamma-basis, decided on the stack
+    with digit degree up to deg G alone: the stacked rows are
+    independent, and gamma * g_i is a T-combination of the shifted rows
+    after i, found by a bounded T-digit search (gamma_span_solve)."""
+    if not stacked_independence(G):
+        return False
+    ring = G.ring
+    S = sliding_matrix(G, 2 * max(G.degree, 0))
+    for i in range(G.k):
+        target = [ring.mul(ring.gamma, e) for e in S.data[i]]
+        if gamma_span_solve(_stacked_shifts(G, range(i + 1, G.k)),
+                            target) is None:
             return False
     return True
 

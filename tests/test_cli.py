@@ -97,6 +97,18 @@ def test_check_precondition_exit_2(capsys, golden):
     assert "divide" in doc["results"]["error"]["message"]
 
 
+def test_check_gamma_basis_of_a_degree_zero_encoder(capsys, tmp_path):
+    # a T-digit search of the later rows' span would lift 11^7 candidates
+    z121 = zmod(121)
+    G = PolyMatrix(z121, [RingMatrix(z121, [[1, 1, 0, 0, 0, 0, 0]] + [
+        [11 if j == i else 0 for j in range(7)] for i in range(7)])])
+    path = tmp_path / "z121_degree0.json"
+    path.write_text(json.dumps(ConvCode(z121, 7, G).to_json()))
+    code, doc = run(capsys, "check", "gamma-basis", "--code", str(path))
+    assert code == 0
+    assert doc["results"]["gamma-basis"] is True
+
+
 def test_check_missing_file_exit_2(capsys):
     code, doc = run(capsys, "check", "mdp", "--code", "no-such-file.json")
     assert code == 2

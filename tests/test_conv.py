@@ -1,7 +1,12 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
-from math import ceil
+from math import ceil, comb
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +31,8 @@ from chaincodes.linalg import (RingMatrix, is_gamma_generator_sequence,
                                is_gamma_linearly_independent, parameters_of)
 from chaincodes.rings import TruncatedPolyRing, residue_ring
 from oracles import (column_distance_oracle, message_weights,
-                     minors_condition_oracle)
+                     minors_condition_oracle,
+                     polynomial_gamma_basis_by_stacking, stacked_independence)
 
 
 def M(ring, rows):
@@ -127,6 +133,85 @@ def test_polynomial_gamma_basis(code322, z4):
 def test_convcode_rejects_non_basis(z4):
     with pytest.raises(ValueError):
         ConvCode(z4, 2, PM(z4, [[[1, 1], [1, 1]]]))
+
+
+def test_delay_free_encoder_is_not_stacked(code322, z4, monkeypatch):
+    # independence of a delay-free encoder is read off G_0 (k rows); the
+    # k(m+1)-row stack is built only for an encoder that is not delay-free
+    from chaincodes import conv
+    sizes = []
+    real = conv.is_gamma_linearly_independent
+
+    def recording(A):
+        sizes.append(A.rows)
+        return real(A)
+
+    monkeypatch.setattr(conv, "is_gamma_linearly_independent", recording)
+    assert is_polynomial_gamma_basis(code322.encoder)
+    assert sizes == [2]
+    G = PM(z4, [[[0, 0], [0, 0]], [[1, 1], [2, 2]]])
+    assert not is_delay_free(G)
+    sizes.clear()
+    assert is_polynomial_gamma_basis(G)
+    assert sizes == [2, 4]
+
+
+def random_encoder(ring, rng):
+    """A k x n encoder of degree 0..2 with sparse entries; in about half of
+    them each row after the first is gamma times the row above it with
+    probability 0.6."""
+    els = list(ring.elements())
+    k, m = rng.randint(1, 3), rng.randint(0, 2)
+    n = rng.randint(k, k + 2)
+    density = rng.choice((0.4, 0.8, 1.0))
+    layered = rng.random() < 0.5
+    chained = [layered and rng.random() < 0.6 for _ in range(k)]
+
+    def entry():
+        if rng.random() >= density:
+            return ring.zero
+        e = rng.choice(els)
+        return ring.mul(ring.gamma, e) if rng.random() < 0.4 else e
+
+    coeffs = []
+    for _ in range(m + 1):
+        rows = [[entry() for _ in range(n)] for _ in range(k)]
+        for i in range(1, k):
+            if chained[i]:
+                rows[i] = [ring.mul(ring.gamma, e) for e in rows[i - 1]]
+        coeffs.append(M(ring, rows))
+    return PolyMatrix(ring, coeffs, k=k, n=n)
+
+
+@pytest.mark.parametrize("ring", [
+    zmod(4), zmod(9), zmod(27), TruncatedPolyRing(4, 2), GaloisRing(2, 2, 2)],
+    ids=repr)
+def test_delay_free_lemma_and_stacked_decision(ring):
+    # a delay-free encoder is independent on the whole stack, and the
+    # verdict matches the decision on the bounded stack alone
+    rng = random.Random(1414)
+    verdicts = Counter()
+    for _ in range(120):
+        G = random_encoder(ring, rng)
+        delay_free = is_delay_free(G)
+        if delay_free:
+            assert stacked_independence(G)
+        verdict = is_polynomial_gamma_basis(G)
+        assert verdict == polynomial_gamma_basis_by_stacking(G)
+        verdicts[delay_free, verdict] += 1
+    assert verdicts[True, True] >= 5 and verdicts[True, False] >= 5, verdicts
+
+
+def test_degree_zero_encoder_past_the_oracle_budget():
+    # the rows after the first project to zero; a T-digit search of their
+    # span for gamma * (1, 1, 0, ..., 0) would lift 11^7 candidates
+    z121 = zmod(121)
+    G = PM(z121, [[[1, 1, 0, 0, 0, 0, 0]]
+                  + [[11 if j == i else 0 for j in range(7)]
+                     for i in range(7)]])
+    assert (G.k, G.n, G.degree) == (8, 7, 0)
+    assert is_polynomial_gamma_basis(G)
+    assert ConvCode(z121, 7, G).delta == 0
 
 
 # ------------------------------------------------------------ distances
@@ -460,6 +545,33 @@ def test_reversed_code_is_kept_and_walked_once(z121, monkeypatch):
     assert validated == [reverse_encoder(C)]
 
 
+# the README code is MDP; with G_1 = (1, 1, 1; 11, 11, 11) it is not
+MINORS_UNDER_O = """
+import json
+from chaincodes import zmod
+from chaincodes.conv import MINORS, ConvCode, PolyMatrix, is_mdp
+from chaincodes.linalg import RingMatrix
+z121 = zmod(121)
+G_0 = RingMatrix(z121, [[1, 2, 1], [11, 22, 11]])
+verdicts = [is_mdp(ConvCode(z121, 3, PolyMatrix(z121, [
+    G_0, RingMatrix(z121, G_1)])), MINORS)
+            for G_1 in ([[1, 3, 4], [11, 33, 44]], [[1, 1, 1], [11, 11, 11]])]
+print(json.dumps({"debug": __debug__, "verdicts": verdicts}))
+"""
+
+
+def test_minors_verdicts_under_python_O():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-O", "-c", MINORS_UNDER_O],
+                          capture_output=True, text=True, env=env,
+                          check=True)
+    assert json.loads(proc.stdout) == {"debug": False,
+                                       "verdicts": [True, False]}
+
+
 def test_mdp_preconditions(z4, z121):
     # nu does not divide k
     C1 = ConvCode(z4, 2, PM(z4, [[[2, 2]]]))  # torsion row, k=1
@@ -538,12 +650,18 @@ def random_sparse_matrix(ring, rows, cols, density, rng):
     zmod(4), zmod(9), GaloisRing(2, 2, 2),         # Galois rings
     TruncatedPolyRing(2, 2), TruncatedPolyRing(4, 2)], ids=repr)
 def test_minors_condition_matches_oracle(ring):
+    # L <= 3, k0 <= 3 and k0 - 1 <= n <= k0 + 3, so need = (L + 1) k0 runs
+    # from 1 up, a bound falls on the last position (k0 = 1) or only on the
+    # one before it (k0 = 2), and n < k0 leaves no admissible column
     rng = random.Random(505)
     nu = ring.nu
-    verdicts = Counter()
-    for trial in range(100):
-        L, k0 = rng.choice((0, 0, 1, 1, 2)), rng.randint(1, 2)
-        n = rng.randint(k0, k0 + 2)
+    verdicts, needs, k0s, empty = Counter(), set(), set(), 0
+    for trial in range(150):
+        L, k0 = rng.randint(0, 3), rng.randint(1, 3)
+        n = k0 - 1 if trial % 10 == 0 and k0 > 1 else rng.randint(k0, k0 + 3)
+        # keep the oracle's enumeration small
+        while comb((L + 1) * n, (L + 1) * k0) > 1000:
+            L -= 1
         density = rng.choice((0.3, 0.7, 1.0, 1.0))
         if trial % 2:
             # sliding matrix of k0 rows and their gamma-layers
@@ -555,13 +673,21 @@ def test_minors_condition_matches_oracle(ring):
                       for b in base]
             S = sliding_matrix(PolyMatrix(ring, coeffs, k=nu * k0, n=n), L)
         else:
-            # rows that need not be layer-closed
+            # rows that need not be layer-closed, nu times as many as the
+            # selected columns
             S = M(ring, random_sparse_matrix(ring, (L + 1) * k0 * nu,
                                              (L + 1) * n, density, rng))
         verdict = _minors_condition(S, L, n, k0)
         assert verdict == minors_condition_oracle(S, L, n, k0), trial
-        verdicts[verdict] += 1
+        if n < k0:
+            empty += 1
+        else:
+            verdicts[verdict] += 1
+            needs.add((L + 1) * k0)
+            k0s.add(k0)
     assert min(verdicts[True], verdicts[False]) >= 15, verdicts
+    assert {1, 2, 3, 4}.issubset(needs) and max(needs) >= 6, needs
+    assert k0s == {1, 2, 3} and empty >= 2, (k0s, empty)
 
 
 # ------------------------------------------------------------ serialization

@@ -22,7 +22,7 @@ from .block import (BlockCode, is_mds, min_distance_block, nu_optimal_sets,
 from .conv import (DEFAULT_DISTANCE_BUDGET, DISTANCES, MINORS, ConvCode,
                    distance_bounds, distance_profile, embedding_preserves_L,
                    field_L_index, is_mdp, is_polynomial_gamma_basis,
-                   is_reverse_mdp, L_index, optimal_cd_bound)
+                   is_reverse_mdp, L_index, optimal_cd_bound, read_code)
 from .constructions import (DEFAULT_SEARCH_BUDGET, EXHAUSTIVE, RANDOM,
                             ToeplitzSpec, binomial_encoder,
                             extract_mdp_blocks, is_gamma_superregular,
@@ -78,13 +78,17 @@ def load_json(path):
     return obj
 
 
-def load_code(path, validate=True):
-    """Code JSON, or a report document wrapping one under results.code."""
+def load_code_json(path):
+    """Code JSON, or the one a report document wraps under results.code."""
     obj = load_json(path)
     if "results" in obj and isinstance(obj["results"], dict) \
             and "code" in obj["results"]:
         obj = obj["results"]["code"]
-    return ConvCode.from_json(obj, validate=validate)
+    return obj
+
+
+def load_code(path):
+    return ConvCode.from_json(load_code_json(path))
 
 
 def load_matrix(path):
@@ -142,8 +146,8 @@ def cmd_ring(args, report):
 def cmd_check(args, report):
     res = report.doc["results"]
     if args.property == "gamma-basis":
-        code = load_code(args.code, validate=False)
-        verdict = is_polynomial_gamma_basis(code.encoder)
+        _, _, encoder = read_code(load_code_json(args.code))
+        verdict = is_polynomial_gamma_basis(encoder)
         res["gamma-basis"] = verdict
         return EXIT_HOLDS if verdict else EXIT_FAILS
     code = load_code(args.code)

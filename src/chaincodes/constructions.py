@@ -16,8 +16,8 @@ from itertools import combinations, product
 from math import comb, isqrt
 
 from . import linalg
-from .conv import (ConvCode, PolyMatrix, _minors_condition, is_reduced,
-                   sliding_matrix)
+from .conv import (ConvCode, PolyMatrix, _minors_condition,
+                   _residue_sliding_rows, is_reduced)
 from .errors import (MALFORMED, BadCounts, BudgetExceeded,
                      CrossCheckFailed, DependentRows, InvalidParams,
                      NotReduced, NotSuperregular, SizeMismatch)
@@ -284,7 +284,8 @@ def extract_mdp_blocks(spec: ToeplitzSpec, n, k, L):
     blocks = [A.submatrix(range(k), range(d * period, d * period + n))
               for d in range(L + 1)]
     G = PolyMatrix(spec.ring, blocks, k=k, n=n)
-    if not _minors_condition(sliding_matrix(G, L), L, n, k):
+    if not _minors_condition(spec.ring.residue, _residue_sliding_rows(G, L),
+                             L, n, k):
         raise NotSuperregular("an admissible full-size minor of the "
                               "extracted matrix is not a unit")
     return G

@@ -17,15 +17,14 @@ from .errors import (BudgetExceeded, CodeLoadError, CrossCheckFailed,
                      InvalidParams, NotDelayFree, NotReduced, NuNotDividingK,
                      PreconditionViolated, UnequalRowDegrees, ZeroRow)
 from .linalg import (RingMatrix, diagonal_exponents, field_clear_column,
-                     is_gamma_generator_sequence,
-                     is_gamma_linearly_independent, module_solve_left)
+                     is_gamma_linearly_independent, module_solve_left,
+                     parameters_of)
 from .rings import make_ring
 
 DISTANCES = "distances"
 MINORS = "minors"
 
 DEFAULT_DISTANCE_BUDGET = 10 ** 7
-GENSEQ_ASSERT_LIMIT = 10 ** 4
 
 
 class PolyMatrix:
@@ -134,18 +133,27 @@ def gamma_degree(G: PolyMatrix):
     return sum(G.row_degrees())
 
 
+def _sliding_rows(blocks, j, zero_block):
+    """Rows of the block upper-triangular Toeplitz matrix with blocks[c-b]
+    at block (b, c); blocks are lists of rows, zero_block fills the rest."""
+    blocks = blocks[:j + 1] + [zero_block] * (j + 1 - len(blocks))
+    return [[e for c in range(j + 1)
+             for e in (blocks[c - b] if c >= b else zero_block)[i]]
+            for b in range(j + 1) for i in range(len(zero_block))]
+
+
 def sliding_matrix(G: PolyMatrix, j: int) -> RingMatrix:
     """Block upper-triangular Toeplitz matrix of size (j+1)k x (j+1)n."""
-    ring = G.ring
-    k, n = G.k, G.n
-    zero_block = RingMatrix.zeros(ring, k, n)
-    rows = []
-    for br in range(j + 1):
-        blocks = [G.coefficient(bc - br) if bc >= br else zero_block
-                  for bc in range(j + 1)]
-        for i in range(k):
-            rows.append([e for b in blocks for e in b.row(i)])
-    return RingMatrix._canonical(ring, rows, (j + 1) * n)
+    rows = _sliding_rows([c.data for c in G.coeffs], j,
+                         [[G.ring.zero] * G.n] * G.k)
+    return RingMatrix._canonical(G.ring, rows, (j + 1) * G.n)
+
+
+def _residue_sliding_rows(G: PolyMatrix, j: int):
+    """The rows of sliding_matrix(G, j) projected to the residue field,
+    each block G_0..G_j projected once."""
+    return _sliding_rows([c.residue_rows() for c in G.coeffs[:j + 1]], j,
+                         [[0] * G.n] * G.k)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +166,7 @@ def _shifted_rows(S, k, row_idx, shifts):
                                           for t in shifts], S.cols)
 
 
-def is_polynomial_gamma_basis(G: PolyMatrix):
+def is_polynomial_gamma_basis(G: PolyMatrix, *, _delay_free=None):
     """Whether the rows of G(z) form a gamma-basis of their module: they
     are gamma-linearly independent and a gamma-generator sequence over T[z].
 
@@ -168,6 +176,7 @@ def is_polynomial_gamma_basis(G: PolyMatrix):
     sum a_(i,s) G_0[i] = 0, a T-dependency of the rows of G_0.  Any other
     encoder is decided on the shifted rows z^t g_i, t <= deg G, cut from
     S_(2 deg G), which miss a dependency with higher-degree digits.
+    ConvCode, which keeps is_delay_free(G), hands it over as _delay_free.
 
     Generator sequence.  From the last row up, gamma g_i passes when it is
     zero, a shifted later row, or in their row module (module_solve_left).
@@ -180,7 +189,8 @@ def is_polynomial_gamma_basis(G: PolyMatrix):
     m = max(G.degree, 0)
     shifts = range(m + 1)
     S = sliding_matrix(G, 2 * m)
-    if not is_delay_free(G) and not is_gamma_linearly_independent(
+    delay_free = is_delay_free(G) if _delay_free is None else _delay_free
+    if not delay_free and not is_gamma_linearly_independent(
             _shifted_rows(S, G.k, range(G.k), shifts)):
         return False
     for i in range(G.k - 1, -1, -1):
@@ -216,24 +226,23 @@ def is_free_code(G: PolyMatrix):
 # the code object
 
 class ConvCode:
-    """Convolutional code given by a gamma-encoder."""
+    """Convolutional code of a gamma-encoder, validated on construction."""
 
-    def __init__(self, ring, n, encoder: PolyMatrix, validate=True):
+    def __init__(self, ring, n, encoder: PolyMatrix):
         if encoder.n != n or encoder.ring != ring:
             raise ValueError("encoder does not match ring or length")
-        if validate and not is_polynomial_gamma_basis(encoder):
+        self._delay_free = is_delay_free(encoder)
+        if not is_polynomial_gamma_basis(encoder,
+                                         _delay_free=self._delay_free):
             raise ValueError("encoder rows do not form a gamma-basis")
         self.ring = ring
         self.n = n
         self.encoder = encoder
         self.k = encoder.k
         self._reduced = None
-        self._delay_free = None
-        # None until decided; validation witnesses it
-        self._gamma_basis = True if validate else None
         self._distances = {}  # j -> d_j, each walked once
         self._multiples = None  # see _normalised_weights
-        self._reversed = None  # see is_reverse_mdp
+        self._reversed = None  # see _reversed_code
 
     def reduced(self):
         if self._reduced is None:
@@ -241,15 +250,7 @@ class ConvCode:
         return self._reduced
 
     def delay_free(self):
-        if self._delay_free is None:
-            self._delay_free = is_delay_free(self.encoder)
         return self._delay_free
-
-    def gamma_basis(self):
-        """Whether the encoder rows form a gamma-basis."""
-        if self._gamma_basis is None:
-            self._gamma_basis = is_polynomial_gamma_basis(self.encoder)
-        return self._gamma_basis
 
     @property
     def delta(self):
@@ -264,27 +265,33 @@ class ConvCode:
                 "claimed": {"k": self.k, "delta": self.delta}}
 
     @classmethod
-    def from_json(cls, obj, validate=True):
+    def from_json(cls, obj):
         try:
-            ring = make_ring(obj["ring"])
-            encoder = PolyMatrix.from_json(obj["encoder"], ring)
-            code = cls(ring, obj["n"], encoder, validate=validate)
-        except (KeyError, ValueError, TypeError) as exc:
+            return cls(*read_code(obj))
+        except (ValueError, TypeError) as exc:
             raise CodeLoadError(str(exc)) from exc
-        claimed = obj.get("claimed")
-        if claimed is not None:
-            if claimed.get("k") is not None and claimed["k"] != code.k:
-                raise CodeLoadError(
-                    f"claimed k={claimed['k']} but encoder has k={code.k}")
-            if claimed.get("delta") is not None:
-                if claimed["delta"] != code.delta:
-                    raise CodeLoadError(
-                        f"claimed delta={claimed['delta']} but encoder "
-                        f"has gamma-degree {code.delta}")
-        return code
 
     def __repr__(self):
         return f"ConvCode(n={self.n}, k={self.k}, ring={self.ring!r})"
+
+
+def read_code(obj):
+    """(ring, n, encoder) of a code JSON object whose claimed k and
+    gamma-degree, where given, are the encoder's; not validated."""
+    try:
+        ring = make_ring(obj["ring"])
+        n, encoder = obj["n"], PolyMatrix.from_json(obj["encoder"], ring)
+    except (KeyError, ValueError, TypeError) as exc:
+        raise CodeLoadError(str(exc)) from exc
+    claimed = obj.get("claimed") or {}
+    if encoder.n != n or claimed.get("k") not in (None, encoder.k):
+        raise CodeLoadError(f"n={n}, claimed k={claimed.get('k')}, but the "
+                            f"encoder is {encoder.k} x {encoder.n}")
+    delta = claimed.get("delta")
+    if delta is not None and delta != gamma_degree(encoder):
+        raise CodeLoadError(f"claimed delta={delta} but encoder has "
+                            f"gamma-degree {gamma_degree(encoder)}")
+    return ring, n, encoder
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +309,9 @@ def column_distance(C: ConvCode, j, budget=DEFAULT_DISTANCE_BUDGET):
     each coefficient from r on as t + gamma a' with t in T and pushing a'
     forward through gamma times its row gives a T-message with the same
     codeword, zero before r and 1 at r: carries only move forward, and 1
-    is in T for the Teichmueller and the digit transversal alike.  An
-    encoder that ConvCode did not validate is checked for the gamma-basis
-    property once, before its first distance.  The code remembers each
-    d_j; the checks and the budget apply to every call."""
+    is in T for the Teichmueller and the digit transversal alike.  The
+    code remembers each d_j; the delay-free check and the budget apply to
+    every call."""
     if not C.delay_free():
         raise NotDelayFree("column distances need a delay-free encoder")
     q = C.ring.q
@@ -314,9 +320,6 @@ def column_distance(C: ConvCode, j, budget=DEFAULT_DISTANCE_BUDGET):
         raise BudgetExceeded(
             f"column distance j={j} needs {count} weight evaluations",
             requested=count, allowed=budget)
-    if not C.gamma_basis():
-        raise PreconditionViolated(
-            "column distances need encoder rows that form a gamma-basis")
     if j not in C._distances:
         C._distances[j] = min(_normalised_weights(C, j))
     return C._distances[j]
@@ -476,7 +479,6 @@ def distance_bounds(n, k, delta, nu, max_j=None):
 # MDP predicates
 
 def _check_mdp_preconditions(C: ConvCode):
-    from .linalg import parameters_of
     ring = C.ring
     if not C.delay_free():
         raise PreconditionViolated("encoder is not delay-free")
@@ -495,25 +497,19 @@ def _check_mdp_preconditions(C: ConvCode):
     return k0
 
 
-def _licensed_sliding_matrix(G: PolyMatrix, L):
-    """S_L of G, after the size-guarded check that its rows form a
-    gamma-generator sequence.  That licenses _minors_condition's rank
-    criterion on every column selection at once: a T-combination identity
-    between rows holds on any subset of the columns."""
-    S = sliding_matrix(G, L)
-    if G.ring.q ** S.rows <= GENSEQ_ASSERT_LIMIT \
-            and not is_gamma_generator_sequence(S):
-        raise CrossCheckFailed(
-            "sliding matrix rows are not a gamma-generator sequence")
-    return S
+def _minors_condition(field, rows, L, n, k0):
+    """Every admissible column selection of a sliding-type matrix, given by
+    its rows projected to the residue field, has gamma-linearly independent
+    rows: the projected rows restricted to it have full column rank.  That
+    residue-rank test holds for rows that are a gamma-generator sequence,
+    nu times as many as the (L+1)k0 selected columns.
 
-
-def _minors_condition(S: RingMatrix, L, n, k0):
-    """Every admissible column selection of the sliding-type matrix S has
-    gamma-linearly independent rows; decided by the residue-rank fast path
-    (valid because the selections are gamma-generator sequences and the
-    row count is nu times the column count): the projected rows restricted
-    to the selection have full column rank.
+    S_L of a validated encoder is one.  Validation proves gamma g_i =
+    sum_(j>i) a_j(z) g_j(z) with a_j in T[z] (is_polynomial_gamma_basis),
+    so gamma times row (b, i) of S_L, z^b g_i cut at degree L, is
+    sum a_(j,t) row(b+t, j): each of those rows comes later in block-row
+    order or is cut to zero.  An identity between rows holds on every
+    subset of the columns, so every selection is one too.
 
     One depth-first walk over the selections in lexicographic order shares
     the elimination of each prefix.  It starts from the projected rows that
@@ -527,7 +523,6 @@ def _minors_condition(S: RingMatrix, L, n, k0):
     have rank 2 exactly when both are nonzero and differ once each is
     scaled to a first nonzero entry of 1, so one sweep keeps the scaled
     next-to-last candidates and tests each last one against earlier ones."""
-    field = S.ring.residue
     inv, mul = field.inv, field.mul
     need, total = (L + 1) * k0, (L + 1) * n
     # admissible choices for position c: t_(s*k0+1) > s*n (1-based)
@@ -568,25 +563,20 @@ def _minors_condition(S: RingMatrix, L, n, k0):
                 return False
         return True
 
-    return independent([row for row in S.residue_rows() if any(row)], 0, 0)
-
-
-def _distances_condition(C: ConvCode, L, k0, budget):
-    """d_j^c = (n - k0)(j + 1) + 1 for every j <= L."""
-    return all(column_distance(C, j, budget=budget) == (C.n - k0) * (j + 1) + 1
-               for j in range(L + 1))
+    return independent([row for row in rows if any(row)], 0, 0)
 
 
 def is_mdp(C: ConvCode, method=MINORS, budget=DEFAULT_DISTANCE_BUDGET):
     ring = C.ring
     k0 = _check_mdp_preconditions(C)
     L = L_index(C.n, C.k, C.delta, ring.nu)
-    if method == DISTANCES:
-        return _distances_condition(C, L, k0, budget)
+    if method == DISTANCES:  # d_j = (n - k0)(j + 1) + 1 for every j <= L
+        return all(column_distance(C, j, budget=budget)
+                   == (C.n - k0) * (j + 1) + 1 for j in range(L + 1))
     if method != MINORS:
         raise ValueError(f"unknown method {method!r}")
-    return _minors_condition(_licensed_sliding_matrix(C.encoder, L), L, C.n,
-                             k0)
+    return _minors_condition(ring.residue,
+                             _residue_sliding_rows(C.encoder, L), L, C.n, k0)
 
 
 def reverse_encoder(C: ConvCode) -> PolyMatrix:
@@ -599,20 +589,17 @@ def reverse_encoder(C: ConvCode) -> PolyMatrix:
     return C.encoder.reversed_coeffs()
 
 
+def _reversed_code(C: ConvCode) -> ConvCode:
+    """The code of C's reversed encoder, built, so validated, once and kept
+    on C."""
+    if C._reversed is None:
+        C._reversed = ConvCode(C.ring, C.n, reverse_encoder(C))
+    return C._reversed
+
+
 def is_reverse_mdp(C: ConvCode, method=MINORS,
                    budget=DEFAULT_DISTANCE_BUDGET):
-    """C and the code of its reversed encoder are both MDP; each half is
-    decided by `method` alone."""
-    if not is_mdp(C, method=method, budget=budget):
-        return False
-    rev = reverse_encoder(C)
-    ring = C.ring
-    k0 = C.k // ring.nu
-    L = L_index(C.n, C.k, C.delta, ring.nu)
-    if method == DISTANCES:
-        # validation witnesses that the reversed rows are a gamma-basis,
-        # which column_distance's unit normalisation relies on; kept on C
-        if C._reversed is None:
-            C._reversed = ConvCode(ring, C.n, rev)
-        return _distances_condition(C._reversed, L, k0, budget)
-    return _minors_condition(_licensed_sliding_matrix(rev, L), L, C.n, k0)
+    """C and the code of its reversed encoder are both MDP, each decided
+    by is_mdp with `method`, preconditions included."""
+    return (is_mdp(C, method=method, budget=budget)
+            and is_mdp(_reversed_code(C), method=method, budget=budget))

@@ -109,6 +109,49 @@ def test_check_gamma_basis_of_a_degree_zero_encoder(capsys, tmp_path):
     assert doc["results"]["gamma-basis"] is True
 
 
+def z4_code_json(coeff_rows, n, claimed=None):
+    """A code JSON over Z4 written out by hand, with no ConvCode built."""
+    ring = {"family": "galois", "p": 2, "r": 2, "s": 1, "modulus": [0, 1],
+            "convention": "digits"}
+    k = len(coeff_rows[0])
+    obj = {"ring": ring, "n": n,
+           "encoder": {"k": k, "n": n, "coeffs": [
+               {"ring": ring, "rows": k, "cols": n,
+                "entries": [e for row in rows for e in row]}
+               for rows in coeff_rows]}}
+    if claimed is not None:
+        obj["claimed"] = claimed
+    return json.dumps(obj)
+
+
+def test_check_gamma_basis_of_a_non_basis_exits_1(capsys, tmp_path):
+    # both rows (1, 1): dependent
+    path = tmp_path / "dependent.json"
+    path.write_text(z4_code_json([[[1, 1], [1, 1]]], 2, {"k": 2}))
+    code, doc = run(capsys, "check", "gamma-basis", "--code", str(path))
+    assert code == 1
+    assert doc["results"]["gamma-basis"] is False
+    # every other check loads a ConvCode, which refuses the rows
+    code, doc = run(capsys, "check", "delay-free", "--code", str(path))
+    assert code == 2
+    assert doc["results"]["error"]["type"] == "CodeLoadError"
+
+
+@pytest.mark.parametrize("coeff_rows, claimed, error", [
+    # rows z and 3z have no gamma-degree
+    ([[[0], [0]], [[1], [3]]], {"delta": 2}, "NotReduced"),
+    ([[[1, 0], [0, 1]]], {"k": 3}, "CodeLoadError"),
+])
+def test_check_gamma_basis_checks_the_claims(capsys, tmp_path, coeff_rows,
+                                             claimed, error):
+    path = tmp_path / "claimed.json"
+    path.write_text(z4_code_json(coeff_rows, len(coeff_rows[0][0]),
+                                 claimed))
+    code, doc = run(capsys, "check", "gamma-basis", "--code", str(path))
+    assert code == 2
+    assert doc["results"]["error"]["type"] == error
+
+
 def test_check_missing_file_exit_2(capsys):
     code, doc = run(capsys, "check", "mdp", "--code", "no-such-file.json")
     assert code == 2

@@ -361,7 +361,7 @@ def test_extraction_checks_minors_without_the_superregular_check(
     with pytest.raises(NotSuperregular):
         extract_mdp_blocks(spec, n=3, k=1, L=1)
     monkeypatch.setattr(constructions, "_minors_condition",
-                        lambda S, L, n, k0: True)
+                        lambda field, rows, L, n, k0: True)
     Gt = extract_mdp_blocks(spec, n=3, k=1, L=1)
     assert Gt.degree == 0
     assert [[e[0] for e in row] for row in Gt.coefficient(0).data] == \

@@ -7,6 +7,7 @@ from collections import Counter
 from fractions import Fraction
 from math import ceil, comb
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -202,6 +203,28 @@ def test_delay_free_lemma_and_stacked_decision(ring):
     assert verdicts[True, True] >= 5 and verdicts[True, False] >= 5, verdicts
 
 
+@pytest.mark.parametrize("ring", [
+    zmod(4), zmod(8), zmod(9), zmod(27), TruncatedPolyRing(4, 2),
+    GaloisRing(2, 2, 2)], ids=repr)
+def test_sliding_matrix_of_a_validated_encoder_is_a_generator_sequence(ring):
+    # the fact that licenses the minors criterion, which validation proves
+    # (see _minors_condition): S_L of every gamma-basis encoder
+    rng = random.Random(1515)
+    validated = refused = 0
+    for _ in range(200):
+        G = random_encoder(ring, rng)
+        try:
+            ConvCode(ring, G.n, G)
+        except ValueError:
+            refused += 1
+            continue
+        validated += 1
+        for L in range(3):
+            assert is_gamma_generator_sequence(sliding_matrix(G, L)), \
+                (G.coeffs, L)
+    assert validated >= 10 and refused >= 10, (validated, refused)
+
+
 def test_degree_zero_encoder_past_the_oracle_budget():
     # the rows after the first project to zero; a T-digit search of their
     # span for gamma * (1, 1, 0, ..., 0) would lift 11^7 candidates
@@ -334,40 +357,29 @@ def test_column_distance_matches_oracle(ring):
     for _ in range(3):
         # rows that need not be a gamma-generator sequence, on which a walk
         # with a wrong delta no longer permutes the same codewords
-        C = ConvCode(ring, 3, random_poly_matrix(ring, 1, 3, 1, rng),
-                     validate=False)
+        C = stand_in(random_poly_matrix(ring, 1, 3, 1, rng))
         for j, weights in oracle_weights(C):
             assert_walk_matches_oracle(C, j, weights)
 
 
-def test_column_distance_checks_an_unvalidated_encoder_once(code322,
-                                                           monkeypatch):
-    from chaincodes import conv
-    calls = []
-    real = conv.is_polynomial_gamma_basis
+def stand_in(G):
+    """What the walk and the oracle read of a code, for rows that ConvCode
+    need not accept."""
+    return SimpleNamespace(ring=G.ring, n=G.n, k=G.k, encoder=G,
+                           _multiples=None)
 
-    def counting(G):
-        calls.append(G)
-        return real(G)
 
-    monkeypatch.setattr(conv, "is_polynomial_gamma_basis", counting)
-    assert distance_profile(code322, 1) == (3, 5)
-    assert calls == []  # validation witnessed it
-    C = ConvCode(code322.ring, code322.n, code322.encoder, validate=False)
-    assert distance_profile(C, 1) == (3, 5)
-    assert len(calls) == 1
-    # delay-free, but not a gamma-basis: the unit normalisation would
-    # miss the minimum on these rows
+def test_convcode_refuses_rows_the_walk_would_misread():
+    # delay-free, but not a gamma-basis: the unit normalisation misses
+    # the minimum on these rows, and ConvCode refuses them
     z27 = zmod(27)
     G = PM(z27, [[[24, 25], [2, 4]], [[19, 19], [14, 4]]])
-    C = ConvCode(z27, 2, G, validate=False)
-    assert is_delay_free(G)
+    assert is_delay_free(G) and not is_polynomial_gamma_basis(G)
+    with pytest.raises(ValueError):
+        ConvCode(z27, 2, G)
+    C = stand_in(G)
     assert (min(_normalised_weights(C, 0)), column_distance_oracle(C, 0)) \
         == (2, 1)
-    for j in (0, 1, 0):
-        with pytest.raises(PreconditionViolated):
-            column_distance(C, j)
-    assert len(calls) == 2
 
 
 def test_column_distance_matches_oracle_on_readme_code(code322):
@@ -395,9 +407,10 @@ def test_column_distances_nondecreasing_random(z4):
                 continue
             if G.degree < 0 or not is_delay_free(G):
                 continue
-            if not is_polynomial_gamma_basis(G):
+            try:
+                C = ConvCode(ring, n, G)
+            except ValueError:  # not a gamma-basis
                 continue
-            C = ConvCode(ring, n, G, validate=False)
             prof = distance_profile(C, 2)
             assert list(prof) == sorted(prof)
             # gamma-encoders never beat the column-distance bound
@@ -531,12 +544,14 @@ def test_reversed_code_is_kept_and_walked_once(z121, monkeypatch):
         walked.append((code is C, j))
         return real_walk(code, j)
 
-    def counting_basis(G):
+    def counting_basis(G, **kwargs):
         validated.append(G)
-        return real_basis(G)
+        return real_basis(G, **kwargs)
 
     monkeypatch.setattr(conv, "_normalised_weights", counting_walk)
     monkeypatch.setattr(conv, "is_polynomial_gamma_basis", counting_basis)
+    assert is_reverse_mdp(C, MINORS)
+    assert walked == [] and validated == [reverse_encoder(C)]
     assert is_reverse_mdp(C, DISTANCES)
     assert is_reverse_mdp(C, DISTANCES)
     L = L_index(C.n, C.k, C.delta, z121.nu)
@@ -609,18 +624,28 @@ def random_field_encoder(p, k, n, m, rng):
 
 
 def test_distances_and_minors_agree_on_random_lifts():
+    # both halves of is_reverse_mdp, the reversed code's by its own
+    # preconditions, walk and minors, over GR(p,2,1) and tp(p,2)
     from chaincodes.constructions import lift_from_residue_field
     rng = random.Random(99)
+    verdicts = Counter()
     checked = 0
-    while checked < 100:
+    while checked < 200:
         p = rng.choice([2, 3])
         n, m = rng.choice([2, 3]), rng.choice([1, 2])
+        if checked >= 100:  # (2,1,1) and (3,1,1) codes over F_3: some MDP
+            p, m = 3, 1
         F, G = random_field_encoder(p, 1, n, m, rng)
         if G is None:
             continue
-        C = lift_from_residue_field(G, GaloisRing(p, 2, 1))
-        assert is_mdp(C, DISTANCES) == is_mdp(C, MINORS)
+        for ring in (GaloisRing(p, 2, 1), TruncatedPolyRing(p, 2)):
+            C = lift_from_residue_field(G, ring)
+            for pred in (is_mdp, is_reverse_mdp):
+                verdict = pred(C, DISTANCES)
+                assert verdict == pred(C, MINORS), (ring, G.coeffs)
+                verdicts[pred.__name__, verdict] += 1
         checked += 1
+    assert min(verdicts.values()) >= 10 and len(verdicts) == 4, verdicts
 
 
 def test_field_lift_mdp_round_trip():
@@ -677,7 +702,7 @@ def test_minors_condition_matches_oracle(ring):
             # selected columns
             S = M(ring, random_sparse_matrix(ring, (L + 1) * k0 * nu,
                                              (L + 1) * n, density, rng))
-        verdict = _minors_condition(S, L, n, k0)
+        verdict = _minors_condition(ring.residue, S.residue_rows(), L, n, k0)
         assert verdict == minors_condition_oracle(S, L, n, k0), trial
         if n < k0:
             empty += 1
@@ -727,9 +752,11 @@ def test_delta_runs_the_reducedness_check_once(code322, monkeypatch):
 
 
 def test_delta_of_unreduced_encoder_raises_every_time():
-    z9 = zmod(9, convention="teichmuller")  # T = {0, 1, 8}
-    C = ConvCode(z9, 1, PM(z9, [[[0], [0]], [[1], [8]]]),  # rows z and 8z
-                 validate=False)
+    # rows (1, z) and (0, z): a gamma-basis over Z3 (determinant z), whose
+    # leading coefficient rows (0, 1) and (0, 1) are dependent
+    z3 = zmod(3)
+    C = ConvCode(z3, 2, PM(z3, [[[1, 0], [0, 0]], [[0, 1], [0, 1]]]))
+    assert not C.reduced()
     for _ in range(2):
         with pytest.raises(NotReduced):
             C.delta

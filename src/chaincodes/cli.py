@@ -278,8 +278,6 @@ def cmd_blockcode(args, report):
 def cmd_search(args, report):
     res = report.doc["results"]
     ring = parse_ring(args.ring)
-    if args.strategy == RANDOM and args.seed is None:
-        raise InvalidParams("random search requires an explicit --seed")
     hits = search_superregular(args.ell, ring, strategy=args.strategy,
                                seed=args.seed, budget=args.budget,
                                reverse=args.reverse)
@@ -393,8 +391,7 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         code = args.func(args, report)
-    except (ChainCodesError, AssertionError, OSError,
-            json.JSONDecodeError, ValueError) as exc:
+    except (ChainCodesError, AssertionError, OSError, ValueError) as exc:
         error = {"type": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, BudgetExceeded):
             error["requested"] = exc.requested

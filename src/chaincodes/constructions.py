@@ -213,7 +213,7 @@ def binomial_encoder(n, k, delta, p):
     """(encoder over F_p, warnings).  Coefficient i has entries
     binom(mn+n-k, (i+1)n-k+a-b) at row a, column b (1-based), computed
     exactly and reduced mod p."""
-    large_enough = binomial_field_large_enough(n, k, delta, p)  # validates
+    bound = binomial_bound(n, k, delta)  # validates
     if factorize(p) != [p]:
         raise InvalidParams(f"the binomial encoder needs a prime p; "
                             f"got p={p}")
@@ -226,39 +226,28 @@ def binomial_encoder(n, k, delta, p):
                  for b in range(1, n + 1)] for a in range(1, k + 1)]
         coeffs.append(RingMatrix(field_ring, rows, cols=n))
     warnings = []
-    if not large_enough:
+    if p <= bound:
         warnings.append(
             f"p={p} does not exceed the sufficient-field-size bound "
-            f"{binomial_bound(n, k, delta)}; the construction may still "
+            f"{bound}; the construction may still "
             f"be reverse MDP (the bound is far from strict)")
     return PolyMatrix(field_ring, coeffs, k=k, n=n), warnings
 
 
-def _binomial_bound_parts(n, k, delta):
-    """(binom(M, floor(M/2)), k(L+1)) with M = mn+n-k, m = delta/k and
-    L = delta/k + floor(delta/(n-k)), for valid parameters."""
+def binomial_bound(n, k, delta):
+    """binom(M, floor(M/2))^e * e^(e/2) with M = mn+n-k, m = delta/k and
+    e = k(L+1), L = delta/k + floor(delta/(n-k)); floor of the exact value
+    when the half-integer exponent makes it irrational."""
     if not (1 <= k < n) or delta < 0 or delta % k:
         raise InvalidParams(
             f"need 1 <= k < n and k | delta; got n={n}, k={k}, "
             f"delta={delta}")
     m = delta // k
     M = m * n + n - k
-    return comb(M, M // 2), k * (m + delta // (n - k) + 1)
-
-
-def binomial_bound(n, k, delta):
-    """binom(M, floor(M/2))^(k(L+1)) * (k(L+1))^(k(L+1)/2); floor of the
-    exact value when the half-integer exponent makes it irrational."""
-    b, e = _binomial_bound_parts(n, k, delta)
+    b, e = comb(M, M // 2), k * (m + delta // (n - k) + 1)
     if e % 2 == 0:
         return b ** e * e ** (e // 2)
     return isqrt(b ** (2 * e) * e ** e)
-
-
-def binomial_field_large_enough(n, k, delta, p):
-    """Exact comparison p > bound (squared to avoid the square root)."""
-    b, e = _binomial_bound_parts(n, k, delta)
-    return p ** 2 > b ** (2 * e) * e ** e
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ from .errors import (BudgetExceeded, CodeLoadError, CrossCheckFailed,
                      InvalidParams, NotDelayFree, NotReduced, NuNotDividingK,
                      PreconditionViolated, UnequalRowDegrees, ZeroRow)
 from .linalg import (RingMatrix, diagonal_exponents, field_clear_column,
-                     is_gamma_linearly_independent, module_solve_left,
-                     parameters_of)
+                     gamma_dimension, is_gamma_linearly_independent,
+                     module_solve_left, parameters_of)
 from .rings import make_ring
 
 DISTANCES = "distances"
@@ -166,40 +166,42 @@ def _shifted_rows(S, k, row_idx, shifts):
                                           for t in shifts], S.cols)
 
 
-def is_polynomial_gamma_basis(G: PolyMatrix, *, _delay_free=None):
+def is_polynomial_gamma_basis(G: PolyMatrix):
     """Whether the rows of G(z) form a gamma-basis of their module: they
-    are gamma-linearly independent and a gamma-generator sequence over T[z].
+    are a gamma-generator sequence over T[z] and gamma-linearly independent.
 
-    Independence.  A delay-free encoder has it: in a relation
-    sum a_i(z) g_i(z) = 0 with T-digit polynomials a_i not all zero, the
-    coefficient of the lowest power z^s in any a_i is
-    sum a_(i,s) G_0[i] = 0, a T-dependency of the rows of G_0.  Any other
-    encoder is decided on the shifted rows z^t g_i, t <= deg G, cut from
-    S_(2 deg G), which miss a dependency with higher-degree digits.
-    ConvCode, which keeps is_delay_free(G), hands it over as _delay_free.
+    Generator sequence, decided first.  From the last row up, gamma g_i
+    passes when it is zero, a shifted later row, or in their row module
+    (module_solve_left).  A pass is proven, and at degree 0 the answer is
+    exact: by induction from the last row the R[z]-span of a polynomial
+    gamma-generator sequence is its T[z]-span, since c(z) = t(z) +
+    gamma a'(z) with t(z) in T[z] gives c g_j = t g_j + a' (gamma g_j),
+    with gamma g_j in the span of the later rows.
 
-    Generator sequence.  From the last row up, gamma g_i passes when it is
-    zero, a shifted later row, or in their row module (module_solve_left).
-    A pass is proven, and at degree 0 the answer is exact: by induction
-    from the last row the R[z]-span of a polynomial gamma-generator
-    sequence is its T[z]-span, since c(z) = t(z) + gamma a'(z) with t(z)
-    in T[z] gives c g_j = t g_j + a' (gamma g_j), with gamma g_j in the
-    span of the later rows."""
+    Independence.  The constant terms of those passes put gamma G_0[i] in
+    the R-span of the rows of G_0 after i (a shifted row z^t g_j, t > 0,
+    has none), so G_0 is a gamma-generator sequence.  It is then
+    independent, i.e. G delay-free, exactly when gamma_dimension(G_0) ==
+    k (is_gamma_linearly_independent).  A delay-free encoder is
+    independent: in a relation sum a_i(z) g_i(z) = 0 with T-digit
+    polynomials a_i not all zero, the coefficient of the lowest power z^s
+    in any a_i is sum a_(i,s) G_0[i] = 0, a T-dependency of the rows of
+    G_0.  Any other encoder is decided on the shifted rows z^t g_i,
+    t <= deg G, cut from S_(2 deg G), which miss a dependency with
+    higher-degree digits."""
     ring = G.ring
     m = max(G.degree, 0)
     shifts = range(m + 1)
     S = sliding_matrix(G, 2 * m)
-    delay_free = is_delay_free(G) if _delay_free is None else _delay_free
-    if not delay_free and not is_gamma_linearly_independent(
-            _shifted_rows(S, G.k, range(G.k), shifts)):
-        return False
     for i in range(G.k - 1, -1, -1):
         target = tuple(ring.mul(ring.gamma, e) for e in S.data[i])
         tail = _shifted_rows(S, G.k, range(i + 1, G.k), shifts)
         if (any(e != ring.zero for e in target) and target not in tail.data
                 and not module_solve_left(tail, target)):
             return False
-    return True
+    return (gamma_dimension(G.coefficient(0)) == G.k
+            or is_gamma_linearly_independent(
+                _shifted_rows(S, G.k, range(G.k), shifts)))
 
 
 def is_free_code(G: PolyMatrix):
@@ -231,10 +233,12 @@ class ConvCode:
     def __init__(self, ring, n, encoder: PolyMatrix):
         if encoder.n != n or encoder.ring != ring:
             raise ValueError("encoder does not match ring or length")
-        self._delay_free = is_delay_free(encoder)
-        if not is_polynomial_gamma_basis(encoder,
-                                         _delay_free=self._delay_free):
+        if not is_polynomial_gamma_basis(encoder):
             raise ValueError("encoder rows do not form a gamma-basis")
+        # G_0 of a gamma-basis is a gamma-generator sequence
+        # (is_polynomial_gamma_basis), so its gamma-dimension decides it
+        self._g0_independent = (gamma_dimension(encoder.coefficient(0))
+                                == encoder.k)
         self.ring = ring
         self.n = n
         self.encoder = encoder
@@ -250,7 +254,7 @@ class ConvCode:
         return self._reduced
 
     def delay_free(self):
-        return self._delay_free
+        return self._g0_independent
 
     @property
     def delta(self):
@@ -267,9 +271,12 @@ class ConvCode:
     @classmethod
     def from_json(cls, obj):
         try:
-            return cls(*read_code(obj))
+            code = cls(*read_code(obj))
         except (ValueError, TypeError) as exc:
             raise CodeLoadError(str(exc)) from exc
+        if (obj.get("claimed") or {}).get("delta") is not None:
+            code._reduced = True  # read_code found its gamma-degree
+        return code
 
     def __repr__(self):
         return f"ConvCode(n={self.n}, k={self.k}, ring={self.ring!r})"
@@ -288,9 +295,9 @@ def read_code(obj):
         raise CodeLoadError(f"n={n}, claimed k={claimed.get('k')}, but the "
                             f"encoder is {encoder.k} x {encoder.n}")
     delta = claimed.get("delta")
-    if delta is not None and delta != gamma_degree(encoder):
+    if delta is not None and delta != (got := gamma_degree(encoder)):
         raise CodeLoadError(f"claimed delta={delta} but encoder has "
-                            f"gamma-degree {gamma_degree(encoder)}")
+                            f"gamma-degree {got}")
     return ring, n, encoder
 
 

@@ -275,73 +275,84 @@ def _min_valuation_pivot(ring, W, rows, cols):
 
 def _sub_multiple(ring, row, f, pivot_row):
     """row - f * pivot_row, entry-wise."""
-    sub, mul = ring.sub, ring.mul
-    return [sub(x, mul(f, y)) for x, y in zip(row, pivot_row)]
+    sub, mul, zero = ring.sub, ring.mul, ring.zero
+    return [x if y == zero else sub(x, mul(f, y))
+            for x, y in zip(row, pivot_row)]
+
+
+def _pivot_rows(A, width=None):
+    """Minimal-valuation pivoting on the rows of A, with pivots only in the
+    first `width` columns (all by default): ([row, e, column] of each
+    placed row, in pivot order; the unused rows).
+
+    Column by column over the unused columns, the first unused row of
+    least valuation e is placed, with no row or column swapped: scaled so
+    that its pivot is gamma^e, and the pivot column cleared from the unused
+    rows.  Each e is the least valuation left, so the e's never fall, every
+    entry of a placed row has valuation at least its e, a placed row is
+    zero in the pivot columns placed before it, and the unused rows end
+    zero in the first `width` columns."""
+    ring = A.ring
+    zero, mul, shift_down = ring.zero, ring.mul, ring.shift_down
+    W = [list(row) for row in A.data]
+    free_rows = list(range(A.rows))
+    free_cols = list(range(A.cols if width is None else width))
+    placed = []
+    while free_rows and free_cols:
+        best = _min_valuation_pivot(ring, W, free_rows, free_cols)
+        if best is None:
+            break
+        e, pi, pj = best
+        inv = ring.invert_unit(shift_down(W[pi][pj], e))
+        pivot = [mul(inv, x) for x in W[pi]]
+        free_rows.remove(pi)
+        free_cols.remove(pj)
+        for i in free_rows:
+            if W[i][pj] != zero:
+                W[i] = _sub_multiple(ring, W[i], shift_down(W[i][pj], e),
+                                     pivot)
+        placed.append([pivot, e, pj])
+    return placed, [W[i] for i in free_rows]
+
+
+def _pivot_permutation(placed, n):
+    """The pivot columns in pivot order, then the other columns in order."""
+    pivots = tuple(rec[2] for rec in placed)
+    return pivots + tuple(j for j in range(n) if j not in pivots)
 
 
 def diagonal_reduction(A):
     """(exponents, L, R) with L*A*R = diag(gamma^e1, ..., gamma^et, 0...),
-    L and R invertible, e1 <= ... <= et < nu."""
-    return _diagonalise(A, transforms=True)
+    L and R invertible, e1 <= ... <= et < nu.
+
+    _pivot_rows on [A | I] with pivots in A's columns: L is the I part of
+    the placed rows, then of the unused ones, whose A part is zero.  R
+    clears each placed row beyond its pivot by column operations, in pivot
+    order, then moves the pivot columns to the front.  The pivot column is
+    zero in the rows placed later and, once cleared, in the earlier ones,
+    so each clearing changes its own row only."""
+    ring, m, n = A.ring, A.rows, A.cols
+    placed, rest = _pivot_rows(RingMatrix._canonical(ring, [
+        row + unit for row, unit in
+        zip(A.data, RingMatrix.identity(ring, m).data)], n + m), width=n)
+    Et = list(RingMatrix.identity(ring, n).data)  # the operations' columns
+    for row, e, pj in placed:
+        for j in range(n):
+            if j != pj and row[j] != ring.zero:
+                Et[j] = _sub_multiple(ring, Et[j], ring.shift_down(row[j], e),
+                                      Et[pj])
+    perm = _pivot_permutation(placed, n)
+    return (tuple(e for _, e, _ in placed),
+            RingMatrix._canonical(ring, [row[n:] for row, _, _ in placed]
+                                  + [row[n:] for row in rest], m),
+            RingMatrix._canonical(ring, [[Et[c][r] for c in perm]
+                                         for r in range(n)], n))
 
 
 def diagonal_exponents(A):
-    """The exponents of diagonal_reduction(A), without building L and R."""
-    return _diagonalise(A, transforms=False)
-
-
-def _diagonalise(A, transforms):
-    """Minimal-valuation pivoting on A.  With `transforms`, row operations
-    run on [W | L] and column operations on the rows of Rt (R transposed);
-    without, only W is kept.  Pivots and exponents depend on W's trailing
-    block alone: the column operations only zero the pivot row, which no
-    later step reads."""
-    ring = A.ring
-    zero, shift_down = ring.zero, ring.shift_down
-    m, n = A.rows, A.cols
-    if transforms:
-        W = [list(row) + [ring.one if i == j else zero for j in range(m)]
-             for i, row in enumerate(A.data)]
-        Rt = [[ring.one if i == j else zero for j in range(n)]
-              for i in range(n)]
-    else:
-        W = [list(row) for row in A.data]
-    exps = []
-    for k in range(min(m, n)):
-        best = _min_valuation_pivot(ring, W, range(k, m), range(k, n))
-        if best is None:
-            break
-        e, pi, pj = best
-        W[k], W[pi] = W[pi], W[k]
-        if pj != k:
-            for row in W:
-                row[k], row[pj] = row[pj], row[k]
-            if transforms:
-                Rt[k], Rt[pj] = Rt[pj], Rt[k]
-        inv = ring.invert_unit(shift_down(W[k][k], e))
-        # columns before k are zero in rows k and below
-        pivot = W[k][k:] = [ring.mul(inv, x) for x in W[k][k:]]
-        # clear the pivot column with row operations
-        for i in range(k + 1, m):
-            if W[i][k] != zero:
-                W[i][k:] = _sub_multiple(ring, W[i][k:],
-                                         shift_down(W[i][k], e), pivot)
-        if transforms:
-            # clear the pivot row with column operations; W[k][k] is
-            # gamma^e and the rest of column k is zero, so on W they only
-            # zero the row
-            for j in range(k + 1, n):
-                if W[k][j] != zero:
-                    Rt[j] = _sub_multiple(ring, Rt[j],
-                                          shift_down(W[k][j], e), Rt[k])
-                    W[k][j] = zero
-        exps.append(e)
-    if not transforms:
-        return tuple(exps)
-    R = [[Rt[j][i] for j in range(n)] for i in range(n)]
-    return (tuple(exps),
-            RingMatrix._canonical(ring, [row[n:] for row in W], m),
-            RingMatrix._canonical(ring, R, n))
+    """The exponents of diagonal_reduction(A): the pivot valuations of
+    _pivot_rows(A)."""
+    return tuple(e for _, e, _ in _pivot_rows(A)[0])
 
 
 def shape_of(A):
@@ -490,55 +501,44 @@ def is_gamma_linearly_independent(A):
 
 def gamma_basis(A):
     """A gamma-basis of the row module of A, ordered as a gamma-generator
-    sequence (layer b holds gamma^(b - e_j) * generator_j for e_j <= b)."""
+    sequence: layer b holds gamma^(b - e) * row for each row placed by
+    _pivot_rows(A) with e <= b."""
     ring = A.ring
-    exps, L, _ = diagonal_reduction(A)
-    LA = L.matmul(A)
+    placed = _pivot_rows(A)[0]
     out = []
     for b in range(ring.nu):
-        for j, e in enumerate(exps):
+        for row, e, _ in placed:
             if e <= b:
                 g = ring.gamma_power(b - e)
-                out.append([ring.mul(g, x) for x in LA.data[j]])
+                out.append([ring.mul(g, x) for x in row])
     return RingMatrix._canonical(ring, out, A.cols)
 
 
 def standard_form(A):
     """(S, perm): S is left-equivalent to A up to the column permutation
     `perm` and matches the block-triangular pattern with diagonal blocks
-    gamma^i * I_{k_i}.  Output column j is input column perm[j]."""
+    gamma^i * I_{k_i}.  Output column j is input column perm[j].
+
+    S is the rows placed by _pivot_rows(A), each with the pivot columns of
+    the rows placed after it at its level cleared by those rows (which
+    keeps the identity blocks)."""
     ring = A.ring
     if A.is_zero():
         raise ZeroMatrix("standard form undefined for the zero matrix")
-    zero, shift_down = ring.zero, ring.shift_down
-    W = [list(row) for row in A.data]
-    n = A.cols
-    free_rows = list(range(A.rows))
-    free_cols = list(range(n))
-    placed = []        # (row vector, level, pivot col)
-    while free_rows and free_cols:
-        best = _min_valuation_pivot(ring, W, free_rows, free_cols)
-        if best is None:
-            break
-        e, pi, pj = best
-        inv = ring.invert_unit(shift_down(W[pi][pj], e))
-        W[pi] = [ring.mul(inv, x) for x in W[pi]]
-        # clear the pivot column from every other candidate row and from
-        # already-placed rows of the same level (keeps the identity blocks)
-        for i in free_rows:
-            if i != pi and W[i][pj] != zero:
-                W[i] = _sub_multiple(ring, W[i], shift_down(W[i][pj], e),
-                                     W[pi])
-        for rec in placed:
-            if rec[1] == e and rec[0][pj] != zero:
-                rec[0] = _sub_multiple(ring, rec[0],
-                                       shift_down(rec[0][pj], e), W[pi])
-        placed.append([W[pi], e, pj])
-        free_rows.remove(pi)
-        free_cols.remove(pj)
-    perm = tuple(rec[2] for rec in placed) + tuple(free_cols)
+    placed = _pivot_rows(A)[0]
+    # row i is cleared before any later row changes
+    for i, rec in enumerate(placed):
+        row, e = rec[0], rec[1]
+        for later, e_later, pj in placed[i + 1:]:
+            if e_later != e:
+                break
+            if row[pj] != ring.zero:
+                row = _sub_multiple(ring, row, ring.shift_down(row[pj], e),
+                                    later)
+        rec[0] = row
+    perm = _pivot_permutation(placed, A.cols)
     S = RingMatrix._canonical(ring, [[rec[0][j] for j in perm]
-                                     for rec in placed], n)
+                                     for rec in placed], A.cols)
     return S, perm
 
 

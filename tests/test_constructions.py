@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from itertools import product
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,6 @@ from chaincodes import (GaloisRing, TruncatedPolyRing, constructions, linalg,
                         zmod)
 from chaincodes.constructions import (EXHAUSTIVE, RANDOM, ToeplitzSpec,
                                       binomial_bound, binomial_encoder,
-                                      binomial_field_large_enough,
                                       extract_mdp_blocks, is_gamma_superregular,
                                       is_proper, is_reverse_gamma_superregular,
                                       lift_from_residue_field, lift_matrix,
@@ -285,8 +285,9 @@ def test_binomial_encoder_rejects_a_prime_power(p):
 
 def test_binomial_bound_exact():
     assert binomial_bound(3, 1, 1) == 200
-    assert binomial_field_large_enough(3, 1, 1, 211)
-    assert not binomial_field_large_enough(3, 1, 1, 199)
+    # the encoder warns exactly when p does not exceed the bound
+    assert binomial_encoder(3, 1, 1, 211)[1] == []
+    assert "200" in binomial_encoder(3, 1, 1, 199)[1][0]
 
 
 @pytest.mark.parametrize("n, k, delta", [(3, 2, 3), (2, 2, 2), (3, 0, 0),
@@ -295,14 +296,21 @@ def test_binomial_bound_and_field_size_reject_bad_params(n, k, delta):
     with pytest.raises(InvalidParams):
         binomial_bound(n, k, delta)
     with pytest.raises(InvalidParams):
-        binomial_field_large_enough(n, k, delta, 211)
+        binomial_encoder(n, k, delta, 211)
 
 
 def test_binomial_field_size_is_p_above_the_bound():
-    for n, k, delta in ((3, 1, 1), (4, 2, 2), (5, 2, 4), (4, 1, 2)):
+    # p > bound is the exact comparison p^2 > b^(2e) e^e, also for the odd
+    # e of (4, 1, 2), where the bound is the floor of an irrational number
+    for n, k, delta, odd in ((3, 1, 1, False), (4, 2, 2, False),
+                             (5, 2, 4, False), (4, 1, 2, True)):
+        m = delta // k
+        M = m * n + n - k
+        b, e = comb(M, M // 2), k * (m + delta // (n - k) + 1)
+        assert e % 2 == odd
         bound = binomial_bound(n, k, delta)
-        assert binomial_field_large_enough(n, k, delta, bound + 1)
-        assert not binomial_field_large_enough(n, k, delta, bound)
+        for p in (bound - 1, bound, bound + 1):
+            assert (p > bound) == (p ** 2 > b ** (2 * e) * e ** e)
 
 
 def binomial_field_code(n, k, delta, p):

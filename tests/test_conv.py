@@ -28,7 +28,8 @@ from chaincodes.errors import (BudgetExceeded, CodeLoadError, InvalidParams,
                                NotDelayFree, NotReduced, NuNotDividingK,
                                PreconditionViolated, UnequalRowDegrees,
                                ZeroRow)
-from chaincodes.linalg import (RingMatrix, is_gamma_generator_sequence,
+from chaincodes.linalg import (RingMatrix, gamma_dimension,
+                               is_gamma_generator_sequence,
                                is_gamma_linearly_independent, parameters_of)
 from chaincodes.rings import TruncatedPolyRing, residue_ring
 from oracles import (column_distance_oracle, message_weights,
@@ -137,8 +138,9 @@ def test_convcode_rejects_non_basis(z4):
 
 
 def test_delay_free_encoder_is_not_stacked(code322, z4, monkeypatch):
-    # independence of a delay-free encoder is read off G_0 (k rows); the
-    # k(m+1)-row stack is built only for an encoder that is not delay-free
+    # independence of a delay-free encoder is read off the gamma-dimension
+    # of G_0; the k(m+1)-row stack is built only for an encoder that is not
+    # delay-free
     from chaincodes import conv
     sizes = []
     real = conv.is_gamma_linearly_independent
@@ -149,12 +151,12 @@ def test_delay_free_encoder_is_not_stacked(code322, z4, monkeypatch):
 
     monkeypatch.setattr(conv, "is_gamma_linearly_independent", recording)
     assert is_polynomial_gamma_basis(code322.encoder)
-    assert sizes == [2]
+    assert sizes == []
     G = PM(z4, [[[0, 0], [0, 0]], [[1, 1], [2, 2]]])
-    assert not is_delay_free(G)
     sizes.clear()
     assert is_polynomial_gamma_basis(G)
-    assert sizes == [2, 4]
+    assert sizes == [4]
+    assert not is_delay_free(G)
 
 
 def random_encoder(ring, rng):
@@ -223,6 +225,38 @@ def test_sliding_matrix_of_a_validated_encoder_is_a_generator_sequence(ring):
             assert is_gamma_generator_sequence(sliding_matrix(G, L)), \
                 (G.coeffs, L)
     assert validated >= 10 and refused >= 10, (validated, refused)
+
+
+def test_g0_of_a_validated_encoder_decides_delay_freeness():
+    # the generator half of validation makes G_0 a gamma-generator
+    # sequence, so delay-free is gamma_dimension(G_0) == k
+    rng = random.Random(1616)
+    verdicts = Counter()
+    for ring in (zmod(4), zmod(8), zmod(9), zmod(27), TruncatedPolyRing(4, 2),
+                 GaloisRing(2, 2, 2), TruncatedPolyRing(2, 3)):
+        validated = 0
+        for _ in range(200):
+            G = random_encoder(ring, rng)
+            if rng.random() < 0.3:
+                # z times row a delays the row and keeps the verdict
+                a, zero = rng.randrange(G.k), [ring.zero] * G.n
+                G = PolyMatrix(ring, [M(ring, [
+                    (G.coefficient(t - 1).row(i) if t else zero) if i == a
+                    else G.coefficient(t).row(i) for i in range(G.k)])
+                    for t in range(G.degree + 2)], k=G.k, n=G.n)
+            try:
+                C = ConvCode(ring, G.n, G)
+            except ValueError:
+                continue
+            G_0 = G.coefficient(0)
+            assert is_gamma_generator_sequence(G_0), G.coeffs
+            delay_free = is_delay_free(G)
+            assert delay_free == (gamma_dimension(G_0) == G.k), G.coeffs
+            assert C.delay_free() == delay_free
+            verdicts[delay_free] += 1
+            validated += 1
+        assert validated >= 5, ring
+    assert verdicts[True] >= 100 and verdicts[False] >= 50, verdicts
 
 
 def test_degree_zero_encoder_past_the_oracle_budget():
@@ -748,6 +782,30 @@ def test_delta_runs_the_reducedness_check_once(code322, monkeypatch):
     C = ConvCode(code322.ring, code322.n, code322.encoder)
     assert [C.delta for _ in range(4)] == [2] * 4
     assert C.to_json()["claimed"]["delta"] == 2
+    assert len(calls) == 1
+
+
+def test_loaded_code_decides_reducedness_once(code322, monkeypatch):
+    # read_code checks the claimed delta, and the loaded code keeps the
+    # reducedness that check decided
+    from chaincodes import conv
+    calls = []
+    real = conv.is_reduced
+
+    def counting(G):
+        calls.append(G)
+        return real(G)
+
+    obj = json.loads(json.dumps(code322.to_json()))
+    monkeypatch.setattr(conv, "is_reduced", counting)
+    C = ConvCode.from_json(obj)
+    assert is_mdp(C) and C.delta == 2
+    assert len(calls) == 1
+    del obj["claimed"]["delta"]
+    calls.clear()
+    C = ConvCode.from_json(obj)
+    assert calls == []
+    assert is_mdp(C) and C.delta == 2
     assert len(calls) == 1
 
 

@@ -154,35 +154,60 @@ def test_diagonal_reduction_rank_one(z4):
     assert exps == (1,)
 
 
-def test_reduction_transforms_are_consistent(z4, z9):
+REDUCTION_RINGS = [zmod(8), zmod(27), GaloisRing(2, 2, 2), GaloisRing(3, 3, 1),
+                   TruncatedPolyRing(4, 2), TruncatedPolyRing(2, 3)]
+
+
+def sparse_matrix(ring, m, n, rng):
+    """m x n with zero, unit and gamma-multiple entries mixed."""
+    els = list(ring.elements())
+    density = rng.choice((0.3, 0.7, 1.0))
+    return M(ring, [[(ring.mul(ring.gamma, rng.choice(els))
+                      if rng.random() < 0.3 else rng.choice(els))
+                     if rng.random() < density else ring.zero
+                     for _ in range(n)] for _ in range(m)])
+
+
+def test_reduction_transforms_are_consistent():
+    # L*A*R = diag(gamma^e), L and R of unit determinant, on random, tall,
+    # rank-deficient and zero matrices
     rng = random.Random(7)
-    for ring in (z4, z9):
-        for _ in range(25):
-            m, n = rng.randint(1, 4), rng.randint(1, 4)
-            A = random_matrix(ring, m, n, rng)
+    for ring in REDUCTION_RINGS:
+        cases = [RingMatrix.zeros(ring, 2, 3), RingMatrix.zeros(ring, 3, 1)]
+        cases += [sparse_matrix(ring, rng.randint(1, 4), rng.randint(1, 4),
+                                rng) for _ in range(12)]
+        for _ in range(4):
+            n = rng.randint(1, 3)
+            cases.append(sparse_matrix(ring, n + rng.randint(1, 2), n, rng))
+        for _ in range(4):
+            # the third row is the first plus c times the second
+            A = sparse_matrix(ring, 2, rng.randint(3, 4), rng)
+            c = rng.choice(list(ring.elements()))
+            cases.append(M(ring, list(A.data) + [[
+                ring.add(a, ring.mul(c, b)) for a, b in zip(*A.data)]]))
+        deficient = 0
+        for A in cases:
+            m, n = A.rows, A.cols
             exps, L, R = diagonal_reduction(A)
             D = L.matmul(A).matmul(R)
             for i in range(m):
                 for j in range(n):
                     want = (ring.gamma_power(exps[i])
                             if i == j and i < len(exps) else ring.zero)
-                    assert D.entry(i, j) == want
+                    assert D.entry(i, j) == want, (A.data, exps)
+            assert (L.rows, L.cols, R.rows, R.cols) == (m, m, n, n)
             assert is_unit_determinant(L)
             assert is_unit_determinant(R)
             assert list(exps) == sorted(exps)
+            deficient += len(exps) < min(m, n)
+        assert deficient >= 6, ring
 
 
-@pytest.mark.parametrize("ring", [
-    zmod(8), zmod(27), GaloisRing(2, 2, 2), GaloisRing(3, 3, 1),
-    TruncatedPolyRing(4, 2), TruncatedPolyRing(2, 3)], ids=repr)
-def test_exponents_without_transforms_match_the_reduction(ring):
+@pytest.mark.parametrize("ring", REDUCTION_RINGS, ids=repr)
+def test_exponents_match_the_reduction(ring):
     rng = random.Random(31)
-    els = list(ring.elements())
     for _ in range(40):
-        m, n = rng.randint(1, 5), rng.randint(1, 5)
-        density = rng.choice((0.3, 0.7, 1.0))
-        A = M(ring, [[rng.choice(els) if rng.random() < density
-                      else ring.zero for _ in range(n)] for _ in range(m)])
+        A = sparse_matrix(ring, rng.randint(1, 5), rng.randint(1, 5), rng)
         exps = diagonal_exponents(A)
         assert exps == diagonal_reduction(A)[0]
         assert shape_of(A) == tuple(sum(1 for e in exps if e <= i)
@@ -462,6 +487,46 @@ def test_standard_form_pattern_z9(z9):
     S, perm = standard_form(M(z9, [[3, 3], [3, 6]]))
     assert [[e[0] for e in row] for row in S.data] == [[3, 0], [0, 3]]
     assert sorted(perm) == [0, 1]
+
+
+def tp23(*coeffs):
+    """The element sum coeffs[i] * u^i of F_2[u]/(u^3)."""
+    return tuple(coeffs) + (0,) * (3 - len(coeffs))
+
+
+# (ring, A, S, perm); Z9 and Z27 entries are residues
+STANDARD_FORM_GOLDENS = {
+    "first pivot outside column 0": (
+        zmod(9), [[3, 1, 6], [6, 4, 3]],
+        [[1, 3, 6], [0, 3, 6]], (1, 0, 2)),
+    "back-clearing at level 0": (
+        zmod(27), [[1, 2, 5], [1, 3, 7]],
+        [[1, 0, 1], [0, 1, 2]], (0, 1, 2)),
+    "back-clearing at level 1": (
+        zmod(27), [[3, 6, 15, 9], [6, 3, 21, 3], [0, 0, 9, 18]],
+        [[3, 0, 15, 6], [0, 3, 18, 18], [0, 0, 9, 0]], (0, 3, 2, 1)),
+    "later pivot in a lower column": (
+        zmod(9), [[3, 1, 0], [6, 4, 1], [3, 0, 3]],
+        [[1, 0, 3], [0, 1, 3], [0, 0, 3]], (1, 2, 0)),
+    "rank-deficient": (
+        TruncatedPolyRing(2, 3),
+        [[tp23(0, 1), tp23(1, 1), tp23(0, 0, 1)],
+         [tp23(0, 1), tp23(0, 0, 1), tp23(1, 1)],
+         [tp23(0, 1, 1), tp23(1, 1), tp23(0, 1)]],
+        [[tp23(1), tp23(), tp23(0, 1, 1)],
+         [tp23(), tp23(1), tp23(0, 1, 1)]], (1, 2, 0)),
+    "wide": (
+        zmod(9), [[3, 6, 1, 0, 4], [0, 3, 2, 3, 1]],
+        [[1, 0, 6, 6, 3], [0, 1, 6, 0, 6]], (2, 4, 0, 1, 3)),
+}
+
+
+@pytest.mark.parametrize("case", STANDARD_FORM_GOLDENS)
+def test_standard_form_goldens(case):
+    ring, rows, want, perm = STANDARD_FORM_GOLDENS[case]
+    S, got_perm = standard_form(M(ring, rows))
+    assert S == M(ring, want)
+    assert got_perm == perm
 
 
 def test_standard_form_zero_matrix_raises(z4):

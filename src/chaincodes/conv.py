@@ -3,9 +3,10 @@
 An encoder is a polynomial matrix G(z) = sum G_i z^i; the code is the set
 of gamma-linear combinations of its rows with polynomial digit vectors over
 the transversal T.  Column distances are computed by exhaustive message
-enumeration on the truncated sliding matrices; the MDP property is decided
-either through those distances or through the minor (column-selection)
-criterion on the L-th sliding matrix.
+enumeration on the truncated sliding matrices, the first block narrowed to
+the socle heads of G_0, one per diagonal exponent: (q^s - 1)/(q - 1) q^(jk)
+messages for d_j with s heads; the MDP property is decided either through
+those distances or through the minor criterion on the L-th sliding matrix.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from math import ceil
 from .errors import (BudgetExceeded, CodeLoadError, CrossCheckFailed,
                      InvalidParams, NotDelayFree, NotReduced, NuNotDividingK,
                      PreconditionViolated, UnequalRowDegrees, ZeroRow)
-from .linalg import (RingMatrix, diagonal_exponents, field_clear_column,
-                     gamma_dimension, is_gamma_linearly_independent,
-                     module_solve_left, parameters_of)
+from .linalg import (RingMatrix, _pivot_rows, diagonal_exponents,
+                     field_clear_column, gamma_dimension,
+                     is_gamma_linearly_independent, module_solve_left)
 from .rings import make_ring
 
 DISTANCES = "distances"
@@ -235,9 +236,16 @@ class ConvCode:
             raise ValueError("encoder does not match ring or length")
         if not is_polynomial_gamma_basis(encoder):
             raise ValueError("encoder rows do not form a gamma-basis")
+        # the rows of [G_0 | G_1 | ... | G_m]; pivots in G_0's columns give
+        # G_0's exponents and the socle heads of column_distance
+        coeffs = encoder.coeffs or (encoder.coefficient(0),)
+        self._rows = RingMatrix._canonical(ring, [
+            [e for G_e in coeffs for e in G_e.row(a)]
+            for a in range(encoder.k)], len(coeffs) * n)
+        self._pivots = _pivot_rows(self._rows, width=n)[0]
         # G_0 of a gamma-basis is a gamma-generator sequence
         # (is_polynomial_gamma_basis), so its gamma-dimension decides it
-        self._g0_independent = (gamma_dimension(encoder.coefficient(0))
+        self._g0_independent = (sum(ring.nu - e for _, e, _ in self._pivots)
                                 == encoder.k)
         self.ring = ring
         self.n = n
@@ -245,7 +253,7 @@ class ConvCode:
         self.k = encoder.k
         self._reduced = None
         self._distances = {}  # j -> d_j, each walked once
-        self._multiples = None  # see _normalised_weights
+        self._multiples = None  # see _walk_rows
         self._reversed = None  # see _reversed_code
 
     def reduced(self):
@@ -274,7 +282,8 @@ class ConvCode:
             code = cls(*read_code(obj))
         except (ValueError, TypeError) as exc:
             raise CodeLoadError(str(exc)) from exc
-        if (obj.get("claimed") or {}).get("delta") is not None:
+        claimed = obj.get("claimed")  # None or an object (read_code)
+        if claimed is not None and claimed.get("delta") is not None:
             code._reduced = True  # read_code found its gamma-degree
         return code
 
@@ -290,7 +299,9 @@ def read_code(obj):
         n, encoder = obj["n"], PolyMatrix.from_json(obj["encoder"], ring)
     except (KeyError, ValueError, TypeError) as exc:
         raise CodeLoadError(str(exc)) from exc
-    claimed = obj.get("claimed") or {}
+    claimed = {} if obj.get("claimed") is None else obj["claimed"]
+    if not isinstance(claimed, dict):
+        raise CodeLoadError(f"claimed must be an object, not {claimed!r}")
     if encoder.n != n or claimed.get("k") not in (None, encoder.k):
         raise CodeLoadError(f"n={n}, claimed k={claimed.get('k')}, but the "
                             f"encoder is {encoder.k} x {encoder.n}")
@@ -308,16 +319,20 @@ def column_distance(C: ConvCode, j, budget=DEFAULT_DISTANCE_BUDGET):
     """Minimum truncated weight of u S_j over the T-messages u with a
     nonzero first block; the budget counts all (q^k - 1) q^(jk) of them.
 
-    Only messages whose first nonzero digit is the representative 1 are
-    visited, which keeps the minimum.  If u has first nonzero digit tau at
-    r < k, tau^-1 u S_j has the same weight; its coefficients tau^-1 u are
-    zero before r and 1 at r.  The rows of S_j in block-row order are a
-    gamma-generator sequence (the encoder is a gamma-basis), so writing
-    each coefficient from r on as t + gamma a' with t in T and pushing a'
-    forward through gamma times its row gives a T-message with the same
-    codeword, zero before r and 1 at r: carries only move forward, and 1
-    is in T for the Teichmueller and the digit transversal alike.  The
-    code remembers each d_j; the delay-free check and the budget apply to
+    Lemma: C_j, the codewords cut to j + 1 blocks, is an R-module; if v in
+    C_j has v_0 != 0, of least valuation e, then gamma^(nu-1-e) v is in
+    C_j with a nonzero socle first block (killed by gamma) and weight at
+    most wt(v), and a unit multiple keeps the weight.  The s heads
+    gamma^(nu-1-e) row, (row, e, _) in C._pivots, are R-combinations of
+    the rows of G(z) whose first blocks are an F-basis of the socle of the
+    row module of G_0; the walk puts T-digits on them, the first nonzero
+    one 1 (a socle vector times t depends on t mod gamma only), and any on
+    block rows 1..j of S_j.  Proof that it covers every v of the lemma up
+    to a unit: the head combination H with v's first block leaves v - H in
+    C_j with zero first block, so v - H = u S_j for a T-message u (the
+    rows of S_j are a gamma-generator sequence) with u_0 G_0 = 0, hence
+    u_0 = 0 (G_0 is delay-free) and v = H + (v - H) is visited.  The code
+    remembers each d_j; the delay-free check and the budget apply to
     every call."""
     if not C.delay_free():
         raise NotDelayFree("column distances need a delay-free encoder")
@@ -328,37 +343,47 @@ def column_distance(C: ConvCode, j, budget=DEFAULT_DISTANCE_BUDGET):
             f"column distance j={j} needs {count} weight evaluations",
             requested=count, allowed=budget)
     if j not in C._distances:
-        C._distances[j] = min(_normalised_weights(C, j))
+        C._distances[j] = min(_normalised_weights(C.ring, *_walk_rows(C, j)))
     return C._distances[j]
 
 
-def _normalised_weights(C: ConvCode, j):
-    """The weight of u S_j for each T-message u whose first nonzero digit
-    is 1, at r < k.  For each r the later digits run in reflected q-ary Gray
-    order (Knuth, TAOCP 4A, 7.2.1.1, Algorithm H), the sparse last rows
-    fastest; each step adds one sparse (t' - t) times a row in additive
-    coordinates and updates per-position counts of nonzero coordinates.
-    Row a of block row b of S_j is row a of G_0..G_(j-b) after b zero
-    blocks, so the coordinates of reps[t] times row a of every G_e are
-    built once per code and shared by every j."""
-    ring, k = C.ring, C.k
+def _walk_rows(C: ConvCode, j):
+    """(rows, s) of column_distance's walk: the s socle heads, then block
+    rows 1..j of S_j, row a of block row b being row a of [G_0 | G_1 | ...]
+    after b zero blocks; the coordinate tables are built once per code."""
+    ring, k, s = C.ring, C.k, len(C._pivots)
+    _, coords = ring.additive_coords()
+    if C._multiples is None:
+        rows = [[ring.mul(ring.gamma_power(ring.nu - 1 - e), x) for x in row]
+                for row, e, _ in C._pivots]
+        rows += C._rows.data
+        # [r][t]: coordinates of reps[t] times head r, then row r - s
+        C._multiples = [[[c for e in row for c in coords(ring.mul(t, e))]
+                         for t in ring.representatives()] for row in rows]
+    nd = C.n * len(coords(ring.zero))
+    width = (j + 1) * nd
+    return [[([0] * (b * nd) + m + [0] * width)[:width]
+             for m in C._multiples[r]]
+            for b, r in [(0, r) for r in range(s)] + [
+                (b, s + a) for b in range(1, j + 1) for a in range(k)]], s
+
+
+def _normalised_weights(ring, rows, s):
+    """The weight of sum_r reps[u_r] row r for each T-message u whose first
+    nonzero digit is 1, at r < s, rows[r][t] holding the additive
+    coordinates of reps[t] times row r: (q^s - 1)/(q - 1) q^(N-s) messages
+    of N rows (all normalised ones of S_j for block row 0 as s = k heads).
+    For each r the later digits run in reflected q-ary Gray order (Knuth,
+    TAOCP 4A, 7.2.1.1, Algorithm H), the last rows fastest; each step adds
+    one sparse (t' - t) times a row in additive coordinates and updates
+    per-position counts of nonzero coordinates."""
     reps = ring.representatives()
     if reps[0] != ring.zero or reps[1] != ring.one:
         raise CrossCheckFailed("transversal does not start with 0 and 1")
-    q, N = ring.q, (j + 1) * k
+    q, N = ring.q, len(rows)
     M, coords = ring.additive_coords()
     d = len(coords(ring.zero))
-    if C._multiples is None:
-        # [a][t]: coordinates of reps[t] times row a of G_0, G_1, ...
-        C._multiples = [[[c for G_e in C.encoder.coeffs for e in G_e.row(a)
-                          for c in coords(ring.mul(t, e))] for t in reps]
-                        for a in range(k)]
-    nd = C.n * d
-    width = (j + 1) * nd
-    # vecs[i][t]: coordinates of reps[t] times row N-1-i, Gray digit i
-    vecs = [[([0] * (b * nd) + m + [0] * width)[:width]
-             for m in C._multiples[a]]
-            for b, a in (divmod(r, k) for r in range(N - 1, -1, -1))]
+    vecs = rows[::-1]  # vecs[i]: row N-1-i, Gray digit i
 
     def delta(new, old):
         return [(c, (x - y) % M, c // d)
@@ -366,7 +391,7 @@ def _normalised_weights(C: ConvCode, j):
 
     up = [[delta(v[t + 1], v[t]) for t in range(q - 1)] for v in vecs]
     down = [[delta(v[t], v[t + 1]) for t in range(q - 1)] for v in vecs]
-    for r in range(C.k):
+    for r in range(s):
         m = N - 1 - r  # free digits 0..m-1 are the rows after r
         acc = list(vecs[m][1])
         nz = [sum(1 for x in acc[p:p + d] if x) for p in range(0, len(acc), d)]
@@ -494,7 +519,7 @@ def _check_mdp_preconditions(C: ConvCode):
             f"nu={ring.nu} does not divide k={C.k}")
     k0 = C.k // ring.nu
     expected = (k0,) + (0,) * (ring.nu - 1)
-    got = parameters_of(C.encoder.coefficient(0))
+    got = tuple(sum(e == i for _, e, _ in C._pivots) for i in range(ring.nu))
     if got != expected:
         raise PreconditionViolated(
             f"constant-block parameters {got} differ from {expected}")

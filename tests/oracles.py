@@ -42,6 +42,30 @@ def message_weights(C, j):
             yield head + tail, sum(1 for e in acc if e != zero)
 
 
+def socle_message_weights(C, j):
+    """The weight of each codeword that column_distance's walk visits,
+    each rebuilt from its scaled rows: T-digits on the socle heads
+    gamma^(nu-1-e) row of C's pivot rows (row, e, _), cut to the width
+    of S_j, the first nonzero digit 1, and any T-digits on block rows
+    1..j of S_j."""
+    ring = C.ring
+    reps = ring.representatives()
+    S = sliding_matrix(C.encoder, j)
+    width = S.cols
+    heads = [[ring.mul(ring.gamma_power(ring.nu - 1 - e), x)
+              for x in (list(row) + [ring.zero] * width)[:width]]
+             for row, e, _ in C._pivots]
+    rows = heads + [list(row) for row in S.data[C.k:]]
+    s = len(heads)
+    for r in range(s):
+        for free in product(range(ring.q), repeat=len(rows) - 1 - r):
+            acc = [ring.zero] * width
+            for t, row in zip((0,) * r + (1,) + free, rows):
+                acc = [ring.add(x, ring.mul(reps[t], e))
+                       for x, e in zip(acc, row)]
+            yield sum(1 for e in acc if e != ring.zero)
+
+
 def column_distance_oracle(C, j):
     """Minimum truncated weight over messages with nonzero first block."""
     return min(w for _, w in message_weights(C, j))

@@ -152,6 +152,22 @@ def test_check_gamma_basis_checks_the_claims(capsys, tmp_path, coeff_rows,
     assert doc["results"]["error"]["type"] == error
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "mdp"], ["check", "gamma-basis"], ["distances", "--max-j", "1"],
+], ids=" ".join)
+@pytest.mark.parametrize("claimed", [[1], [], False, 0, ""], ids=repr)
+def test_claimed_that_is_not_an_object_exits_2(capsys, tmp_path, argv,
+                                               claimed):
+    # rows (1, 1) and 2 (1, 1): a delay-free gamma-basis, so only the
+    # claims can make the load fail
+    path = tmp_path / "claimed.json"
+    path.write_text(z4_code_json([[[1, 1], [2, 2]]], 2, claimed))
+    code, doc = run(capsys, *argv, "--code", str(path))
+    assert code == 2
+    assert doc["results"]["error"]["type"] == "CodeLoadError"
+    assert "claimed must be an object" in doc["results"]["error"]["message"]
+
+
 def test_check_missing_file_exit_2(capsys):
     code, doc = run(capsys, "check", "mdp", "--code", "no-such-file.json")
     assert code == 2

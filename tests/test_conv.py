@@ -23,7 +23,8 @@ from chaincodes.conv import (DISTANCES, MINORS, ConvCode, DistanceBounds,
                              is_reverse_mdp, L_index,
                              leading_coefficient_matrix, optimal_cd_bound,
                              reverse_encoder, sliding_matrix,
-                             _minors_condition, _normalised_weights)
+                             _minors_condition, _normalised_weights,
+                             _walk_rows)
 from chaincodes.errors import (BudgetExceeded, CodeLoadError, InvalidParams,
                                NotDelayFree, NotReduced, NuNotDividingK,
                                PreconditionViolated, UnequalRowDegrees,
@@ -34,7 +35,8 @@ from chaincodes.linalg import (RingMatrix, gamma_dimension,
 from chaincodes.rings import TruncatedPolyRing, residue_ring
 from oracles import (column_distance_oracle, message_weights,
                      minors_condition_oracle,
-                     polynomial_gamma_basis_by_stacking, stacked_independence)
+                     polynomial_gamma_basis_by_stacking, socle_message_weights,
+                     stacked_independence)
 
 
 def M(ring, rows):
@@ -297,17 +299,39 @@ def test_column_distance_budget(code322):
         assert column_distance(C, 1) == 5
 
 
+def test_a_code_reduces_its_g0_once_beyond_validation(code322, monkeypatch):
+    # validation reduces G_0 once; one pivot pass over [G_0 | ... | G_m]
+    # then decides delay-freeness, the constant-block parameters and the
+    # socle heads
+    from chaincodes import conv, linalg
+    G = code322.encoder
+    passes = []
+    real = linalg._pivot_rows
+
+    def counting(A, width=None):
+        if [row[:G.n] for row in A.data] == list(G.coefficient(0).data):
+            passes.append(width)
+        return real(A, width)
+
+    monkeypatch.setattr(linalg, "_pivot_rows", counting)
+    monkeypatch.setattr(conv, "_pivot_rows", counting)
+    C = ConvCode(G.ring, G.n, G)
+    assert passes == [None, G.n]
+    assert is_mdp(C, MINORS) and is_mdp(C, DISTANCES)
+    assert passes == [None, G.n]
+
+
 def test_each_column_distance_is_walked_once(monkeypatch):
     from chaincodes import conv
     from chaincodes.constructions import lift_from_residue_field
     walked = []
-    real = conv._normalised_weights
+    real = conv._walk_rows
 
     def counting(C, j):
         walked.append(j)
         return real(C, j)
 
-    monkeypatch.setattr(conv, "_normalised_weights", counting)
+    monkeypatch.setattr(conv, "_walk_rows", counting)
     z2 = zmod(2)
     # the lift to Z4 of the binary (2,1,1) encoder (1, 1) + (0, 1) z: L = 2
     C = lift_from_residue_field(PM(z2, [[[1, 1]], [[0, 1]]]), zmod(4))
@@ -342,23 +366,41 @@ def oracle_weights(C):
         yield j, list(message_weights(C, j))
 
 
+def full_walk(C, j):
+    """The Gray walk with block row 0 of S_j as its k heads."""
+    ring = C.ring
+    _, coords = ring.additive_coords()
+    return _normalised_weights(ring, [
+        [[c for e in row for c in coords(ring.mul(t, e))]
+         for t in ring.representatives()]
+        for row in sliding_matrix(C.encoder, j).data], C.k)
+
+
 def assert_walk_matches_oracle(C, j, weights):
     """The Gray walk visits exactly the messages whose first nonzero digit
     is 1, whatever the rows: the same multiset of weights."""
     normalised = Counter(w for u, w in weights
                          if next(t for t in u if t) == 1)
-    assert Counter(_normalised_weights(C, j)) == normalised, j
+    assert Counter(full_walk(C, j)) == normalised, j
 
 
 def assert_matches_oracle(C):
     """On a gamma-basis the normalised minimum is the column distance,
-    both when the code walks it and when it remembers it."""
+    both when the code walks it and when it remembers it; the walk over
+    the socle heads visits the (q^s - 1)/(q - 1) q^(jk) messages of the
+    heads-by-tails oracle and reaches the minimum over all messages."""
     known = list(oracle_weights(C))
     for _ in range(2):
         for j, weights in known:
             assert column_distance(C, j) == min(w for _, w in weights), j
+    q, s = C.ring.q, len(C._pivots)
     for j, weights in known:
         assert_walk_matches_oracle(C, j, weights)
+        headed = Counter(_normalised_weights(C.ring, *_walk_rows(C, j)))
+        assert headed == Counter(socle_message_weights(C, j)), j
+        assert sum(headed.values()) == (q ** s - 1) // (q - 1) * q ** (j * C.k)
+        assert min(headed) == column_distance_oracle(C, j), j
+    return len(known)
 
 
 @pytest.mark.parametrize("ring", [
@@ -396,11 +438,38 @@ def test_column_distance_matches_oracle(ring):
             assert_walk_matches_oracle(C, j, weights)
 
 
+@pytest.mark.parametrize("ring", [zmod(8), TruncatedPolyRing(2, 3)],
+                         ids=repr)
+def test_socle_walk_on_codes_with_mixed_parameters(ring):
+    # gamma-layers gamma^e b(z), ..., gamma^(nu-1) b(z) of one or two random
+    # rows over the ring from random first exponents e: validated
+    # delay-free codes whose G_0 has parameters such as (1, 1, 0)
+    rng = random.Random(5)
+    params, checked = Counter(), 0
+    while len(params) < 5 or sum(params.values()) < 16:
+        n, rows = rng.randint(2, 3), []
+        for _ in range(rng.randint(1, 2)):
+            base = random_poly_matrix(ring, 1, n, 1, rng)
+            rows += [base.scalar_mul(ring.gamma_power(e))
+                     for e in range(rng.randrange(ring.nu), ring.nu)]
+        G = rows[0]
+        for row in rows[1:]:
+            G = G.stack(row)
+        try:
+            C = ConvCode(ring, n, G)
+        except ValueError:  # not a gamma-basis
+            continue
+        if C.delay_free():
+            checked += assert_matches_oracle(C)
+            params[parameters_of(G.coefficient(0))] += 1
+    assert {(1, 1, 0), (0, 1, 1), (1, 0, 1)} <= set(params), params
+    assert checked >= 40
+
+
 def stand_in(G):
     """What the walk and the oracle read of a code, for rows that ConvCode
     need not accept."""
-    return SimpleNamespace(ring=G.ring, n=G.n, k=G.k, encoder=G,
-                           _multiples=None)
+    return SimpleNamespace(ring=G.ring, n=G.n, k=G.k, encoder=G)
 
 
 def test_convcode_refuses_rows_the_walk_would_misread():
@@ -412,8 +481,7 @@ def test_convcode_refuses_rows_the_walk_would_misread():
     with pytest.raises(ValueError):
         ConvCode(z27, 2, G)
     C = stand_in(G)
-    assert (min(_normalised_weights(C, 0)), column_distance_oracle(C, 0)) \
-        == (2, 1)
+    assert (min(full_walk(C, 0)), column_distance_oracle(C, 0)) == (2, 1)
 
 
 def test_column_distance_matches_oracle_on_readme_code(code322):
@@ -571,8 +639,7 @@ def test_reversed_code_is_kept_and_walked_once(z121, monkeypatch):
     C = ConvCode(z121, 3, PM(z121, [[[1, 2, 1], [11, 22, 11]],
                                     [[1, 3, 4], [11, 33, 44]]]))
     walked, validated = [], []
-    real_walk, real_basis = conv._normalised_weights, \
-        conv.is_polynomial_gamma_basis
+    real_walk, real_basis = conv._walk_rows, conv.is_polynomial_gamma_basis
 
     def counting_walk(code, j):
         walked.append((code is C, j))
@@ -582,7 +649,7 @@ def test_reversed_code_is_kept_and_walked_once(z121, monkeypatch):
         validated.append(G)
         return real_basis(G, **kwargs)
 
-    monkeypatch.setattr(conv, "_normalised_weights", counting_walk)
+    monkeypatch.setattr(conv, "_walk_rows", counting_walk)
     monkeypatch.setattr(conv, "is_polynomial_gamma_basis", counting_basis)
     assert is_reverse_mdp(C, MINORS)
     assert walked == [] and validated == [reverse_encoder(C)]
@@ -609,16 +676,42 @@ print(json.dumps({"debug": __debug__, "verdicts": verdicts}))
 """
 
 
-def test_minors_verdicts_under_python_O():
+# the same two codes by column distances: the README code's are (3, 5)
+DISTANCES_UNDER_O = """
+import json
+from chaincodes import zmod
+from chaincodes.conv import (DISTANCES, ConvCode, PolyMatrix,
+                             distance_profile, is_mdp)
+from chaincodes.linalg import RingMatrix
+z121 = zmod(121)
+G_0 = RingMatrix(z121, [[1, 2, 1], [11, 22, 11]])
+codes = [ConvCode(z121, 3, PolyMatrix(z121, [G_0, RingMatrix(z121, G_1)]))
+         for G_1 in ([[1, 3, 4], [11, 33, 44]], [[1, 1, 1], [11, 11, 11]])]
+print(json.dumps({"debug": __debug__,
+                  "profile": distance_profile(codes[0], 1),
+                  "verdicts": [is_mdp(C, DISTANCES) for C in codes]}))
+"""
+
+
+def run_under_python_O(source):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-O", "-c", MINORS_UNDER_O],
+    proc = subprocess.run([sys.executable, "-O", "-c", source],
                           capture_output=True, text=True, env=env,
                           check=True)
-    assert json.loads(proc.stdout) == {"debug": False,
-                                       "verdicts": [True, False]}
+    return json.loads(proc.stdout)
+
+
+def test_minors_verdicts_under_python_O():
+    assert run_under_python_O(MINORS_UNDER_O) == {"debug": False,
+                                                  "verdicts": [True, False]}
+
+
+def test_distance_verdicts_under_python_O():
+    assert run_under_python_O(DISTANCES_UNDER_O) == {
+        "debug": False, "profile": [3, 5], "verdicts": [True, False]}
 
 
 def test_mdp_preconditions(z4, z121):

@@ -2,7 +2,8 @@
 
 A block code is the T-span of the rows of a gamma-encoder: the set of all
 combinations sum(u_i * row_i) with digits u_i drawn from the transversal T.
-Distances are computed by brute-force enumeration of the q^k messages.
+As a degree-0 convolutional code it has minimum distance d_0 (the budget
+still counts all q^k messages) and Singleton bound the j = 0 column bound.
 """
 
 from __future__ import annotations
@@ -10,7 +11,8 @@ from __future__ import annotations
 from itertools import product
 from math import ceil
 
-from .conv import DEFAULT_DISTANCE_BUDGET
+from .conv import (DEFAULT_DISTANCE_BUDGET, ConvCode, PolyMatrix,
+                   column_distance, optimal_cd_bound)
 from .errors import BudgetExceeded, InvalidParams
 from .linalg import (RingMatrix, gamma_basis, gamma_dimension,
                      is_gamma_generator_sequence, parameters_of, shape_of,
@@ -55,27 +57,23 @@ class BlockCode:
 
 
 def min_distance_block(code: BlockCode, budget=DEFAULT_DISTANCE_BUDGET):
-    """Minimum Hamming weight over the nonzero codewords."""
+    """Minimum Hamming weight over the nonzero codewords (None for k = 0):
+    d_0 of the degree-0 code of the encoder, a validated gamma-basis, whose
+    walk visits (q^s - 1)/(q - 1) of the q^k messages the budget counts."""
     ring = code.ring
     total = ring.q ** code.k
     if total > budget:
         raise BudgetExceeded(f"{total} codewords exceed budget {budget}",
                              requested=total, allowed=budget)
-    best = None
-    for word in code.codewords():
-        w = sum(1 for e in word if e != ring.zero)
-        if w and (best is None or w < best):
-            best = w
-            if best == 1:
-                break
-    return best
+    if not code.k:
+        return None
+    return column_distance(ConvCode(ring, code.n, PolyMatrix(
+        ring, [code.encoder])), 0, budget=budget)
 
 
 def singleton_bound_block(n, k, nu):
-    """d <= n - ceil(k/nu) + 1."""
-    if k < 1 or nu < 1 or n < ceil(k / nu):
-        raise InvalidParams(f"bad block parameters n={n}, k={k}, nu={nu}")
-    return n - ceil(k / nu) + 1
+    """d <= n - ceil(k/nu) + 1, the column-distance bound at j = 0."""
+    return optimal_cd_bound(0, n, k, nu)
 
 
 def is_mds(code: BlockCode, budget=DEFAULT_DISTANCE_BUDGET):

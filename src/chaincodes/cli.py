@@ -17,7 +17,7 @@ import time
 from contextlib import nullcontext
 
 from . import __version__
-from .block import (BlockCode, is_mds, min_distance_block, nu_optimal_sets,
+from .block import (BlockCode, min_distance_block, nu_optimal_sets,
                     singleton_bound_block)
 from .conv import (DEFAULT_DISTANCE_BUDGET, DISTANCES, MINORS, ConvCode,
                    distance_bounds, distance_profile, embedding_preserves_L,
@@ -267,11 +267,10 @@ def cmd_blockcode(args, report):
         res["column_permutation"] = list(perm)
     elif args.what == "mindist":
         code = BlockCode(A)
-        d = min_distance_block(code, budget=args.budget)
-        res["min_distance"] = d
-        res["singleton_bound"] = singleton_bound_block(code.n, code.k,
-                                                       code.ring.nu)
-        res["is_mds"] = is_mds(code, budget=args.budget)
+        res["min_distance"] = d = min_distance_block(code, budget=args.budget)
+        res["singleton_bound"] = bound = singleton_bound_block(
+            code.n, code.k, code.ring.nu)
+        res["is_mds"] = d == bound
     return EXIT_HOLDS
 
 
@@ -333,7 +332,8 @@ def build_parser():
                    help="code JSON file, or - for standard input")
     p.add_argument("--method", choices=[MINORS, DISTANCES, "both"],
                    default="minors")
-    p.add_argument("--budget", type=int, default=DEFAULT_DISTANCE_BUDGET)
+    p.add_argument("--budget", type=non_negative,
+                   default=DEFAULT_DISTANCE_BUDGET)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("construct", help="build a code")
@@ -352,7 +352,8 @@ def build_parser():
     p = sub.add_parser("distances", help="column distance profile")
     p.add_argument("--code", required=True)
     p.add_argument("--max-j", type=non_negative, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_DISTANCE_BUDGET)
+    p.add_argument("--budget", type=non_negative,
+                   default=DEFAULT_DISTANCE_BUDGET)
     p.set_defaults(func=cmd_distances)
 
     p = sub.add_parser("bounds", help="distance bounds from parameters")
@@ -367,7 +368,8 @@ def build_parser():
     p.add_argument("what", choices=["shape", "standard-form", "params",
                                     "mindist"])
     p.add_argument("--matrix", required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_DISTANCE_BUDGET)
+    p.add_argument("--budget", type=non_negative,
+                   default=DEFAULT_DISTANCE_BUDGET)
     p.set_defaults(func=cmd_blockcode)
 
     p = sub.add_parser("search", help="search superregular matrices")
@@ -377,7 +379,8 @@ def build_parser():
     p.add_argument("--strategy", choices=[EXHAUSTIVE, RANDOM],
                    default=EXHAUSTIVE)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
+    p.add_argument("--budget", type=non_negative,
+                   default=DEFAULT_SEARCH_BUDGET)
     p.add_argument("--reverse", action="store_true")
     p.add_argument("--max-hits", type=non_negative, default=20)
     p.set_defaults(func=cmd_search)

@@ -29,12 +29,16 @@ DEFAULT_DISTANCE_BUDGET = 10 ** 7
 
 
 class PolyMatrix:
-    """Polynomial matrix as a list of coefficient matrices G_0..G_m."""
+    """Polynomial matrix as a list of coefficient matrices G_0..G_m, each
+    k x n (an explicit k or n must agree with them)."""
 
     __slots__ = ("ring", "k", "n", "coeffs")
 
     def __init__(self, ring, coeffs, k=None, n=None):
         coeffs = list(coeffs)
+        if any(k not in (None, c.rows) or n not in (None, c.cols)
+               for c in coeffs):
+            raise ValueError(f"k={k}, n={n} disagree with the coefficients")
         while coeffs and coeffs[-1].is_zero():
             coeffs.pop()
         if coeffs:
@@ -485,10 +489,9 @@ def L_index(n, k, delta, nu):
 
 
 def field_L_index(n, k, delta):
-    """L for the residue-field code with the same (n,k,delta)."""
-    if k < 1 or n <= k:
-        raise InvalidParams(f"bad field parameters n={n}, k={k}")
-    return delta // k + delta // (n - k)
+    """L for the residue-field code with the same (n,k,delta): L_index at
+    nu = 1."""
+    return L_index(n, k, delta, 1)
 
 
 def embedding_preserves_L(n, k, delta):

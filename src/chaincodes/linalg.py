@@ -69,24 +69,6 @@ class RingMatrix:
         z = self.ring.zero
         return all(e == z for row in self.data for e in row)
 
-    def matmul(self, other):
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        ring = self.ring
-        out = []
-        for i in range(self.rows):
-            arow = self.data[i]
-            orow = []
-            for j in range(other.cols):
-                acc = ring.zero
-                for k in range(self.cols):
-                    a = arow[k]
-                    if a != ring.zero:
-                        acc = ring.add(acc, ring.mul(a, other.data[k][j]))
-                orow.append(acc)
-            out.append(orow)
-        return RingMatrix._canonical(ring, out, other.cols)
-
     def scalar_mul(self, c):
         ring = self.ring
         c = ring.coerce(c)
@@ -543,25 +525,20 @@ def standard_form(A):
 
 
 def gamma_standard_form(A):
-    """(G, perm): gamma-basis of the row module of the column-permuted A,
-    arranged in the layered gamma-standard-form pattern."""
+    """(G, perm): gamma-basis of the row module of the column-permuted A in
+    the layered gamma-standard-form pattern.  Layer b is standard_form of
+    the rows gamma^(b - e) * S_i of (S, perm) = standard_form(A) with level
+    e <= b; their pivots gamma^b stay in order on the diagonal, so it
+    permutes no column and clears only their later pivot columns."""
     ring = A.ring
     S, perm = standard_form(A)
     levels = [ring.valuation(S.data[i][i]) for i in range(S.rows)]
     out = []
-    for layer in range(ring.nu):
-        for i, e in enumerate(levels):
-            if e <= layer:
-                g = ring.gamma_power(layer - e)
-                v = [ring.mul(g, x) for x in S.data[i]]
-                # canonical reduction: clear the pivot columns of the
-                # higher-level rows of this layer
-                for j in range(i + 1, S.rows):
-                    ej = levels[j]
-                    if e < ej <= layer and v[j] != ring.zero:
-                        v = _sub_multiple(ring, v, ring.shift_down(v[j], ej),
-                                          S.data[j])
-                out.append(v)
+    for b in range(levels[0], ring.nu):
+        layer = RingMatrix._canonical(ring, [
+            [ring.mul(ring.gamma_power(b - e), x) for x in row]
+            for row, e in zip(S.data, levels) if e <= b], A.cols)
+        out += standard_form(layer)[0].data
     return RingMatrix._canonical(ring, out, A.cols), perm
 
 

@@ -4,14 +4,15 @@ compared against."""
 from itertools import combinations, product
 
 from chaincodes.conv import sliding_matrix
-from chaincodes.errors import CrossCheckFailed
+from chaincodes.errors import BudgetExceeded, CrossCheckFailed
 from chaincodes.fields import (_digits, _encode, _poly_mulmod, _poly_powmod,
                                factorize)
 from chaincodes.linalg import (RingMatrix, _min_valuation_pivot,
                                _sub_multiple, determinant, field_left_kernel,
                                field_rank, gamma_span_solve,
                                is_gamma_linearly_independent,
-                               residue_determinant, t_combination)
+                               residue_determinant, standard_form,
+                               t_combination)
 
 
 def message_weights(C, j):
@@ -306,3 +307,65 @@ def proper_index_pairs_by_generator(ell):
             for J in combinations(idx, s):
                 if all(i <= j for i, j in zip(I, J)):
                     yield I, J
+
+
+def matmul(A, B):
+    """The product A * B by the schoolbook sum, as a matrix of canonical
+    entries."""
+    if A.cols != B.rows:
+        raise ValueError("dimension mismatch")
+    ring = A.ring
+    out = []
+    for arow in A.data:
+        orow = []
+        for j in range(B.cols):
+            acc = ring.zero
+            for a, brow in zip(arow, B.data):
+                if a != ring.zero:
+                    acc = ring.add(acc, ring.mul(a, brow[j]))
+            orow.append(acc)
+        out.append(orow)
+    return RingMatrix._canonical(ring, out, B.cols)
+
+
+def min_distance_by_enumeration(code, budget):
+    """Minimum Hamming weight over all q^k codewords of a block code but
+    zero (None when there is none), with the budget counting the q^k
+    codewords; no column-distance walk is consulted."""
+    ring = code.ring
+    total = ring.q ** code.k
+    if total > budget:
+        raise BudgetExceeded(f"{total} codewords exceed budget {budget}",
+                             requested=total, allowed=budget)
+    best = None
+    for word in code.codewords():
+        w = sum(1 for e in word if e != ring.zero)
+        if w and (best is None or w < best):
+            best = w
+            if best == 1:
+                break
+    return best
+
+
+def gamma_standard_form_by_clearing(A):
+    """(G, perm) of the gamma-standard form by direct clearing: layer b
+    holds gamma^(b - e) * S_i for each row S_i of (S, perm) =
+    standard_form(A) with level e <= b, each with the pivot column of
+    every later row S_j of level e < e_j <= b cleared by the unscaled
+    S_j."""
+    ring = A.ring
+    S, perm = standard_form(A)
+    levels = [ring.valuation(S.data[i][i]) for i in range(S.rows)]
+    out = []
+    for layer in range(ring.nu):
+        for i, e in enumerate(levels):
+            if e <= layer:
+                g = ring.gamma_power(layer - e)
+                v = [ring.mul(g, x) for x in S.data[i]]
+                for j in range(i + 1, S.rows):
+                    ej = levels[j]
+                    if e < ej <= layer and v[j] != ring.zero:
+                        v = _sub_multiple(ring, v, ring.shift_down(v[j], ej),
+                                          S.data[j])
+                out.append(v)
+    return RingMatrix._canonical(ring, out, A.cols), perm

@@ -1,12 +1,17 @@
 import random
+from collections import Counter
+from itertools import product
+from math import ceil, log
 
 import pytest
 
-from chaincodes import zmod
+from chaincodes import GaloisRing, TruncatedPolyRing, zmod
 from chaincodes.block import (BlockCode, is_mds, min_distance_block,
                               nu_optimal_sets, singleton_bound_block)
+from chaincodes.conv import L_index, field_L_index, optimal_cd_bound
 from chaincodes.errors import BudgetExceeded, InvalidParams
-from chaincodes.linalg import RingMatrix
+from chaincodes.linalg import RingMatrix, gamma_basis
+from oracles import min_distance_by_enumeration
 
 
 def M(ring, rows):
@@ -109,3 +114,86 @@ def test_nu_optimal_sets_rejects_bad_input():
         nu_optimal_sets(-1, 2)
     with pytest.raises(InvalidParams):
         nu_optimal_sets(3, 0)
+
+
+# nu = 1, 2 and 3; digit and Teichmueller transversals
+BLOCK_RINGS = (zmod(2), zmod(5), GaloisRing(2, 1, 2), zmod(4), zmod(9),
+               zmod(9, convention="teichmuller"), zmod(25),
+               GaloisRing(2, 2, 2), TruncatedPolyRing(2, 2), zmod(8),
+               TruncatedPolyRing(2, 3), zmod(27),
+               zmod(27, convention="teichmuller"))
+
+
+def valued_matrix(ring, m, n, rng):
+    """Entries zero or a random element times a random power of gamma, so
+    that rows of several levels occur."""
+    els = list(ring.elements())
+    return RingMatrix(ring, [[
+        ring.zero if rng.random() < 0.3 else ring.mul(
+            ring.gamma_power(rng.randrange(ring.nu)), rng.choice(els))
+        for _ in range(n)] for _ in range(m)])
+
+
+def distance_outcome(find, code, budget):
+    try:
+        return "d", find(code, budget=budget)
+    except BudgetExceeded as exc:
+        return "budget", exc.requested, exc.allowed
+
+
+def test_min_distance_matches_enumeration():
+    rng = random.Random(19)
+    seen = Counter()
+    for ring in BLOCK_RINGS:
+        # at most about 10^3 codewords: k <= nu * m
+        most_rows = min(3, int(log(1000, ring.q ** ring.nu)))
+        for trial in range(120):
+            gen = valued_matrix(ring, rng.randint(1, most_rows),
+                                rng.randint(1, 5), rng)
+            if gen.is_zero():
+                continue
+            if trial % 2:
+                gen = gamma_basis(gen)
+            code = BlockCode(gen)
+            kept = code.encoder is gen
+            total = ring.q ** code.k
+            budget = rng.choice([10 ** 7, total, total - 1, total // 3,
+                                 10 ** 7])
+            got = distance_outcome(min_distance_block, code, budget)
+            assert got == distance_outcome(min_distance_by_enumeration,
+                                           code, budget), (gen.data, budget)
+            seen[ring.nu, kept, got[0]] += 1
+        for n in (1, 3):
+            code = BlockCode(RingMatrix.zeros(ring, 2, n))
+            assert code.k == 0
+            for budget in (0, 1):
+                got = distance_outcome(min_distance_block, code, budget)
+                assert got == distance_outcome(min_distance_by_enumeration,
+                                               code, budget)
+                assert got == (("d", None) if budget else ("budget", 1, 0))
+    assert sum(seen.values()) >= 1000
+    # every nu, with generators kept and converted, answers and overruns
+    assert {key for key in seen} >= set(product((1, 2, 3), (True, False),
+                                                ("d", "budget")))
+
+
+def test_singleton_bound_block_is_the_column_bound_at_j_0():
+    # 14 * 14 * 8 = 1,568 points, invalid ones included
+    for n, k, nu in product(range(-1, 13), range(-1, 13), range(-1, 7)):
+        if k >= 1 and nu >= 1 and n >= ceil(k / nu):
+            assert singleton_bound_block(n, k, nu) == n - ceil(k / nu) + 1 \
+                == optimal_cd_bound(0, n, k, nu)
+        else:
+            with pytest.raises(InvalidParams):
+                singleton_bound_block(n, k, nu)
+
+
+def test_field_L_index_is_L_index_at_nu_1():
+    # 14 * 12 * 23 = 3,864 points, invalid ones included
+    for n, k, delta in product(range(-1, 13), range(-1, 11), range(-2, 21)):
+        if k >= 1 and n > k:
+            assert field_L_index(n, k, delta) == \
+                delta // k + delta // (n - k) == L_index(n, k, delta, 1)
+        else:
+            with pytest.raises(InvalidParams):
+                field_L_index(n, k, delta)

@@ -505,3 +505,71 @@ def test_search_with_ell_zero_is_invalid(capsys):
     assert code == 2
     assert doc["results"]["error"] == {
         "type": "InvalidParams", "message": "search needs ell >= 1; got ell=0"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "mdp"], ["check", "gamma-basis"], ["distances", "--max-j", "1"],
+], ids=" ".join)
+@pytest.mark.parametrize("key, value", [("k", 5), ("n", 9)])
+def test_encoder_shape_that_disagrees_with_its_coefficients_exits_2(
+        capsys, golden, tmp_path, argv, key, value):
+    # the README code with a wrong k or n in its encoder object
+    obj = json.loads(golden["code322"].read_text())
+    obj["encoder"][key] = value
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(obj))
+    code, doc = run(capsys, *argv, "--code", str(path))
+    assert code == 2
+    assert doc["results"]["error"]["type"] == "CodeLoadError"
+    assert f"{key}={value}" in doc["results"]["error"]["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "mdp", "--code", "code.json", "--method", "minors",
+     "--budget", "-3"],
+    ["distances", "--code", "code.json", "--max-j", "1", "--budget", "-1"],
+    ["blockcode", "mindist", "--matrix", "m.json", "--budget", "-1"],
+    ["search", "superregular", "--ell", "3", "--ring", "z11",
+     "--strategy", "random", "--seed", "1", "--budget", "-5"]])
+def test_negative_budgets_are_usage_errors(capsys, argv):
+    assert_usage_error_report(capsys, argv)
+
+
+def test_zero_budget_is_a_budget(capsys, golden):
+    code, doc = run(capsys, "blockcode", "mindist", "--matrix",
+                    str(golden["matrix_z9"]), "--budget", "0")
+    assert code == 2
+    error = doc["results"]["error"]
+    assert (error["type"], error["requested"], error["allowed"]) == \
+        ("BudgetExceeded", 9, 0)
+
+
+def test_blockcode_mindist_walks_once(capsys, tmp_path, monkeypatch):
+    # 3 (1, 0, 2, 4) + 2 (0, 3, 6, 3) = (3, 6, 0, 0) has weight 2 and no
+    # nonzero word has weight 1; the Singleton bound is 4 - 1 + 1 = 3
+    from chaincodes import block
+    walks = []
+    real = block.column_distance
+
+    def counting(C, j, budget):
+        walks.append(j)
+        return real(C, j, budget=budget)
+
+    monkeypatch.setattr(block, "column_distance", counting)
+    path = tmp_path / "z9.json"
+    path.write_text(json.dumps(RingMatrix(zmod(9), [
+        [1, 0, 2, 4], [0, 3, 6, 3]]).to_json()))
+    code, doc = run(capsys, "blockcode", "mindist", "--matrix", str(path))
+    assert code == 0
+    assert doc["results"] == {"min_distance": 2, "singleton_bound": 3,
+                              "is_mds": False}
+    assert walks == [0]
+
+
+def test_blockcode_mindist_of_a_zero_matrix_exits_2(capsys, tmp_path):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(RingMatrix.zeros(zmod(9), 2, 3).to_json()))
+    code, doc = run(capsys, "blockcode", "mindist", "--matrix", str(path))
+    assert code == 2
+    assert doc["results"]["min_distance"] is None
+    assert doc["results"]["error"]["type"] == "InvalidParams"

@@ -77,6 +77,20 @@ def test_polymatrix_trims_and_degrees(z4):
         Z.row_degrees()
 
 
+def test_polymatrix_refuses_an_explicit_shape_its_coefficients_lack(z4):
+    A = M(z4, [[1, 1]])
+    for k, n in ((2, None), (None, 3), (5, 2), (1, 9)):
+        with pytest.raises(ValueError, match=f"k={k}, n={n}"):
+            PolyMatrix(z4, [A], k=k, n=n)
+    # a zero coefficient matrix is trimmed, but its shape still counts
+    with pytest.raises(ValueError):
+        PolyMatrix(z4, [A, M(z4, [[0, 0], [0, 0]])], k=1, n=2)
+    with pytest.raises(ValueError):
+        PolyMatrix(z4, [M(z4, [[0, 0]])], k=2, n=2)
+    assert PolyMatrix(z4, [A], k=1, n=2) == PolyMatrix(z4, [A])
+    assert PolyMatrix(z4, [M(z4, [[0, 0]])], k=1, n=2).degree == -1
+
+
 def test_leading_coefficient_matrix(z4):
     G = PM(z4, [[[1, 1], [2, 2]], [[1, 0], [2, 0]]])
     lcm = leading_coefficient_matrix(G)
@@ -712,6 +726,25 @@ def test_minors_verdicts_under_python_O():
 def test_distance_verdicts_under_python_O():
     assert run_under_python_O(DISTANCES_UNDER_O) == {
         "debug": False, "profile": [3, 5], "verdicts": [True, False]}
+
+
+# the Z9 block code of the CLI session: 3 (1, 0, 2, 4) + 2 (0, 3, 6, 3) =
+# (3, 6, 0, 0) has weight 2, no nonzero word has weight 1, and the
+# Singleton bound is 3
+BLOCK_UNDER_O = """
+import json
+from chaincodes import zmod
+from chaincodes.block import BlockCode, is_mds, min_distance_block
+from chaincodes.linalg import RingMatrix
+code = BlockCode(RingMatrix(zmod(9), [[1, 0, 2, 4], [0, 3, 6, 3]]))
+print(json.dumps({"debug": __debug__, "min_distance": min_distance_block(code),
+                  "is_mds": is_mds(code)}))
+"""
+
+
+def test_block_distance_under_python_O():
+    assert run_under_python_O(BLOCK_UNDER_O) == {
+        "debug": False, "min_distance": 2, "is_mds": False}
 
 
 def test_mdp_preconditions(z4, z121):

@@ -18,8 +18,9 @@ from chaincodes.linalg import (RingMatrix, determinant,
                                module_solve_left, parameters_of,
                                residue_determinant, shape_of, standard_form)
 from oracles import (determinant_by_elimination,
+                     gamma_standard_form_by_clearing,
                      generator_sequence_by_enumeration,
-                     independent_by_enumeration, is_unit_determinant)
+                     independent_by_enumeration, is_unit_determinant, matmul)
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +59,7 @@ def test_derived_matrices_equal_coerced_ones():
         c = rng.choice(list(ring.elements()))
         for got in (A.submatrix([2, 0], [1, 3]),
                     A.submatrix(range(A.rows), [3, 1]),
-                    A.stack(A), A.scalar_mul(c), A.matmul(B),
+                    A.stack(A), A.scalar_mul(c), matmul(A, B),
                     A.submatrix([], [0, 1])):
             again = RingMatrix(ring, [list(row) for row in got.data],
                                cols=got.cols)
@@ -189,7 +190,7 @@ def test_reduction_transforms_are_consistent():
         for A in cases:
             m, n = A.rows, A.cols
             exps, L, R = diagonal_reduction(A)
-            D = L.matmul(A).matmul(R)
+            D = matmul(matmul(L, A), R)
             for i in range(m):
                 for j in range(n):
                     want = (ring.gamma_power(exps[i])
@@ -584,6 +585,29 @@ def test_gamma_standard_form_invariants(z4, z9):
                 assert gamma_span_solve(G, list(row)) is not None
 
 
+def test_gamma_standard_form_matches_direct_clearing():
+    rng = random.Random(29)
+    rings = (zmod(2), zmod(5), GaloisRing(2, 1, 2), zmod(4), zmod(9),
+             zmod(9, convention="teichmuller"), zmod(121),
+             GaloisRing(2, 2, 2), GaloisRing(3, 2, 2),
+             TruncatedPolyRing(2, 2), TruncatedPolyRing(4, 2), zmod(8),
+             zmod(27, convention="teichmuller"), TruncatedPolyRing(3, 3),
+             zmod(16))
+    compared = 0
+    for ring in rings:
+        for _ in range(240):
+            A = sparse_matrix(ring, rng.randint(1, 4), rng.randint(1, 5), rng)
+            if A.is_zero():
+                with pytest.raises(ZeroMatrix):
+                    gamma_standard_form(A)
+                continue
+            G, perm = gamma_standard_form(A)
+            H, want = gamma_standard_form_by_clearing(A)
+            assert (G.data, G.cols, perm) == (H.data, H.cols, want), A.data
+            compared += 1
+    assert compared >= 3000
+
+
 # --------------------------------------------------------------- determinant
 
 def test_determinant_examples():
@@ -630,8 +654,8 @@ def test_determinant_multiplicative(z4, z9):
             n = rng.randint(1, 3)
             A = random_matrix(ring, n, n, rng)
             B = random_matrix(ring, n, n, rng)
-            assert determinant(A.matmul(B)) == ring.mul(determinant(A),
-                                                        determinant(B))
+            assert determinant(matmul(A, B)) == ring.mul(determinant(A),
+                                                         determinant(B))
             # residue path commutes with projection
             assert residue_determinant(A) == ring.project(determinant(A))
 

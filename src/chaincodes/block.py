@@ -8,15 +8,13 @@ still counts all q^k messages) and Singleton bound the j = 0 column bound.
 
 from __future__ import annotations
 
-from itertools import product
 from math import ceil
 
 from .conv import (DEFAULT_DISTANCE_BUDGET, ConvCode, PolyMatrix,
                    column_distance, optimal_cd_bound)
 from .errors import BudgetExceeded, InvalidParams
 from .linalg import (RingMatrix, gamma_basis, gamma_dimension,
-                     is_gamma_generator_sequence, parameters_of, shape_of,
-                     t_combination)
+                     is_gamma_generator_sequence, parameters_of, shape_of)
 
 
 class BlockCode:
@@ -44,13 +42,6 @@ class BlockCode:
 
     def parameters(self):
         return parameters_of(self.source)
-
-    def codewords(self):
-        """All q^k codewords (with repetition impossible: rows are a
-        gamma-basis)."""
-        ring, rows = self.ring, self.encoder.data
-        for digits in product(ring.representatives(), repeat=self.k):
-            yield tuple(t_combination(ring, digits, rows, self.n))
 
     def __repr__(self):
         return f"BlockCode(n={self.n}, k={self.k}, ring={self.ring!r})"

@@ -192,12 +192,18 @@ def is_polynomial_gamma_basis(G: PolyMatrix):
     polynomials a_i not all zero, the coefficient of the lowest power z^s
     in any a_i is sum a_(i,s) G_0[i] = 0, a T-dependency of the rows of
     G_0.  Any other encoder is decided on the shifted rows z^t g_i,
-    t <= deg G, cut from S_(2 deg G), which miss a dependency with
-    higher-degree digits."""
-    ring = G.ring
-    m = max(G.degree, 0)
-    shifts = range(m + 1)
-    S = sliding_matrix(G, 2 * m)
+    t <= top, cut from S_(top + deg G).  Over a field (nu = 1), T = F and
+    top = (k - 1) deg G is exact.  If the rows have rank r < k, take r
+    independent rows I, a row i not in I and r columns J with minor(I, J)
+    != 0.  For every column c, the singular matrix on rows I + {i} and
+    columns J + {c} expands along c to sum a_l(z) g_l(z)_c = 0, a_l the
+    signed minors on J: so sum a_l g_l = 0 with a_i = +-minor(I, J) != 0
+    and deg a_l <= r deg G <= top.  At nu > 1, top = deg G misses a
+    dependency with higher-degree digits."""
+    ring, m = G.ring, max(G.degree, 0)
+    top = (G.k - 1) * m if ring.nu == 1 else m
+    shifts = range(top + 1)
+    S = sliding_matrix(G, top + m)
     for i in range(G.k - 1, -1, -1):
         target = tuple(ring.mul(ring.gamma, e) for e in S.data[i])
         tail = _shifted_rows(S, G.k, range(i + 1, G.k), shifts)
@@ -257,7 +263,7 @@ class ConvCode:
         self.k = encoder.k
         self._reduced = None
         self._distances = {}  # j -> d_j, each walked once
-        self._multiples = None  # see _walk_rows
+        self._steps = None  # see _walk_rows
         self._reversed = None  # see _reversed_code
 
     def reduced(self):
@@ -351,69 +357,72 @@ def column_distance(C: ConvCode, j, budget=DEFAULT_DISTANCE_BUDGET):
     return C._distances[j]
 
 
-def _walk_rows(C: ConvCode, j):
-    """(rows, s) of column_distance's walk: the s socle heads, then block
-    rows 1..j of S_j, row a of block row b being row a of [G_0 | G_1 | ...]
-    after b zero blocks; the coordinate tables are built once per code."""
-    ring, k, s = C.ring, C.k, len(C._pivots)
+def _row_steps(ring, row):
+    """For t < q - 1, the (coordinate, value, entry index) triples of the
+    nonzero additive coordinates of (reps[t+1] - reps[t]) row."""
+    reps = ring.representatives()
     _, coords = ring.additive_coords()
-    if C._multiples is None:
-        rows = [[ring.mul(ring.gamma_power(ring.nu - 1 - e), x) for x in row]
-                for row, e, _ in C._pivots]
-        rows += C._rows.data
-        # [r][t]: coordinates of reps[t] times head r, then row r - s
-        C._multiples = [[[c for e in row for c in coords(ring.mul(t, e))]
-                         for t in ring.representatives()] for row in rows]
-    nd = C.n * len(coords(ring.zero))
-    width = (j + 1) * nd
-    return [[([0] * (b * nd) + m + [0] * width)[:width]
-             for m in C._multiples[r]]
+    d = len(coords(ring.zero))
+    return [[(p * d + i, x, p) for p, e in enumerate(row)
+             for i, x in enumerate(coords(ring.mul(t, e))) if x]
+            for t in map(ring.sub, reps[1:], reps)]
+
+
+def _walk_rows(C: ConvCode, j):
+    """(steps, s, length) of column_distance's walk: the Gray steps of the
+    s socle heads, then of block rows 1..j of S_j (row a of [G_0 | G_1 |
+    ...] after b zero blocks in block row b), cut to the length (j+1) n of
+    S_j; the steps of the s + k rows are built once per code."""
+    ring, k, n, s = C.ring, C.k, C.n, len(C._pivots)
+    if C._steps is None:
+        heads = [[ring.mul(ring.gamma_power(ring.nu - 1 - e), x) for x in row]
+                 for row, e, _ in C._pivots]
+        C._steps = [_row_steps(ring, row) for row in [*heads, *C._rows.data]]
+    length, d = (j + 1) * n, len(ring.additive_coords()[1](ring.zero))
+    return [[[(c + b * n * d, v, p + b * n) for c, v, p in step
+              if p + b * n < length] for step in C._steps[r]]
             for b, r in [(0, r) for r in range(s)] + [
-                (b, s + a) for b in range(1, j + 1) for a in range(k)]], s
+                (b, s + a) for b in range(1, j + 1) for a in range(k)]
+            ], s, length
 
 
-def _normalised_weights(ring, rows, s):
-    """The weight of sum_r reps[u_r] row r for each T-message u whose first
-    nonzero digit is 1, at r < s, rows[r][t] holding the additive
-    coordinates of reps[t] times row r: (q^s - 1)/(q - 1) q^(N-s) messages
-    of N rows (all normalised ones of S_j for block row 0 as s = k heads).
-    For each r the later digits run in reflected q-ary Gray order (Knuth,
-    TAOCP 4A, 7.2.1.1, Algorithm H), the last rows fastest; each step adds
-    one sparse (t' - t) times a row in additive coordinates and updates
-    per-position counts of nonzero coordinates."""
+def _normalised_weights(ring, rows, s, length):
+    """The weight of sum_r reps[u_r] row r, a word of `length` positions,
+    for each T-message u whose first nonzero digit is 1, at r < s, rows[r]
+    being the Gray steps of row r (_row_steps): (q^s - 1)/(q - 1) q^(N-s)
+    messages of N rows (all normalised ones of S_j for block row 0 as
+    s = k heads).  Head r starts from its t = 0 step, the row itself, and
+    the later digits run in reflected q-ary Gray order (Knuth, TAOCP 4A,
+    7.2.1.1, Algorithm H), the last rows fastest: a digit moving up from t
+    adds step t, one moving down to t subtracts it."""
     reps = ring.representatives()
     if reps[0] != ring.zero or reps[1] != ring.one:
         raise CrossCheckFailed("transversal does not start with 0 and 1")
-    q, N = ring.q, len(rows)
     M, coords = ring.additive_coords()
-    d = len(coords(ring.zero))
+    q, N, width = ring.q, len(rows), length * len(coords(ring.zero))
     vecs = rows[::-1]  # vecs[i]: row N-1-i, Gray digit i
-
-    def delta(new, old):
-        return [(c, (x - y) % M, c // d)
-                for c, (x, y) in enumerate(zip(new, old)) if x != y]
-
-    up = [[delta(v[t + 1], v[t]) for t in range(q - 1)] for v in vecs]
-    down = [[delta(v[t], v[t + 1]) for t in range(q - 1)] for v in vecs]
     for r in range(s):
         m = N - 1 - r  # free digits 0..m-1 are the rows after r
-        acc = list(vecs[m][1])
-        nz = [sum(1 for x in acc[p:p + d] if x) for p in range(0, len(acc), d)]
+        acc, nz = [0] * width, [0] * length
+        for c, v, pos in vecs[m][0]:
+            acc[c] = v
+            nz[pos] += 1
         weight = sum(1 for x in nz if x)
         yield weight
         a, o, f = [0] * m, [1] * m, list(range(m + 1))
         while f[0] < m:
             i = f[0]
             f[0] = 0
-            t = a[i] = a[i] + o[i]
-            step = up[i][t - 1] if o[i] > 0 else down[i][t]
+            sign = o[i]
+            t = a[i] = a[i] + sign
+            step = vecs[i][t - 1 if sign > 0 else t]
             if t == 0 or t == q - 1:
-                o[i] = -o[i]
+                o[i] = -sign
                 f[i] = f[i + 1]
                 f[i + 1] = i + 1
             for c, v, pos in step:
                 old = acc[c]
-                new = acc[c] = (old + v) % M
+                new = acc[c] = (old + sign * v) % M
                 if not old:
                     nz[pos] += 1
                     weight += nz[pos] == 1

@@ -178,6 +178,19 @@ def polynomial_gamma_basis_by_stacking(G):
     return True
 
 
+def field_rows_independent_by_stacking(G):
+    """Whether the rows of G(z) over a field (nu = 1) are linearly
+    independent over F[z], decided by the field rank of the shifted rows
+    z^t * g_i, t <= k deg G, cut from S_((k+1) deg G): digit degree one
+    step past the (k - 1) deg G that Cramer's rule needs."""
+    m = max(G.degree, 0)
+    top = G.k * m
+    S = sliding_matrix(G, top + m)
+    proj = S.residue_rows()
+    rows = [proj[t * G.k + i] for i in range(G.k) for t in range(top + 1)]
+    return field_rank(G.ring.residue, rows) == len(rows)
+
+
 def is_unit_determinant(A):
     """Unit-determinant test; the ring path and the residue-field path are
     both evaluated and must agree."""
@@ -328,6 +341,14 @@ def matmul(A, B):
     return RingMatrix._canonical(ring, out, B.cols)
 
 
+def block_codewords(code):
+    """All q^k codewords of a block code, the T-combinations of its
+    encoder's rows (with repetition impossible: rows are a gamma-basis)."""
+    ring, rows = code.ring, code.encoder.data
+    for digits in product(ring.representatives(), repeat=code.k):
+        yield tuple(t_combination(ring, digits, rows, code.n))
+
+
 def min_distance_by_enumeration(code, budget):
     """Minimum Hamming weight over all q^k codewords of a block code but
     zero (None when there is none), with the budget counting the q^k
@@ -338,7 +359,7 @@ def min_distance_by_enumeration(code, budget):
         raise BudgetExceeded(f"{total} codewords exceed budget {budget}",
                              requested=total, allowed=budget)
     best = None
-    for word in code.codewords():
+    for word in block_codewords(code):
         w = sum(1 for e in word if e != ring.zero)
         if w and (best is None or w < best):
             best = w

@@ -11,7 +11,7 @@ from chaincodes.block import (BlockCode, is_mds, min_distance_block,
 from chaincodes.conv import L_index, field_L_index, optimal_cd_bound
 from chaincodes.errors import BudgetExceeded, InvalidParams
 from chaincodes.linalg import RingMatrix, gamma_basis
-from oracles import min_distance_by_enumeration
+from oracles import block_codewords, min_distance_by_enumeration
 
 
 def M(ring, rows):
@@ -40,7 +40,7 @@ def test_block_code_keeps_gamma_basis(z4):
 
 def test_codeword_count_and_min_distance(z4):
     code = BlockCode(M(z4, [[1, 1]]))
-    words = set(code.codewords())
+    words = set(block_codewords(code))
     assert len(words) == z4.q ** code.k == 4
     assert min_distance_block(code) == 2
 

@@ -137,6 +137,25 @@ def test_check_gamma_basis_of_a_non_basis_exits_1(capsys, tmp_path):
     assert doc["results"]["error"]["type"] == "CodeLoadError"
 
 
+def test_check_gamma_basis_of_three_rows_in_f5_z_squared_exits_1(
+        capsys, tmp_path):
+    # G(z) = [[1+3z, 4+4z], [4, 1+4z], [2, 4+3z]]: not delay-free, and its
+    # dependency needs digits of degree 2
+    z5 = zmod(5)
+    G = PolyMatrix(z5, [RingMatrix(z5, [[1, 4], [4, 1], [2, 4]]),
+                        RingMatrix(z5, [[3, 4], [0, 4], [0, 3]])])
+    path = tmp_path / "z5_three_rows.json"
+    path.write_text(json.dumps({"ring": z5.descriptor(), "n": 2,
+                                "encoder": G.to_json()}))
+    code, doc = run(capsys, "check", "gamma-basis", "--code", str(path))
+    assert code == 1
+    assert doc["results"]["gamma-basis"] is False
+    for prop in ("delay-free", "mdp"):
+        code, doc = run(capsys, "check", prop, "--code", str(path))
+        assert code == 2
+        assert doc["results"]["error"]["type"] == "CodeLoadError"
+
+
 @pytest.mark.parametrize("coeff_rows, claimed, error", [
     # rows z and 3z have no gamma-degree
     ([[[0], [0]], [[1], [3]]], {"delta": 2}, "NotReduced"),
@@ -477,6 +496,11 @@ def test_cli_import_leaves_out_slow_stdlib_modules():
     imported = set(run_python(IMPORTED_BY_CLI).split())
     assert "chaincodes.cli" in imported
     assert not {"dataclasses", "inspect", "fractions"} & imported
+    # the runtime is stdlib-only: every module the CLI loads is the
+    # standard library's or the package's own
+    assert {name for name in imported
+            if name.partition(".")[0] not in sys.stdlib_module_names
+            and name.partition(".")[0] != "chaincodes"} == set()
 
 
 def test_matrix_with_negative_sizes_is_invalid(capsys, tmp_path):

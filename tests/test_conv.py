@@ -24,7 +24,7 @@ from chaincodes.conv import (DISTANCES, MINORS, ConvCode, DistanceBounds,
                              leading_coefficient_matrix, optimal_cd_bound,
                              reverse_encoder, sliding_matrix,
                              _minors_condition, _normalised_weights,
-                             _walk_rows)
+                             _row_steps, _walk_rows)
 from chaincodes.errors import (BudgetExceeded, CodeLoadError, InvalidParams,
                                NotDelayFree, NotReduced, NuNotDividingK,
                                PreconditionViolated, UnequalRowDegrees,
@@ -33,7 +33,8 @@ from chaincodes.linalg import (RingMatrix, gamma_dimension,
                                is_gamma_generator_sequence,
                                is_gamma_linearly_independent, parameters_of)
 from chaincodes.rings import TruncatedPolyRing, residue_ring
-from oracles import (column_distance_oracle, message_weights,
+from oracles import (column_distance_oracle,
+                     field_rows_independent_by_stacking, message_weights,
                      minors_condition_oracle,
                      polynomial_gamma_basis_by_stacking, socle_message_weights,
                      stacked_independence)
@@ -221,6 +222,56 @@ def test_delay_free_lemma_and_stacked_decision(ring):
     assert verdicts[True, True] >= 5 and verdicts[True, False] >= 5, verdicts
 
 
+def test_three_rows_in_f5_z_squared_are_not_a_gamma_basis():
+    # rows of degree 1 over Z5 whose dependency needs digits of degree 2
+    # (its digits are the 2 x 2 minors); not delay-free
+    z5 = zmod(5)
+    G = PM(z5, [[[1, 4], [4, 1], [2, 4]], [[3, 4], [0, 4], [0, 3]]])
+    assert not is_delay_free(G)
+    assert stacked_independence(G)  # shifts t <= deg G miss it
+    assert not field_rows_independent_by_stacking(G)
+    assert not is_polynomial_gamma_basis(G)
+    with pytest.raises(ValueError):
+        ConvCode(z5, 2, G)
+
+
+def delay_row(G, a):
+    """G with row a multiplied by z."""
+    zero = [G.ring.zero] * G.n
+    return PolyMatrix(G.ring, [M(G.ring, [
+        (G.coefficient(t - 1).row(i) if t else zero) if i == a
+        else G.coefficient(t).row(i) for i in range(G.k)])
+        for t in range(G.degree + 2)], k=G.k, n=G.n)
+
+
+@pytest.mark.parametrize("ring", [
+    zmod(2), zmod(3), zmod(5), TruncatedPolyRing(4, 1)], ids=repr)
+def test_field_encoders_match_the_stacking_oracle(ring):
+    # over a field the stack to shift (k - 1) deg G decides independence;
+    # the oracle stacks one shift further, to k deg G
+    rng = random.Random(2020)
+    els = list(ring.elements())
+    verdicts, wider = Counter(), 0
+    for _ in range(150):
+        k, m = rng.randint(1, 4), rng.randint(0, 2)
+        n = rng.randint(max(1, k - 1), k + 1)
+        G = PolyMatrix(ring, [M(ring, [[rng.choice(els) for _ in range(n)]
+                                       for _ in range(k)])
+                              for _ in range(m + 1)], k=k, n=n)
+        if rng.random() < 0.4:
+            G = delay_row(G, rng.randrange(k))
+        verdict = is_polynomial_gamma_basis(G)
+        assert verdict == field_rows_independent_by_stacking(G), G.coeffs
+        delay_free = is_delay_free(G)
+        verdicts[k > n, delay_free, verdict] += 1
+        wider += stacked_independence(G) and not verdict
+    assert verdicts[True, False, True] == 0, verdicts
+    assert verdicts[False, False, True] >= 5, verdicts
+    assert verdicts[False, False, False] >= 5, verdicts
+    assert verdicts[True, False, False] >= 5, verdicts
+    assert wider >= 1, verdicts
+
+
 @pytest.mark.parametrize("ring", [
     zmod(4), zmod(8), zmod(9), zmod(27), TruncatedPolyRing(4, 2),
     GaloisRing(2, 2, 2)], ids=repr)
@@ -382,12 +433,9 @@ def oracle_weights(C):
 
 def full_walk(C, j):
     """The Gray walk with block row 0 of S_j as its k heads."""
-    ring = C.ring
-    _, coords = ring.additive_coords()
-    return _normalised_weights(ring, [
-        [[c for e in row for c in coords(ring.mul(t, e))]
-         for t in ring.representatives()]
-        for row in sliding_matrix(C.encoder, j).data], C.k)
+    S = sliding_matrix(C.encoder, j)
+    return _normalised_weights(
+        C.ring, [_row_steps(C.ring, row) for row in S.data], C.k, S.cols)
 
 
 def assert_walk_matches_oracle(C, j, weights):
@@ -484,6 +532,49 @@ def stand_in(G):
     """What the walk and the oracle read of a code, for rows that ConvCode
     need not accept."""
     return SimpleNamespace(ring=G.ring, n=G.n, k=G.k, encoder=G)
+
+
+def test_socle_walk_cuts_and_pads_the_row_steps():
+    from chaincodes.constructions import lift_from_residue_field
+    z9 = zmod(9)
+    g = [[[1, 2, 4]], [[5, 0, 7]], [[2, 8, 1]]]
+    cut = ConvCode(z9, 3, PM(z9, [[row[0], [3 * e for e in row[0]]]
+                                  for row in g]))
+    padded = lift_from_residue_field(PM(zmod(2), [[[1, 1]], [[0, 1]]]),
+                                     zmod(4))
+    # the steps of [G_0 | G_1 | G_2] are cut to S_0 and S_1 and fit S_2,
+    # those of [G_0 | G_1] are padded to S_2 and S_3; both walks have
+    # s = 1 head for k = 2 rows
+    assert (cut._rows.cols, padded._rows.cols) == (9, 4)
+    assert len(cut._pivots) == len(padded._pivots) == 1
+    assert assert_matches_oracle(cut) == 3
+    assert assert_matches_oracle(padded) == 4
+
+
+def test_row_steps_are_built_once_per_code(z121, monkeypatch):
+    from chaincodes import conv
+    built = []
+    real = conv._row_steps
+
+    def counting(ring, row):
+        built.append(len(row))
+        return real(ring, row)
+
+    monkeypatch.setattr(conv, "_row_steps", counting)
+    C = ConvCode(z121, 3, PM(z121, [[[1, 2, 1], [11, 22, 11]],
+                                    [[1, 3, 4], [11, 33, 44]]]))
+    assert built == []
+    per_code = len(C._pivots) + C.k
+    assert distance_profile(C, 1) == (3, 5)
+    assert len(built) == per_code
+    assert column_distance(C, 2) >= 5
+    assert is_mdp(C, DISTANCES)
+    assert len(built) == per_code
+    R = conv._reversed_code(C)
+    assert is_reverse_mdp(C, DISTANCES)
+    assert len(built) == per_code + len(R._pivots) + R.k
+    assert is_reverse_mdp(C, DISTANCES)
+    assert len(built) == per_code + len(R._pivots) + R.k
 
 
 def test_convcode_refuses_rows_the_walk_would_misread():

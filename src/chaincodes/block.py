@@ -36,6 +36,7 @@ class BlockCode:
         else:
             self.encoder = gamma_basis(generator)
         self.k = self.encoder.rows
+        self._conv = None  # see min_distance_block
 
     def shape(self):
         return shape_of(self.source)
@@ -49,8 +50,9 @@ class BlockCode:
 
 def min_distance_block(code: BlockCode, budget=DEFAULT_DISTANCE_BUDGET):
     """Minimum Hamming weight over the nonzero codewords (None for k = 0):
-    d_0 of the degree-0 code of the encoder, a validated gamma-basis, whose
-    walk visits (q^s - 1)/(q - 1) of the q^k messages the budget counts."""
+    d_0 of the encoder's degree-0 code, a validated gamma-basis built once
+    per block code, whose walk visits (q^s - 1)/(q - 1) of the q^k
+    messages the budget counts."""
     ring = code.ring
     total = ring.q ** code.k
     if total > budget:
@@ -58,8 +60,9 @@ def min_distance_block(code: BlockCode, budget=DEFAULT_DISTANCE_BUDGET):
                              requested=total, allowed=budget)
     if not code.k:
         return None
-    return column_distance(ConvCode(ring, code.n, PolyMatrix(
-        ring, [code.encoder])), 0, budget=budget)
+    if code._conv is None:
+        code._conv = ConvCode(ring, code.n, PolyMatrix(ring, [code.encoder]))
+    return column_distance(code._conv, 0, budget=budget)
 
 
 def singleton_bound_block(n, k, nu):

@@ -111,8 +111,8 @@ def is_gamma_superregular(spec: ToeplitzSpec, cross_check=True):
     Toeplitz submatrix, so only pairs with i_1 = 1 are walked.  With
     cross_check set, the ring determinants of all proper minors must give
     the same verdict (CrossCheckFailed otherwise)."""
-    field = spec.ring.residue
-    ell = spec.size
+    ring, ell = spec.ring, spec.size
+    field = ring.residue
 
     def walk(rows, first, lo, pivots):
         # rows[k] is row first + k; the first `pivots` of them may be i
@@ -128,13 +128,15 @@ def is_gamma_superregular(spec: ToeplitzSpec, cross_check=True):
                         return False
         return True
 
-    A = spec.materialize()
-    verdict = walk(A.residue_rows(), 0, 0, 1)
-    if cross_check and verdict != all(
-            spec.ring.valuation(linalg.determinant(A.submatrix(
+    a = [ring.project(x) for x in spec.first_row]
+    verdict = walk([[field.zero] * i + a[:ell - i] for i in range(ell)],
+                   0, 0, 1)
+    if cross_check:
+        A = spec.materialize()
+        if verdict != all(ring.valuation(linalg.determinant(A.submatrix(
                 [i - 1 for i in I], [j - 1 for j in J]))) == 0
-            for I, J in proper_index_pairs(ell)):
-        raise CrossCheckFailed("walk and ring determinants disagree")
+                for I, J in proper_index_pairs(ell)):
+            raise CrossCheckFailed("walk and ring determinants disagree")
     return verdict
 
 

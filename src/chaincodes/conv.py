@@ -206,10 +206,11 @@ def is_polynomial_gamma_basis(G: PolyMatrix):
     S = sliding_matrix(G, top + m)
     for i in range(G.k - 1, -1, -1):
         target = tuple(ring.mul(ring.gamma, e) for e in S.data[i])
-        tail = _shifted_rows(S, G.k, range(i + 1, G.k), shifts)
-        if (any(e != ring.zero for e in target) and target not in tail.data
-                and not module_solve_left(tail, target)):
-            return False
+        if any(e != ring.zero for e in target):
+            tail = _shifted_rows(S, G.k, range(i + 1, G.k), shifts)
+            if (target not in tail.data
+                    and not module_solve_left(tail, target)):
+                return False
     return (gamma_dimension(G.coefficient(0)) == G.k
             or is_gamma_linearly_independent(
                 _shifted_rows(S, G.k, range(G.k), shifts)))

@@ -44,9 +44,13 @@ class RingMatrix:
     def _canonical(cls, ring, data, cols):
         """Matrix of rows of canonical entries (entries of library matrices
         or results of ring operations), which are not coerced again."""
+        return cls._of_tuples(ring, tuple(map(tuple, data)), cols)
+
+    @classmethod
+    def _of_tuples(cls, ring, data, cols):
+        """_canonical for a tuple of row tuples, which is kept as it is."""
         M = cls.__new__(cls)
-        M.ring, M.rows, M.cols = ring, len(data), cols
-        M.data = tuple(map(tuple, data))
+        M.ring, M.rows, M.cols, M.data = ring, len(data), cols, data
         return M
 
     @classmethod
@@ -78,13 +82,14 @@ class RingMatrix:
     def stack(self, other):
         if other.cols != self.cols or other.ring != self.ring:
             raise ValueError("dimension or ring mismatch")
-        return RingMatrix._canonical(self.ring, self.data + other.data,
+        return RingMatrix._of_tuples(self.ring, self.data + other.data,
                                      self.cols)
 
     def submatrix(self, row_idx, col_idx):
-        return RingMatrix._canonical(self.ring,
-                                     [[self.data[i][j] for j in col_idx]
-                                      for i in row_idx], len(col_idx))
+        data = self.data
+        return RingMatrix._of_tuples(self.ring, tuple([
+            tuple([data[i][j] for j in col_idx]) for i in row_idx]),
+            len(col_idx))
 
     def residue_rows(self):
         """Projection to the residue field, as lists of field codes."""
@@ -545,17 +550,31 @@ def gamma_standard_form(A):
 # ---------------------------------------------------------------------------
 # determinants
 
+def _cofactor_determinant(R, W):
+    """det of a block of at most 3 rows by cofactors, in a ring or field R."""
+    mul, sub = R.mul, R.sub
+    if len(W) == 3:
+        (a, b, c), (d, e, f), (g, h, i) = W
+        return R.add(sub(mul(a, sub(mul(e, i), mul(f, h))),
+                         mul(b, sub(mul(d, i), mul(f, g)))),
+                     mul(c, sub(mul(d, h), mul(e, g))))
+    if len(W) == 2:
+        (a, b), (c, d) = W
+        return sub(mul(a, d), mul(b, c))
+    return W[0][0] if W else R.one
+
+
 def determinant(A):
     """Exact determinant by valuation-pivoted elimination of the first
-    column (divisions only by units) down to a 2x2 block, which is ad - bc,
-    or a 1x1 block, which is its entry."""
+    column (divisions only by units) down to a block of at most 3 rows,
+    which is expanded by cofactors."""
     ring = A.ring
     if A.rows != A.cols:
         raise NotSquare("determinant needs a square matrix")
     mul, shift_down = ring.mul, ring.shift_down
     W = list(A.data)
     det = ring.one
-    while len(W) > 2:
+    while len(W) > 3:
         best = _min_valuation_pivot(ring, W, range(len(W)), (0,))
         if best is None:
             return ring.zero
@@ -575,23 +594,16 @@ def determinant(A):
                 f = mul(shift_down(row[0], e), inv_unit)
                 trailing.append(_sub_multiple(ring, row[1:], f, tail))
         W = trailing
-    if len(W) == 2:
-        (a, b), (c, d) = W
-        return mul(det, ring.sub(mul(a, d), mul(b, c)))
-    return mul(det, W[0][0]) if W else det
+    return mul(det, _cofactor_determinant(ring, W))
 
 
 def residue_determinant(A):
-    """det of the projection, in the residue field: ad - bc and a for
-    sizes 2 and 1, field_echelon beyond.  It never reads the ring
-    determinant, so each of the two checks the other."""
+    """det of the projection, each entry projected once: by cofactors up
+    to 3 rows, field_echelon beyond.  It never reads the ring determinant,
+    so the two check each other by separate arithmetic."""
     if A.rows != A.cols:
         raise NotSquare("determinant needs a square matrix")
-    field, proj = A.ring.residue, A.ring.project
-    if A.rows == 2:
-        (a, b), (c, d) = A.data
-        return field.sub(field.mul(proj(a), proj(d)),
-                         field.mul(proj(b), proj(c)))
-    if A.rows == 1:
-        return proj(A.data[0][0])
-    return field_echelon(field, A.residue_rows())[2]
+    field, rows = A.ring.residue, A.residue_rows()
+    if A.rows > 3:
+        return field_echelon(field, rows)[2]
+    return _cofactor_determinant(field, rows)

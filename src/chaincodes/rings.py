@@ -250,31 +250,51 @@ class GaloisRing(ChainRing):
             rows.append(tuple((shifted[i] + lead * rows[0][i]) % self.pr
                               for i in range(s)))
         self._red_rows = rows
+        if s == 1:
+            self._bind_zmod_ops()
+
+    def _bind_zmod_ops(self):
+        """Fix Z_{p^r} ops on the one coordinate as instance attributes."""
+        p, m, r = self.p, self.pr, self.r
+
+        def valuation(a):
+            c, v = a[0], 0
+            while not c % p:
+                if not c:
+                    return r
+                c //= p
+                v += 1
+            return v
+
+        def invert_unit(a):
+            try:
+                return (pow(a[0], -1, m),)
+            except ValueError:
+                raise NotAUnit(f"{a} has positive valuation") from None
+
+        self.add = lambda a, b: ((a[0] + b[0]) % m,)
+        self.sub = lambda a, b: ((a[0] - b[0]) % m,)
+        self.neg = lambda a: (-a[0] % m,)
+        self.mul = lambda a, b: (a[0] * b[0] % m,)
+        self.project = lambda a: a[0] % p
+        self.valuation, self.invert_unit = valuation, invert_unit
 
     # --- coordinate arithmetic --------------------------------------------
 
     def add(self, a, b):
         m = self.pr
-        if self.s == 1:
-            return ((a[0] + b[0]) % m,)
         return tuple([(x + y) % m for x, y in zip(a, b)])
 
     def sub(self, a, b):
         m = self.pr
-        if self.s == 1:
-            return ((a[0] - b[0]) % m,)
         return tuple([(x - y) % m for x, y in zip(a, b)])
 
     def neg(self, a):
         m = self.pr
-        if self.s == 1:
-            return ((-a[0]) % m,)
         return tuple([(-x) % m for x in a])
 
     def mul(self, a, b):
         s, m = self.s, self.pr
-        if s == 1:
-            return ((a[0] * b[0]) % m,)
         full = [0] * (2 * s - 1)
         for i, ai in enumerate(a):
             if ai:
@@ -288,14 +308,6 @@ class GaloisRing(ChainRing):
                 for k in range(s):
                     res[k] = (res[k] + c * row[k]) % m
         return tuple(res)
-
-    def invert_unit(self, a):
-        if self.s == 1:
-            try:
-                return (pow(a[0], -1, self.pr),)
-            except ValueError:
-                raise NotAUnit(f"{a} has positive valuation") from None
-        return super().invert_unit(a)
 
     def valuation(self, a):
         best = self.r
@@ -318,10 +330,7 @@ class GaloisRing(ChainRing):
         return tuple(c // d for c in a)
 
     def project(self, a):
-        p = self.p
-        if self.s == 1:
-            return a[0] % p
-        return self.residue.from_coords([c % p for c in a])
+        return self.residue.from_coords([c % self.p for c in a])
 
     def lift(self, code):
         cached = self._lift_cache.get(code)
@@ -347,6 +356,9 @@ class GaloisRing(ChainRing):
         return self.pr, tuple
 
     # --- identity ----------------------------------------------------------
+
+    def __reduce__(self):  # rebuilt, since the bound ops do not pickle
+        return GaloisRing, self.key[1:]
 
     def descriptor(self):
         return {"family": "galois", "p": self.p, "r": self.r, "s": self.s,

@@ -177,6 +177,28 @@ def test_min_distance_matches_enumeration():
                                                 ("d", "budget")))
 
 
+def test_degree_0_code_is_built_once_per_block_code(monkeypatch):
+    from chaincodes import conv
+    z9 = zmod(9)
+    validated = []
+    real = conv.is_polynomial_gamma_basis
+
+    def counting(G):
+        validated.append(G)
+        return real(G)
+
+    monkeypatch.setattr(conv, "is_polynomial_gamma_basis", counting)
+    code = BlockCode(M(z9, [[1, 2, 4, 5], [0, 3, 3, 6]]))
+    total = 3 ** code.k
+    d = min_distance_block(code)
+    assert min_distance_block(code) == min_distance_block(code, total) == d \
+        == min_distance_by_enumeration(code, total)
+    assert len(validated) == 1
+    with pytest.raises(BudgetExceeded) as exc:
+        min_distance_block(code, total - 1)
+    assert (exc.value.requested, exc.value.allowed) == (total, total - 1)
+
+
 def test_singleton_bound_block_is_the_column_bound_at_j_0():
     # 14 * 14 * 8 = 1,568 points, invalid ones included
     for n, k, nu in product(range(-1, 13), range(-1, 13), range(-1, 7)):

@@ -181,6 +181,23 @@ def test_cross_check_reads_ring_determinants(monkeypatch, z11, first,
         is_gamma_superregular(spec, cross_check=True)
 
 
+def test_walk_projects_the_first_row_only(monkeypatch):
+    # the walk's residue rows come from the ell projected entries of the
+    # first row; only the cross-check reads the ring matrix
+    z121 = zmod(121)
+    real, projected = z121.project, []
+
+    def counting(a):
+        projected.append(a)
+        return real(a)
+
+    monkeypatch.setattr(z121, "project", counting)
+    monkeypatch.setattr(ToeplitzSpec, "materialize", None)
+    spec = ToeplitzSpec(z121, (1, 2, 1, 1, 3))
+    assert is_gamma_superregular(spec, cross_check=False)
+    assert projected == list(spec.first_row)
+
+
 def test_superregular_iff_residue_superregular(z121, z11):
     rng = random.Random(29)
     for _ in range(40):

@@ -176,6 +176,31 @@ def test_delay_free_encoder_is_not_stacked(code322, z4, monkeypatch):
     assert not is_delay_free(G)
 
 
+def test_field_generator_half_stacks_no_tail(monkeypatch):
+    # at nu = 1 gamma kills every row, so no tail of later rows is stacked;
+    # the one stack is that of all k rows at shifts t <= (k - 1) deg G
+    from chaincodes import conv
+    z5 = zmod(5)
+    rng = random.Random(404)
+    coeffs = [[[rng.randrange(5) for _ in range(5)] for _ in range(4)]
+              for _ in range(3)]
+    coeffs[0][3] = [0] * 5  # row 3 starts at z: not delay-free
+    G = PM(z5, coeffs)
+    assert G.degree == 2 and not is_delay_free(G)
+    stacked = []
+    real = conv._shifted_rows
+
+    def counting(S, k, row_idx, shifts):
+        out = real(S, k, row_idx, shifts)
+        stacked.append(out.rows)
+        return out
+
+    monkeypatch.setattr(conv, "_shifted_rows", counting)
+    assert is_polynomial_gamma_basis(G) == \
+        field_rows_independent_by_stacking(G)
+    assert stacked == [4 * 7]
+
+
 def random_encoder(ring, rng):
     """A k x n encoder of degree 0..2 with sparse entries; in about half of
     them each row after the first is gamma times the row above it with

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -126,6 +127,45 @@ def test_invert_unit_by_pow_matches_the_exponent_formula(m):
         else:
             with pytest.raises(NotAUnit):
                 ring.invert_unit(a)
+
+
+@pytest.mark.parametrize("m", [4, 8, 9, 25, 27, 121])
+def test_zmod_bound_ops_equal_the_general_methods(m):
+    # Z_{p^r} fixes its ops per ring; the s-tuple methods of the class,
+    # called on the same ring, must give the same answers for every pair
+    ring = zmod(m)
+    general = {name: getattr(GaloisRing, name).__get__(ring)
+               for name in ("add", "sub", "neg", "mul", "project",
+                            "valuation", "invert_unit")}
+    for name in general:
+        assert name in vars(ring), name
+    elements = list(ring.elements())
+    for a in elements:
+        for name in ("neg", "project", "valuation"):
+            assert getattr(ring, name)(a) == general[name](a), (name, a)
+        if a[0] % ring.p:
+            assert ring.invert_unit(a) == general["invert_unit"](a), a
+        else:
+            for invert in (ring.invert_unit, general["invert_unit"]):
+                with pytest.raises(NotAUnit):
+                    invert(a)
+        for b in elements:
+            for name in ("add", "sub", "mul"):
+                assert getattr(ring, name)(a, b) == general[name](a, b), \
+                    (name, a, b)
+    assert ring.valuation(ring.zero) == general["valuation"](ring.zero) \
+        == ring.r
+
+
+@pytest.mark.parametrize("ring", [zmod(9), zmod(25, convention="teichmuller"),
+                                  GaloisRing(3, 2, 2),
+                                  TruncatedPolyRing(4, 2)], ids=repr)
+def test_rings_survive_pickling(ring):
+    copy = pickle.loads(pickle.dumps(ring))
+    assert copy == ring and copy.convention == ring.convention
+    a, b = list(ring.elements())[-2:]
+    assert copy.mul(a, b) == ring.mul(a, b)
+    assert copy.valuation(ring.gamma) == 1
 
 
 # (p, r, s): GR(121,5), GR(8,3), GR(27,2), GR(16,2)

@@ -13,8 +13,7 @@ from math import ceil
 from .conv import (DEFAULT_DISTANCE_BUDGET, ConvCode, PolyMatrix,
                    column_distance, optimal_cd_bound)
 from .errors import BudgetExceeded, InvalidParams
-from .linalg import (RingMatrix, gamma_basis, gamma_dimension,
-                     is_gamma_generator_sequence, parameters_of, shape_of)
+from .linalg import RingMatrix, gamma_basis, parameters_of, shape_of
 
 
 class BlockCode:
@@ -22,21 +21,21 @@ class BlockCode:
 
     Any generator matrix is accepted; if its rows are not already a
     gamma-basis of the row module it is converted through gamma_basis and
-    the original is kept in `source`."""
+    the original is kept in `source`.  The decision is the validation of
+    the degree-0 convolutional code of the generator, which is kept."""
 
     def __init__(self, generator: RingMatrix):
-        self.ring = generator.ring
-        self.n = generator.cols
-        self.source = generator
-        # a gamma-generator sequence is a gamma-basis exactly when its
-        # gamma-dimension is its row count
-        if (is_gamma_generator_sequence(generator)
-                and gamma_dimension(generator) == generator.rows):
-            self.encoder = generator
-        else:
+        self.ring = ring = generator.ring
+        self.n = n = generator.cols
+        self.source = self.encoder = generator
+        try:
+            self._conv = ConvCode(ring, n, PolyMatrix(ring, [generator],
+                                                      generator.rows, n))
+        except ValueError:  # the rows are not a gamma-basis
             self.encoder = gamma_basis(generator)
+            self._conv = ConvCode(ring, n, PolyMatrix(
+                ring, [self.encoder], self.encoder.rows, n))
         self.k = self.encoder.rows
-        self._conv = None  # see min_distance_block
 
     def shape(self):
         return shape_of(self.source)
@@ -50,9 +49,9 @@ class BlockCode:
 
 def min_distance_block(code: BlockCode, budget=DEFAULT_DISTANCE_BUDGET):
     """Minimum Hamming weight over the nonzero codewords (None for k = 0):
-    d_0 of the encoder's degree-0 code, a validated gamma-basis built once
-    per block code, whose walk visits (q^s - 1)/(q - 1) of the q^k
-    messages the budget counts."""
+    d_0 of the encoder's degree-0 code, validated when the block code was
+    built, whose walk visits (q^s - 1)/(q - 1) of the q^k messages the
+    budget counts."""
     ring = code.ring
     total = ring.q ** code.k
     if total > budget:
@@ -60,8 +59,6 @@ def min_distance_block(code: BlockCode, budget=DEFAULT_DISTANCE_BUDGET):
                              requested=total, allowed=budget)
     if not code.k:
         return None
-    if code._conv is None:
-        code._conv = ConvCode(ring, code.n, PolyMatrix(ring, [code.encoder]))
     return column_distance(code._conv, 0, budget=budget)
 
 

@@ -17,7 +17,7 @@ from math import comb, isqrt
 
 from . import linalg
 from .conv import (ConvCode, PolyMatrix, _minors_condition,
-                   _residue_sliding_rows, is_reduced)
+                   _residue_sliding_rows, _sliding_rows, is_reduced)
 from .errors import (MALFORMED, BadCounts, BudgetExceeded,
                      CrossCheckFailed, DependentRows, InvalidParams,
                      NotReduced, NotSuperregular, SizeMismatch)
@@ -45,15 +45,13 @@ class ToeplitzSpec(namedtuple("ToeplitzSpec", "ring first_row")):
         return len(self.first_row)
 
     def materialize(self) -> RingMatrix:
-        ring = self.ring
-        ell = self.size
-        a = self.first_row
-        rows = [[a[j - i] if j >= i else ring.zero for j in range(ell)]
-                for i in range(ell)]
-        return RingMatrix._canonical(ring, rows, ell)
+        """The sliding matrix of the 1 x 1 blocks a_1, ..., a_ell."""
+        ring, ell = self.ring, self.size
+        return RingMatrix._canonical(ring, _sliding_rows(
+            [[[a]] for a in self.first_row], ell - 1, [[ring.zero]]), ell)
 
     def reversed_spec(self):
-        return ToeplitzSpec(self.ring, self.first_row[::-1])
+        return self._replace(first_row=self.first_row[::-1])
 
     def to_json(self):
         ring = self.ring
@@ -95,8 +93,7 @@ def proper_index_pairs(ell):
     idx = range(1, ell + 1)
     return tuple((I, J) for s in range(1, ell + 1)
                  for I in combinations(idx, s)
-                 for J in combinations(idx, s)
-                 if all(i <= j for i, j in zip(I, J)))
+                 for J in combinations(idx, s) if is_proper(I, J))
 
 
 def is_gamma_superregular(spec: ToeplitzSpec, cross_check=True):
@@ -313,5 +310,6 @@ def search_superregular(ell, ring, strategy=EXHAUSTIVE, seed=None,
         raise InvalidParams(f"unknown strategy {strategy!r}")
     check = is_reverse_gamma_superregular if reverse \
         else is_gamma_superregular
-    specs = (ToeplitzSpec(ring, (ring.one,) + tail) for tail in tails)
+    # the tails are canonical elements already, so none is coerced again
+    specs = (ToeplitzSpec._make((ring, (ring.one,) + tail)) for tail in tails)
     return [spec for spec in specs if check(spec, cross_check=False)]

@@ -17,9 +17,10 @@ from math import ceil
 from .errors import (BudgetExceeded, CodeLoadError, CrossCheckFailed,
                      InvalidParams, NotDelayFree, NotReduced, NuNotDividingK,
                      PreconditionViolated, UnequalRowDegrees, ZeroRow)
-from .linalg import (RingMatrix, _pivot_rows, diagonal_exponents,
-                     field_clear_column, gamma_dimension,
-                     is_gamma_linearly_independent, module_solve_left)
+from .linalg import (RingMatrix, _gamma_multiples_in_later_rows, _pivot_rows,
+                     _shifted_rows, diagonal_exponents, field_clear_column,
+                     gamma_dimension, is_gamma_linearly_independent,
+                     module_solve_left)
 from .rings import make_ring
 
 DISTANCES = "distances"
@@ -164,24 +165,19 @@ def _residue_sliding_rows(G: PolyMatrix, j: int):
 # ---------------------------------------------------------------------------
 # bounded-degree polynomial linear algebra
 
-def _shifted_rows(S, k, row_idx, shifts):
-    """The rows z^t * row_i(z) of G, i-major, as rows t*k + i of the
-    sliding matrix S of G."""
-    return RingMatrix._canonical(S.ring, [S.data[t * k + i] for i in row_idx
-                                          for t in shifts], S.cols)
-
-
 def is_polynomial_gamma_basis(G: PolyMatrix):
     """Whether the rows of G(z) form a gamma-basis of their module: they
     are a gamma-generator sequence over T[z] and gamma-linearly independent.
 
-    Generator sequence, decided first.  From the last row up, gamma g_i
-    passes when it is zero, a shifted later row, or in their row module
-    (module_solve_left).  A pass is proven, and at degree 0 the answer is
-    exact: by induction from the last row the R[z]-span of a polynomial
-    gamma-generator sequence is its T[z]-span, since c(z) = t(z) +
-    gamma a'(z) with t(z) in T[z] gives c g_j = t g_j + a' (gamma g_j),
-    with gamma g_j in the span of the later rows.
+    Generator sequence, decided first, by the walk of
+    is_gamma_generator_sequence (_gamma_multiples_in_later_rows) on the
+    rows of S.  From the last row up, gamma g_i passes when it is zero, a
+    shifted later row, or in their row module (module_solve_left).  A
+    pass is proven, and at degree 0 the answer is exact: by induction
+    from the last row the R[z]-span of a polynomial gamma-generator
+    sequence is its T[z]-span, since c(z) = t(z) + gamma a'(z) with t(z)
+    in T[z] gives c g_j = t g_j + a' (gamma g_j), with gamma g_j in the
+    span of the later rows.
 
     Independence.  The constant terms of those passes put gamma G_0[i] in
     the R-span of the rows of G_0 after i (a shifted row z^t g_j, t > 0,
@@ -204,16 +200,10 @@ def is_polynomial_gamma_basis(G: PolyMatrix):
     top = (G.k - 1) * m if ring.nu == 1 else m
     shifts = range(top + 1)
     S = sliding_matrix(G, top + m)
-    for i in range(G.k - 1, -1, -1):
-        target = tuple(ring.mul(ring.gamma, e) for e in S.data[i])
-        if any(e != ring.zero for e in target):
-            tail = _shifted_rows(S, G.k, range(i + 1, G.k), shifts)
-            if (target not in tail.data
-                    and not module_solve_left(tail, target)):
-                return False
-    return (gamma_dimension(G.coefficient(0)) == G.k
-            or is_gamma_linearly_independent(
-                _shifted_rows(S, G.k, range(G.k), shifts)))
+    return _gamma_multiples_in_later_rows(S, G.k, shifts) and (
+        gamma_dimension(G.coefficient(0)) == G.k
+        or is_gamma_linearly_independent(
+            _shifted_rows(S, G.k, range(G.k), shifts)))
 
 
 def is_free_code(G: PolyMatrix):

@@ -228,17 +228,14 @@ def t_combination(ring, digits, rows, n):
 
 def iter_span(field, basis):
     """All nonzero combinations of `basis` (list of row vectors)."""
-    d = len(basis)
-    m = len(basis[0]) if basis else 0
-    for coeffs in product(field.elements(), repeat=d):
+    axpy, m = field.axpy, len(basis[0]) if basis else 0
+    for coeffs in product(field.elements(), repeat=len(basis)):
         if not any(coeffs):
             continue
         vec = [0] * m
         for c, brow in zip(coeffs, basis):
             if c:
-                for j in range(m):
-                    if brow[j]:
-                        vec[j] = field.add(vec[j], field.mul(c, brow[j]))
+                vec = axpy(vec, c, brow)
         yield vec
 
 
@@ -427,6 +424,29 @@ def _lifted_solution(A, target, candidates):
     return None
 
 
+def _shifted_rows(S, k, row_idx, shifts):
+    """The rows z^t * row_i(z) of G, i-major, as rows t*k + i of the
+    sliding matrix S of G."""
+    return RingMatrix._canonical(S.ring, [S.data[t * k + i] for i in row_idx
+                                          for t in shifts], S.cols)
+
+
+def _gamma_multiples_in_later_rows(S, k, shifts):
+    """Whether, for i = k - 1 down to 0, gamma * S[i] is zero, one of the
+    later rows _shifted_rows(S, k, range(i + 1, k), shifts), or in their
+    row module (module_solve_left).  The later rows are stacked only for a
+    nonzero gamma * S[i], so at nu = 1 none are."""
+    gamma, zero, mul = S.ring.gamma, S.ring.zero, S.ring.mul
+    for i in range(k - 1, -1, -1):
+        target = tuple(mul(gamma, e) for e in S.data[i])
+        if any(e != zero for e in target):
+            tail = _shifted_rows(S, k, range(i + 1, k), shifts)
+            if (target not in tail.data
+                    and not module_solve_left(tail, target)):
+                return False
+    return True
+
+
 def is_gamma_generator_sequence(A):
     """True iff gamma * last row == 0 and, for every earlier row,
     gamma * row_i is a T-combination of the rows after it.
@@ -443,17 +463,7 @@ def is_gamma_generator_sequence(A):
     gamma*g_j is zero (always for j = m) or a T-combination of the rows
     after j.  So c*g_j plus an R-combination of g_(j+1)..g_m is t*g_j plus
     another one, which is a T-combination by induction."""
-    ring = A.ring
-    gamma, zero = ring.gamma, ring.zero
-    later = set()
-    for i in range(A.rows - 1, -1, -1):
-        g = tuple(ring.mul(gamma, e) for e in A.data[i])
-        if (any(e != zero for e in g) and g not in later
-                and not module_solve_left(RingMatrix._canonical(
-                    ring, A.data[i + 1:], A.cols), g)):
-            return False
-        later.add(A.data[i])
-    return True
+    return _gamma_multiples_in_later_rows(A, A.rows, (0,))
 
 
 def is_gamma_linearly_independent(A):

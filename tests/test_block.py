@@ -8,10 +8,13 @@ import pytest
 from chaincodes import GaloisRing, TruncatedPolyRing, zmod
 from chaincodes.block import (BlockCode, is_mds, min_distance_block,
                               nu_optimal_sets, singleton_bound_block)
-from chaincodes.conv import L_index, field_L_index, optimal_cd_bound
+from chaincodes.conv import (L_index, PolyMatrix, field_L_index,
+                             is_polynomial_gamma_basis, optimal_cd_bound)
 from chaincodes.errors import BudgetExceeded, InvalidParams
-from chaincodes.linalg import RingMatrix, gamma_basis
-from oracles import block_codewords, min_distance_by_enumeration
+from chaincodes.linalg import (RingMatrix, gamma_basis, gamma_dimension,
+                               is_gamma_generator_sequence)
+from oracles import (block_codewords, generator_sequence_by_enumeration,
+                     independent_by_enumeration, min_distance_by_enumeration)
 
 
 def M(ring, rows):
@@ -178,25 +181,84 @@ def test_min_distance_matches_enumeration():
 
 
 def test_degree_0_code_is_built_once_per_block_code(monkeypatch):
+    # the constructor validates the generator's degree-0 code, and that of
+    # its gamma_basis when the generator is not one; min_distance_block
+    # reads the kept code and validates nothing
     from chaincodes import conv
     z9 = zmod(9)
     validated = []
     real = conv.is_polynomial_gamma_basis
 
     def counting(G):
-        validated.append(G)
+        validated.append(G.k)
         return real(G)
 
     monkeypatch.setattr(conv, "is_polynomial_gamma_basis", counting)
     code = BlockCode(M(z9, [[1, 2, 4, 5], [0, 3, 3, 6]]))
+    assert code.k == 3 and validated == [2, 3]
     total = 3 ** code.k
     d = min_distance_block(code)
     assert min_distance_block(code) == min_distance_block(code, total) == d \
         == min_distance_by_enumeration(code, total)
-    assert len(validated) == 1
+    assert validated == [2, 3]
+    again = BlockCode(code.encoder)
+    assert again.encoder is code.encoder and validated == [2, 3, 3]
     with pytest.raises(BudgetExceeded) as exc:
         min_distance_block(code, total - 1)
     assert (exc.value.requested, exc.value.allowed) == (total, total - 1)
+
+
+# the rings of the seeded gamma-basis gate comparison
+GATE_RINGS = (zmod(4), zmod(9), zmod(25), GaloisRing(2, 2, 2),
+              TruncatedPolyRing(2, 2))
+
+
+def edited_generators(ring, rng, count):
+    """Seeded generators of at most 4 rows, one in ten with none and half
+    of the others the first rows of a gamma-basis, with up to two rows then
+    replaced by zero, by gamma times another row, by a copy of one or by
+    its sum with one."""
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        rows = [list(row) for row in
+                valued_matrix(ring, rng.randint(1, 3), n, rng).data]
+        if rng.random() < 0.5:
+            rows = [list(row) for row in gamma_basis(M(ring, rows)).data]
+        del rows[0 if rng.random() < 0.1 else 4:]
+        for _ in range(rng.randint(0, 2) if rows else 0):
+            i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+            rows[i] = rng.choice([
+                [ring.zero] * n, list(rows[j]),
+                [ring.mul(ring.gamma, e) for e in rows[j]],
+                [ring.add(x, y) for x, y in zip(rows[i], rows[j])]])
+        yield RingMatrix(ring, rows, cols=n)
+
+
+@pytest.mark.parametrize("ring", GATE_RINGS, ids=repr)
+def test_block_code_keeps_exactly_the_gamma_bases(ring):
+    # the degree-0 code's validation, the matrix predicates and the
+    # enumeration oracles agree on which generators are gamma-bases
+    rng = random.Random(22)
+    seen = Counter()
+    for A in edited_generators(ring, rng, 120):
+        code = BlockCode(A)
+        kept = code.encoder is A
+        assert kept == is_polynomial_gamma_basis(
+            PolyMatrix(ring, [A], A.rows, A.cols)) == (
+            is_gamma_generator_sequence(A)
+            and gamma_dimension(A) == A.rows) == (
+            generator_sequence_by_enumeration(A)
+            and independent_by_enumeration(A)), A.data
+        assert code.k == gamma_dimension(A)
+        got = distance_outcome(min_distance_block, code, 5 ** 5)
+        assert got == distance_outcome(min_distance_by_enumeration, code,
+                                       5 ** 5), A.data
+        seen[kept, A.rows == 0, got[0]] += 1
+    # 0-row generators are kept; others are kept and converted, and most
+    # codes are small enough to enumerate
+    assert {(True, True, "d"), (True, False, "d"), (False, False, "d")} \
+        <= set(seen)
+    assert sum(n for key, n in seen.items() if key[2] == "d") >= 90
 
 
 def test_singleton_bound_block_is_the_column_bound_at_j_0():

@@ -447,22 +447,34 @@ def _distinct_draws(ell, ring, seed, budget):
     (3, zmod(11), 1, 60), (4, zmod(13), 5, 150), (4, zmod(121), 9, 150),
     (3, GaloisRing(2, 2, 2), 2, 100), (3, TruncatedPolyRing(4, 2), 3, 80)],
     ids=repr)
-def test_search_candidates_are_the_distinct_draws_or_all_tails(ell, ring,
-                                                                seed, budget):
+def test_search_candidates_are_the_distinct_draws_or_all_tails(
+        ell, ring, seed, budget, monkeypatch):
+    coerced = []
+    real = type(ring).coerce
+    monkeypatch.setattr(type(ring), "coerce",
+                        lambda self, x: coerced.append(x) or real(self, x))
+
+    def searched(**kwargs):
+        # the tails are canonical elements: no candidate, nor its reverse,
+        # is coerced again during a search
+        before = len(coerced)
+        hits = search_superregular(ell, ring, reverse=reverse, **kwargs)
+        assert len(coerced) == before
+        return hits
+
     for reverse in (False, True):
         check = is_reverse_gamma_superregular if reverse \
             else is_gamma_superregular
         want = [(ring.one,) + t for t in _distinct_draws(ell, ring, seed,
                                                           budget)
                 if check(ToeplitzSpec(ring, (ring.one,) + t))]
-        hits = search_superregular(ell, ring, strategy=RANDOM, seed=seed,
-                                   budget=budget, reverse=reverse)
+        hits = searched(strategy=RANDOM, seed=seed, budget=budget)
         assert [h.first_row for h in hits] == want
         if ring.size() ** (ell - 1) <= 400:
             want = [(ring.one,) + t
                     for t in product(ring.elements(), repeat=ell - 1)
                     if check(ToeplitzSpec(ring, (ring.one,) + t))]
-            hits = search_superregular(ell, ring, reverse=reverse)
+            hits = searched()
             assert [h.first_row for h in hits] == want
 
 

@@ -178,8 +178,9 @@ def test_delay_free_encoder_is_not_stacked(code322, z4, monkeypatch):
 
 def test_field_generator_half_stacks_no_tail(monkeypatch):
     # at nu = 1 gamma kills every row, so no tail of later rows is stacked;
-    # the one stack is that of all k rows at shifts t <= (k - 1) deg G
-    from chaincodes import conv
+    # the one stack is that of all k rows at shifts t <= (k - 1) deg G.
+    # The walk stacks through linalg, the independence half through conv
+    from chaincodes import conv, linalg
     z5 = zmod(5)
     rng = random.Random(404)
     coeffs = [[[rng.randrange(5) for _ in range(5)] for _ in range(4)]
@@ -196,6 +197,7 @@ def test_field_generator_half_stacks_no_tail(monkeypatch):
         return out
 
     monkeypatch.setattr(conv, "_shifted_rows", counting)
+    monkeypatch.setattr(linalg, "_shifted_rows", counting)
     assert is_polynomial_gamma_basis(G) == \
         field_rows_independent_by_stacking(G)
     assert stacked == [4 * 7]

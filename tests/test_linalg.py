@@ -5,6 +5,7 @@ import pytest
 
 from chaincodes import GaloisRing, TruncatedPolyRing, zmod
 from chaincodes.block import BlockCode
+from chaincodes.conv import ConvCode, PolyMatrix, is_polynomial_gamma_basis
 from chaincodes.errors import BudgetExceeded, NotSquare, ZeroMatrix
 from chaincodes import linalg
 from chaincodes.linalg import (RingMatrix, determinant,
@@ -365,10 +366,46 @@ def test_generator_sequence_matches_enumeration(ring):
     assert kinds == {(True, True), (True, False), (False, False)}
 
 
+def delay_free_encoders(ring, seed, count=20):
+    """Seeded gamma-bases over R[z] of degree 1 to 3: rows h_1(z), ...,
+    h_k0(z) whose constant terms have independent projections, then gamma
+    times them, layer by layer, with one later row times 1 or z added to
+    an earlier one in about half of them (a unimodular row operation)."""
+    rng = random.Random(seed)
+    els = list(ring.elements())
+    field = ring.residue
+    made = 0
+    while made < count:
+        k0, m = rng.randint(1, 2), rng.randint(1, 2)
+        n = k0 + rng.randint(0, 1)
+        layer = [[[rng.choice(els) for _ in range(n)] for _ in range(k0)]
+                 for _ in range(m + 1)]
+        if field_rank(field, M(ring, layer[0]).residue_rows()) < k0:
+            continue
+        coeffs = []
+        for h in layer:
+            rows = []
+            for b in range(ring.nu):
+                g = ring.gamma_power(b)
+                rows += [[ring.mul(g, e) for e in row] for row in h]
+            coeffs.append(rows)
+        if rng.random() < 0.5 and len(coeffs[0]) > 1:
+            i = rng.randrange(len(coeffs[0]) - 1)
+            j = rng.randrange(i + 1, len(coeffs[0]))
+            t = rng.randint(0, 1)
+            coeffs.append([[ring.zero] * n for _ in coeffs[0]])
+            for d in range(len(coeffs) - 1 - t, -1, -1):
+                coeffs[d + t][i] = [ring.add(x, y) for x, y in
+                                    zip(coeffs[d + t][i], coeffs[d][j])]
+        made += 1
+        yield PolyMatrix(ring, [M(ring, c) for c in coeffs])
+
+
 @pytest.mark.parametrize("ring", GENSEQ_RINGS, ids=repr)
 def test_generator_sequence_check_enumerates_nothing(ring, monkeypatch):
     mats = list(mixed_sequences(ring, 13))
     expected = [generator_sequence_by_enumeration(A) for A in mats]
+    encoders = list(delay_free_encoders(ring, 13))
 
     def boom(*args):
         raise AssertionError("the generator-sequence check enumerated")
@@ -376,6 +413,10 @@ def test_generator_sequence_check_enumerates_nothing(ring, monkeypatch):
     monkeypatch.setattr(linalg, "iter_span", boom)
     monkeypatch.setattr(linalg, "_lifted_solution", boom)
     assert [is_gamma_generator_sequence(A) for A in mats] == expected
+    # the same walk validates delay-free encoders with no enumeration
+    for G in encoders:
+        assert is_polynomial_gamma_basis(G), G.coeffs
+        assert ConvCode(ring, G.n, G).delay_free()
 
 
 def test_generator_sequence_past_the_oracle_budget():

@@ -555,27 +555,40 @@ def _minors_condition(field, rows, L, n, k0):
     them to the child.  With no pivot the prefix is dependent, so every
     selection through it fails and the answer is False.  At a single
     position a nonzero column is enough; at the last two, two columns
-    have rank 2 exactly when both are nonzero and differ once each is
-    scaled to a first nonzero entry of 1, so one sweep keeps the scaled
-    next-to-last candidates and tests each last one against earlier ones."""
+    have rank 2 exactly when both are nonzero and their keys differ: the
+    column scaled to a first nonzero entry of 1, or with two rows left (as
+    for field and lifted codes) y * x^-1 for (x, y), -1 (no code) if x = 0.
+    One sweep keeps the next-to-last keys and tests each last one."""
     inv, mul = field.inv, field.mul
     need, total = (L + 1) * k0, (L + 1) * n
     # admissible choices for position c: t_(s*k0+1) > s*n (1-based)
     last_lo = (need - 1) // k0 * n if (need - 1) % k0 == 0 else 0
 
     def last_two(rows, lo):
+        first_last = max(lo + 1, last_lo)  # after some next-to-last t' < t
         seen = set()
+        if len(rows) == 2:
+            r0, r1 = rows
+            for t in range(lo, total):
+                x, y = r0[t], r1[t]
+                if x or y:
+                    key = mul(y, inv(x)) if x else -1
+                    if t >= first_last and key in seen:
+                        return False
+                    seen.add(key)
+                elif t >= first_last or t < total - 1:
+                    return False
+            return True
         for t in range(lo, total):
             col = [row[t] for row in rows]
             head = next(filter(None, col), 0)
-            last = t > lo and t >= last_lo  # after some next-to-last t' < t
             if head:
                 f = inv(head)
                 col = tuple([mul(f, e) for e in col])
-                if last and col in seen:
+                if t >= first_last and col in seen:
                     return False
                 seen.add(col)
-            elif last or t < total - 1:
+            elif t >= first_last or t < total - 1:
                 return False
         return True
 

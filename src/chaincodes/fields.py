@@ -333,13 +333,16 @@ class ExtField(_Field):
         log, exp, zech, n = self._log, self._exp, self._zech, self.q - 1
         lf = log[f]
         out = []
+        append = out.append
         for x, y in zip(xs, ys):
-            if y and x:
-                z = zech[(lf + log[y] - log[x]) % n]
-                x = 0 if z < 0 else exp[(log[x] + z) % n]
-            elif y:
-                x = exp[(lf + log[y]) % n]
-            out.append(x)
+            if not y:
+                append(x)
+            elif x:
+                lx = log[x]
+                z = zech[(lf + log[y] - lx) % n]
+                append(0 if z < 0 else exp[(lx + z) % n])
+            else:
+                append(exp[(lf + log[y]) % n])
         return out
 
     def inv(self, a):

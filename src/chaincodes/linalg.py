@@ -177,16 +177,16 @@ def field_clear_column(field, rows, start, prow, c):
     A row that is zero at c is left as it is; any other row is replaced
     by zeros up to c followed by its updated entries after c, so entries
     before c are not read from either row.  Row lists are never changed,
-    only replaced."""
-    axpy, mul = field.axpy, field.mul
-    hits = [i for i in range(start, len(rows)) if rows[i][c]]
-    if hits:
-        f0 = field.neg(field.inv(prow[c]))
-        head = [field.zero] * (c + 1)
-        tail = prow[c + 1:]
-        for i in hits:
-            row = rows[i]
-            rows[i] = head + axpy(row[c + 1:], mul(row[c], f0), tail)
+    only replaced.  The factor is made at the first row to clear."""
+    f0 = None
+    for i in range(start, len(rows)):
+        x = rows[i][c]
+        if x:
+            if f0 is None:
+                axpy, mul = field.axpy, field.mul
+                f0 = field.neg(field.inv(prow[c]))
+                head, tail = [field.zero] * (c + 1), prow[c + 1:]
+            rows[i] = head + axpy(rows[i][c + 1:], mul(x, f0), tail)
 
 
 def field_rank(field, rows):
@@ -608,12 +608,18 @@ def determinant(A):
 
 
 def residue_determinant(A):
-    """det of the projection, each entry projected once: by cofactors up
-    to 3 rows, field_echelon beyond.  It never reads the ring determinant,
-    so the two check each other by separate arithmetic."""
+    """det of the projection, entries projected straight into cofactors
+    up to 3 rows, by field_echelon beyond.  It never reads the ring
+    determinant, so the two check each other by separate arithmetic."""
     if A.rows != A.cols:
         raise NotSquare("determinant needs a square matrix")
-    field, rows = A.ring.residue, A.residue_rows()
+    field, proj = A.ring.residue, A.ring.project
+    if A.rows == 2:
+        (a, b), (c, d) = A.data
+        return field.sub(field.mul(proj(a), proj(d)),
+                         field.mul(proj(b), proj(c)))
+    if A.rows == 1:
+        return proj(A.data[0][0])
     if A.rows > 3:
-        return field_echelon(field, rows)[2]
-    return _cofactor_determinant(field, rows)
+        return field_echelon(field, A.residue_rows())[2]
+    return _cofactor_determinant(field, [[*map(proj, row)] for row in A.data])

@@ -1,6 +1,7 @@
 """Brute-force reference enumerators that the fast library paths are
 compared against."""
 
+from collections import Counter
 from itertools import combinations, product
 
 from chaincodes.conv import sliding_matrix
@@ -104,6 +105,25 @@ def minors_condition_oracle(S, L, n, k0):
     proj = S.residue_rows()
     return all(field_rank(field, [[row[c] for c in subset] for row in proj])
                == need for subset in _admissible_column_subsets(L, n, k0))
+
+
+class CountingField:
+    """A field whose method calls are counted by name in `calls`; every
+    attribute is the wrapped field's."""
+
+    def __init__(self, field):
+        self.field = field
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        attr = getattr(self.field, name)
+        if not callable(attr):
+            return attr
+
+        def counted(*args):
+            self.calls[name] += 1
+            return attr(*args)
+        return counted
 
 
 def independent_by_enumeration(A):

@@ -33,7 +33,7 @@ from chaincodes.linalg import (RingMatrix, gamma_dimension,
                                is_gamma_generator_sequence,
                                is_gamma_linearly_independent, parameters_of)
 from chaincodes.rings import TruncatedPolyRing, residue_ring
-from oracles import (column_distance_oracle,
+from oracles import (CountingField, column_distance_oracle,
                      field_rows_independent_by_stacking, message_weights,
                      minors_condition_oracle,
                      polynomial_gamma_basis_by_stacking, socle_message_weights,
@@ -950,7 +950,9 @@ def random_sparse_matrix(ring, rows, cols, density, rng):
 
 @pytest.mark.parametrize("ring", [
     GaloisRing(3, 1, 1), GaloisRing(2, 1, 2),      # fields
+    GaloisRing(3, 1, 2),                           # odd p: neg is no copy
     zmod(4), zmod(9), GaloisRing(2, 2, 2),         # Galois rings
+    GaloisRing(3, 2, 2),
     TruncatedPolyRing(2, 2), TruncatedPolyRing(4, 2)], ids=repr)
 def test_minors_condition_matches_oracle(ring):
     # L <= 3, k0 <= 3 and k0 - 1 <= n <= k0 + 3, so need = (L + 1) k0 runs
@@ -991,6 +993,51 @@ def test_minors_condition_matches_oracle(ring):
     assert min(verdicts[True], verdicts[False]) >= 15, verdicts
     assert {1, 2, 3, 4}.issubset(needs) and max(needs) >= 6, needs
     assert k0s == {1, 2, 3} and empty >= 2, (k0s, empty)
+
+
+def _leaf_cases(F):
+    """(name, residue-code rows, L, n, k0, verdict) whose walk starts at
+    its last two positions; a, b, f are nonzero and a != b."""
+    a, b, f = 3, 7, 5
+    x, y = 2, 9
+    fx, fy = F.mul(f, x), F.mul(f, y)
+    return [
+        ("(0,a) then (0,b)", [[1, 0, 0], [1, a, b]], 0, 3, 2, False),
+        ("(a,0) then (b,0)", [[a, b, 1], [0, 0, 1]], 0, 3, 2, False),
+        ("proportional", [[x, 1, fx], [y, 0, fy]], 0, 3, 2, False),
+        ("independent", [[a, 0, x], [0, b, y]], 0, 3, 2, True),
+        ("x = -f*y", [[F.neg(fy), 1, 0], [y, 0, 1]], 0, 3, 2, True),
+        ("zero last column", [[1, 0, 0], [0, 1, 0]], 0, 3, 2, False),
+        ("zero first column", [[0, 1, 0], [0, 0, 1]], 0, 3, 2, False),
+        # only (t', t) with t >= n = 2 are admissible: the proportional
+        # columns 0 and 1 are never selected together
+        ("proportional before the bound", [[0, 0, 1, 1], [a, b, 0, 1]],
+         1, 2, 1, True),
+        ("proportional across the bound", [[x, 1, fx, 0], [y, 1, fy, 1]],
+         1, 2, 1, False),
+        ("three rows", [[1, 0, a], [0, 1, b], [1, 1, x]], 0, 3, 2, True),
+        ("three rows, proportional", [[1, 0, f], [0, 1, 0],
+                                      [a, 1, F.mul(f, a)]], 0, 3, 2, False),
+    ]
+
+
+@pytest.mark.parametrize("ring", [GaloisRing(11, 1, 2), GaloisRing(3, 1, 3),
+                                  zmod(11)], ids=repr)
+def test_minors_condition_leaf_cases(ring):
+    F = ring.residue
+    for name, codes, L, n, k0, expected in _leaf_cases(F):
+        S = M(ring, [[ring.lift(c) for c in row] for row in codes])
+        verdict = _minors_condition(F, S.residue_rows(), L, n, k0)
+        assert verdict == minors_condition_oracle(S, L, n, k0) == expected, \
+            name
+
+
+def test_two_row_leaf_makes_one_inv_and_one_mul_per_column():
+    # every column nonzero and of its own ratio: the sweep sees them all
+    F = CountingField(GaloisRing(11, 1, 2).residue)
+    rows = [[1, 0, 1, 2, 3, 5, 7], [0, 1, 1, 1, 1, 1, 1]]
+    assert _minors_condition(F, rows, 0, 7, 2)
+    assert F.calls["inv"] <= 7 and F.calls["mul"] <= 7, F.calls
 
 
 # ------------------------------------------------------------ serialization

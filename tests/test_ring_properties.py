@@ -3,7 +3,7 @@ Teichmueller lift over Galois rings with s > 1 and truncated polynomial
 rings over non-prime fields, and of the fused field row update."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chaincodes import GaloisRing, TruncatedPolyRing, zmod
@@ -71,15 +71,19 @@ def test_invert_unit_of_a_non_unit_raises_not_a_unit(ring, data):
 
 FIELDS = [get_field(2), get_field(11), get_field(2, 3), get_field(3, 2),
           get_field(11, 2)]
+# codes are drawn below the largest q and reduced mod the field's q
+CODE = st.one_of(st.just(0), st.integers(0, max(F.q for F in FIELDS) - 1))
+# over F_11^2, x = -f*y cancels: the Zech entry of x + f*y is the -1 mark
+F121 = get_field(11, 2)
+CANCEL = [(F121.neg(F121.mul(5, y)), y) for y in (1, 12, 120)]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 @SETTINGS
-@given(data=st.data())
-def test_axpy_is_add_of_mul(field, data):
-    code = st.one_of(st.just(0), st.integers(0, field.q - 1))
-    f = data.draw(code)
-    pairs = data.draw(st.lists(st.tuples(code, code), max_size=8))
+@given(f=CODE, pairs=st.lists(st.tuples(CODE, CODE), max_size=8))
+@example(f=5, pairs=CANCEL + [(0, 7), (7, 0), (3, 4)])
+def test_axpy_is_add_of_mul(field, f, pairs):
+    f, pairs = f % field.q, [(x % field.q, y % field.q) for x, y in pairs]
     xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
     assert field.axpy(xs, f, ys) == [field.add(x, field.mul(f, y))
                                      for x, y in pairs]

@@ -267,6 +267,8 @@ def cmd_blockcode(args, report):
         res["column_permutation"] = list(perm)
     elif args.what == "mindist":
         code = BlockCode(A)
+        if not code.k:
+            raise InvalidParams("the code is {0}: it has no minimum distance")
         res["min_distance"] = d = min_distance_block(code, budget=args.budget)
         res["singleton_bound"] = bound = singleton_bound_block(
             code.n, code.k, code.ring.nu)

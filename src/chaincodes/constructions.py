@@ -185,20 +185,18 @@ def lift_matrix(M: RingMatrix, ring) -> RingMatrix:
 
 
 def lift_from_residue_field(Gtilde: PolyMatrix, ring) -> ConvCode:
-    """Lift a reduced residue-field encoder to a gamma-encoder over `ring`
-    by stacking gamma-layers of the transversal lift of each coefficient."""
+    """Lift a reduced residue-field encoder to a gamma-encoder over `ring`:
+    coefficient i is [T_i; gamma T_i; ...; gamma^(nu-1) T_i], T_i the
+    transversal lift of the field coefficient i."""
     if not is_reduced(Gtilde):
         raise NotReduced("field encoder must be reduced")
-    nu = ring.nu
-    coeffs = []
-    for i in range(Gtilde.degree + 1):
-        lifted = lift_matrix(Gtilde.coefficient(i), ring)
-        block = lifted
-        for layer in range(1, nu):
-            block = block.stack(lifted.scalar_mul(ring.gamma_power(layer)))
-        coeffs.append(block)
-    encoder = PolyMatrix(ring, coeffs, k=nu * Gtilde.k, n=Gtilde.n)
-    return ConvCode(ring, Gtilde.n, encoder)
+    mul, n = ring.mul, Gtilde.n
+    powers = [ring.gamma_power(b) for b in range(ring.nu)]
+    coeffs = [RingMatrix._canonical(ring, [
+        [mul(g, e) for e in row] for g in powers
+        for row in lift_matrix(C, ring).data], n) for C in Gtilde.coeffs]
+    encoder = PolyMatrix(ring, coeffs, k=ring.nu * Gtilde.k, n=n)
+    return ConvCode(ring, n, encoder)
 
 
 # ---------------------------------------------------------------------------

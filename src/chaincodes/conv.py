@@ -78,17 +78,6 @@ class PolyMatrix:
             raise ZeroRow("polynomial matrix has a zero row")
         return degs
 
-    def scalar_mul(self, c):
-        return PolyMatrix(self.ring, [m.scalar_mul(c) for m in self.coeffs],
-                          k=self.k, n=self.n)
-
-    def stack(self, other):
-        m = max(len(self.coeffs), len(other.coeffs))
-        return PolyMatrix(self.ring,
-                          [self.coefficient(i).stack(other.coefficient(i))
-                           for i in range(m)] or [],
-                          k=self.k + other.k, n=self.n)
-
     def reversed_coeffs(self):
         return PolyMatrix(self.ring, list(self.coeffs)[::-1],
                           k=self.k, n=self.n)
@@ -209,11 +198,11 @@ def is_polynomial_gamma_basis(G: PolyMatrix):
 def is_free_code(G: PolyMatrix):
     """Whether the row module of G(z) over R[z] is free.
 
-    Certified through bounded-degree coefficient stacking: greedily keep
-    the rows that are not in the R[z]-span of the rows kept before them,
-    so every row lies in the span of the kept ones; the module is free iff
-    no gamma-power kills a nonzero combination of the kept rows.
-    Digit-polynomial degrees are bounded by deg(G) + 2."""
+    Bounded-degree coefficient stacking: greedily keep the rows that are
+    not in the R[z]-span of the rows kept before them; the module is free
+    iff no gamma-power kills a nonzero combination of the kept rows.  The
+    digit-polynomial degree bound deg(G) + 2 is not proven.  No library
+    path calls this; acceptance criterion 13 asserts it (ROADMAP item 5)."""
     m = max(G.degree, 0)
     shifts = range(m + 3)
     S = sliding_matrix(G, 2 * m + 2)

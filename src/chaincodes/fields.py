@@ -19,10 +19,10 @@ from .errors import InvalidParams
 
 
 def prime_power_split(n):
-    """(p, e) with n = p**e, or raise ValueError."""
+    """(p, e) with n = p**e, or raise InvalidParams."""
     factors = factorize(n)
     if len(factors) != 1:
-        raise ValueError("not a prime power")
+        raise InvalidParams(f"{n} is not a prime power")
     p, e = factors[0], 0
     while n > 1:
         n //= p

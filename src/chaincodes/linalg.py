@@ -73,18 +73,6 @@ class RingMatrix:
         z = self.ring.zero
         return all(e == z for row in self.data for e in row)
 
-    def scalar_mul(self, c):
-        ring = self.ring
-        c = ring.coerce(c)
-        return RingMatrix._canonical(ring, [[ring.mul(c, e) for e in row]
-                                            for row in self.data], self.cols)
-
-    def stack(self, other):
-        if other.cols != self.cols or other.ring != self.ring:
-            raise ValueError("dimension or ring mismatch")
-        return RingMatrix._of_tuples(self.ring, self.data + other.data,
-                                     self.cols)
-
     def submatrix(self, row_idx, col_idx):
         data = self.data
         return RingMatrix._of_tuples(self.ring, tuple([

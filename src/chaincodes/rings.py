@@ -241,15 +241,6 @@ class GaloisRing(ChainRing):
         self.one = tuple([1] + [0] * (s - 1))
         self.gamma = tuple([p % self.pr] + [0] * (s - 1))
         self._lift_cache = {}
-        # reduction rows: z^(s+i) mod modulus, i = 0..s-2
-        rows = [tuple((-c) % self.pr for c in modulus[:-1])]
-        for _ in range(s - 2):
-            prev = rows[-1]
-            shifted = (0,) + prev[:-1]
-            lead = prev[-1]
-            rows.append(tuple((shifted[i] + lead * rows[0][i]) % self.pr
-                              for i in range(s)))
-        self._red_rows = rows
         if s == 1:
             self._bind_zmod_ops()
 
@@ -294,20 +285,20 @@ class GaloisRing(ChainRing):
         return tuple([(-x) % m for x in a])
 
     def mul(self, a, b):
-        s, m = self.s, self.pr
+        """Schoolbook product reduced by the monic modulus f from the top
+        degree down, z^i = z^(i-s) (z^s - f), then mod p^r once."""
+        s, f, m = self.s, self.modulus, self.pr
         full = [0] * (2 * s - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     full[i + j] += ai * bj
-        res = [c % m for c in full[:s]]
-        for i in range(s - 1):
-            c = full[s + i] % m
+        for i in range(2 * s - 2, s - 1, -1):
+            c = full[i]
             if c:
-                row = self._red_rows[i]
                 for k in range(s):
-                    res[k] = (res[k] + c * row[k]) % m
-        return tuple(res)
+                    full[i - s + k] -= c * f[k]
+        return tuple([c % m for c in full[:s]])
 
     def valuation(self, a):
         best = self.r
@@ -330,7 +321,7 @@ class GaloisRing(ChainRing):
         return tuple(c // d for c in a)
 
     def project(self, a):
-        return self.residue.from_coords([c % self.p for c in a])
+        return self.residue.from_coords(a)
 
     def lift(self, code):
         cached = self._lift_cache.get(code)

@@ -410,3 +410,21 @@ def gamma_standard_form_by_clearing(A):
                                           S.data[j])
                 out.append(v)
     return RingMatrix._canonical(ring, out, A.cols), perm
+
+
+def galois_product_by_division(ring, a, b):
+    """a * b in GR(p^r, s) = Z_{p^r}[z]/(f): the schoolbook product of the
+    coordinate polynomials, then long division by the monic f, every
+    coefficient kept mod p^r."""
+    m, f = ring.pr, ring.modulus
+    s = len(f) - 1
+    rem = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            rem[i + j] = (rem[i + j] + x * y) % m
+    while len(rem) > s:
+        # subtract lead * z^d * f from the top term lead * z^(d+s)
+        lead, d = rem.pop(), len(rem) - s
+        for k in range(s):
+            rem[d + k] = (rem[d + k] - lead * f[k]) % m
+    return tuple(rem)

@@ -406,9 +406,26 @@ def test_check_reverse_mdp_both(capsys, golden):
                                              "distances": True}
 
 
-@pytest.mark.parametrize("name", ["gr(4,2,1)", "gr(6,1,1)", "gr(1,1,1)"])
+@pytest.mark.parametrize("name", [
+    "gr(4,2,1)", "gr(6,1,1)", "gr(1,1,1)",
+    # a modulus or field size that is not a prime power
+    "z12", "z1", "tp(6,2)", "f6", '{"family": "truncated", "q": 6, "nu": 2}'])
 def test_ring_with_composite_p_rejected(capsys, name):
     code, doc = run(capsys, "ring", "--ring", name)
+    assert code == 2
+    assert doc["results"]["error"]["type"] == "InvalidParams"
+
+
+@pytest.mark.parametrize("ring", [
+    {"family": "truncated", "q": 6, "nu": 2},
+    {"family": "galois", "p": 6, "r": 1, "s": 1}])
+def test_code_over_a_ring_that_is_not_a_chain_ring_is_invalid(
+        capsys, tmp_path, golden, ring):
+    obj = json.loads(golden["code322"].read_text())
+    obj["ring"] = ring
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(obj))
+    code, doc = run(capsys, "distances", "--code", str(path), "--max-j", "0")
     assert code == 2
     assert doc["results"]["error"]["type"] == "InvalidParams"
 
@@ -591,9 +608,14 @@ def test_blockcode_mindist_walks_once(capsys, tmp_path, monkeypatch):
 
 
 def test_blockcode_mindist_of_a_zero_matrix_exits_2(capsys, tmp_path):
+    # the code {0}, of zero rows or of none, has no minimum distance: the
+    # error is the whole result
     path = tmp_path / "zero.json"
-    path.write_text(json.dumps(RingMatrix.zeros(zmod(9), 2, 3).to_json()))
-    code, doc = run(capsys, "blockcode", "mindist", "--matrix", str(path))
-    assert code == 2
-    assert doc["results"]["min_distance"] is None
-    assert doc["results"]["error"]["type"] == "InvalidParams"
+    for generator in (RingMatrix.zeros(zmod(9), 2, 3),
+                      RingMatrix(zmod(9), [], cols=3)):
+        path.write_text(json.dumps(generator.to_json()))
+        code, doc = run(capsys, "blockcode", "mindist", "--matrix", str(path))
+        assert code == 2
+        assert list(doc["results"]) == ["error"]
+        assert doc["results"]["error"]["type"] == "InvalidParams"
+        assert "the code is {0}" in doc["results"]["error"]["message"]

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from chaincodes import (GaloisRing, TruncatedPolyRing, constructions, linalg,
-                        zmod)
+                        residue_ring, zmod)
 from chaincodes.constructions import (EXHAUSTIVE, RANDOM, ToeplitzSpec,
                                       binomial_bound, binomial_encoder,
                                       extract_mdp_blocks, is_gamma_superregular,
@@ -19,7 +19,7 @@ from chaincodes.constructions import (EXHAUSTIVE, RANDOM, ToeplitzSpec,
                                       proper_index_pairs, search_superregular,
                                       stack_gamma_layers)
 from chaincodes.conv import MINORS, ConvCode, PolyMatrix, is_mdp, \
-    is_reverse_mdp
+    is_reduced, is_reverse_mdp
 from chaincodes.errors import (BadCounts, BudgetExceeded, CrossCheckFailed,
                                DependentRows, InvalidParams, NotSuperregular,
                                SizeMismatch)
@@ -273,6 +273,35 @@ def test_lift_from_residue_field_layers(z11, z121):
     got = [[[e[0] for e in row] for row in c.data] for c in C.encoder.coeffs]
     assert got == [[[1, 2, 1], [11, 22, 11]], [[1, 3, 4], [11, 33, 44]]]
     assert is_reverse_mdp(C)
+
+
+@pytest.mark.parametrize("ring", [
+    zmod(8), zmod(9), GaloisRing(2, 2, 2), GaloisRing(3, 2, 2),
+    TruncatedPolyRing(4, 2), TruncatedPolyRing(2, 3)], ids=repr)
+def test_lift_blocks_are_gamma_layers_of_the_lifted_coefficients(ring):
+    # block i is lift(G~_i), gamma lift(G~_i), ..., layer by layer
+    rng = random.Random(24)
+    field = residue_ring(ring)
+    els = list(field.elements())
+    powers = [ring.one]
+    while len(powers) < ring.nu:
+        powers.append(ring.mul(powers[-1], ring.gamma))
+    lifted = 0
+    while lifted < 6:
+        kt = 1 + lifted % 2
+        n = rng.randint(kt + 1, 3)
+        Gt = PolyMatrix(field, [M(field, [[rng.choice(els) for _ in range(n)]
+                                          for _ in range(kt)])
+                                for _ in range(rng.randint(1, 3))], k=kt, n=n)
+        if not is_reduced(Gt):
+            continue
+        C = lift_from_residue_field(Gt, ring)
+        assert (C.k, C.encoder.degree) == (ring.nu * kt, Gt.degree)
+        for Gi, block in zip(Gt.coeffs, C.encoder.coeffs, strict=True):
+            assert block.data == tuple(
+                tuple(ring.mul(g, ring.lift(field.project(e))) for e in row)
+                for g in powers for row in Gi.data)
+        lifted += 1
 
 
 # ------------------------------------------------------- binomial encoders

@@ -444,6 +444,16 @@ def random_poly_matrix(ring, k, n, m, rng):
                              for _ in range(m + 1)], k=k, n=n)
 
 
+def gamma_multiples(layers):
+    """The rows gamma^e B(z) of each (e, B) in `layers`, in that order."""
+    ring, n = layers[0][1].ring, layers[0][1].n
+    return PolyMatrix(ring, [M(ring, [
+        [ring.mul(ring.gamma_power(e), x) for x in row]
+        for e, B in layers for row in B.coefficient(i).data])
+        for i in range(max(B.degree for _, B in layers) + 1)],
+        k=sum(B.k for _, B in layers), n=n)
+
+
 ORACLE_WORK = 2 * 10 ** 5  # largest messages x rows x columns of S_j
 
 
@@ -513,9 +523,7 @@ def test_column_distance_matches_oracle(ring):
     while direct < 3:
         # gamma-layers of a row over the whole ring, not over T
         base = random_poly_matrix(ring, 1, rng.randint(2, 3), 1, rng)
-        G = base
-        for layer in range(1, ring.nu):
-            G = G.stack(base.scalar_mul(ring.gamma_power(layer)))
+        G = gamma_multiples([(e, base) for e in range(ring.nu)])
         if G.degree == 1 and is_delay_free(G):
             assert_matches_oracle(ConvCode(ring, G.n, G))
             direct += 1
@@ -536,14 +544,12 @@ def test_socle_walk_on_codes_with_mixed_parameters(ring):
     rng = random.Random(5)
     params, checked = Counter(), 0
     while len(params) < 5 or sum(params.values()) < 16:
-        n, rows = rng.randint(2, 3), []
+        n, layers = rng.randint(2, 3), []
         for _ in range(rng.randint(1, 2)):
             base = random_poly_matrix(ring, 1, n, 1, rng)
-            rows += [base.scalar_mul(ring.gamma_power(e))
-                     for e in range(rng.randrange(ring.nu), ring.nu)]
-        G = rows[0]
-        for row in rows[1:]:
-            G = G.stack(row)
+            layers += [(e, base)
+                       for e in range(rng.randrange(ring.nu), ring.nu)]
+        G = gamma_multiples(layers)
         try:
             C = ConvCode(ring, n, G)
         except ValueError:  # not a gamma-basis

@@ -51,16 +51,14 @@ def test_outside_entries_are_coerced():
 
 
 def test_derived_matrices_equal_coerced_ones():
-    # submatrix, stack, scalar_mul and matmul keep the canonical entries
-    # without coercing them again
+    # submatrix and matmul keep the canonical entries without coercing
+    # them again
     rng = random.Random(77)
     for ring in (zmod(8), GaloisRing(2, 2, 2), TruncatedPolyRing(4, 2)):
         A = random_matrix(ring, 3, 4, rng)
         B = random_matrix(ring, 4, 2, rng)
-        c = rng.choice(list(ring.elements()))
         for got in (A.submatrix([2, 0], [1, 3]),
-                    A.submatrix(range(A.rows), [3, 1]),
-                    A.stack(A), A.scalar_mul(c), matmul(A, B),
+                    A.submatrix(range(A.rows), [3, 1]), matmul(A, B),
                     A.submatrix([], [0, 1])):
             again = RingMatrix(ring, [list(row) for row in got.data],
                                cols=got.cols)
@@ -482,7 +480,8 @@ def test_module_solve_left_matches_the_enumerated_row_module(ring):
             RingMatrix(ring, [], cols=n)
         if rng.random() < 0.3 and m:
             # gamma multiples make torsion rows
-            A = A.scalar_mul(ring.gamma)
+            A = M(ring, [[ring.mul(ring.gamma, e) for e in row]
+                         for row in A.data])
         module = _row_module(A)
         listed = list(module)
         for _ in range(7):

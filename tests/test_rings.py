@@ -8,8 +8,8 @@ from chaincodes.rings import ChainRingSpec
 from chaincodes.errors import (DigitNotInT, InvalidConvention, InvalidParams,
                                MixedRings, NotAUnit, RejectedModulus)
 from chaincodes.fields import default_modulus, get_field
-from oracles import (invert_unit_by_exponent, teichmuller_by_iteration,
-                     teichmuller_by_power)
+from oracles import (galois_product_by_division, invert_unit_by_exponent,
+                     teichmuller_by_iteration, teichmuller_by_power)
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +155,26 @@ def test_zmod_bound_ops_equal_the_general_methods(m):
                     (name, a, b)
     assert ring.valuation(ring.zero) == general["valuation"](ring.zero) \
         == ring.r
+
+
+@pytest.mark.parametrize("ring", [
+    GaloisRing(2, 2, 2), GaloisRing(3, 2, 2), GaloisRing(2, 3, 3),
+    # 3 = 1 + p: the reduction needs the modulus mod p^r, not mod p
+    GaloisRing(2, 2, 3, modulus=(3, 1, 0, 1))], ids=repr)
+def test_galois_product_matches_long_division_on_every_pair(ring):
+    els = list(ring.elements())
+    assert [ring.mul(a, b) for a in els for b in els] == \
+        [galois_product_by_division(ring, a, b) for a in els for b in els]
+
+
+@pytest.mark.parametrize("ring", [GaloisRing(11, 2, 5), GaloisRing(11, 1, 5)],
+                         ids=repr)
+def test_galois_product_matches_long_division_on_seeded_pairs(ring):
+    rng = random.Random(24)
+    pairs = [tuple(tuple(rng.randrange(ring.pr) for _ in range(ring.s))
+                   for _ in range(2)) for _ in range(2000)]
+    assert [ring.mul(a, b) for a, b in pairs] == \
+        [galois_product_by_division(ring, a, b) for a, b in pairs]
 
 
 @pytest.mark.parametrize("ring", [zmod(9), zmod(25, convention="teichmuller"),
@@ -314,6 +334,16 @@ def test_default_and_explicit_modulus_share_one_field():
 def test_get_field_rejects_a_p_that_is_not_prime(p, h):
     with pytest.raises(InvalidParams):
         get_field(p, h)
+
+
+@pytest.mark.parametrize("build, value", [
+    (lambda: zmod(12), 12), (lambda: zmod(1), 1),
+    (lambda: TruncatedPolyRing(6, 2), 6),
+    (lambda: make_ring({"family": "truncated", "q": 6, "nu": 2}), 6)],
+    ids=["zmod(12)", "zmod(1)", "tp(6,2)", "descriptor"])
+def test_a_modulus_that_is_not_a_prime_power_is_invalid_params(build, value):
+    with pytest.raises(InvalidParams, match=f"^{value} is not a prime power"):
+        build()
 
 
 def test_identity_is_family_and_parameters():

@@ -187,7 +187,13 @@ def lift_matrix(M: RingMatrix, ring) -> RingMatrix:
 def lift_from_residue_field(Gtilde: PolyMatrix, ring) -> ConvCode:
     """Lift a reduced residue-field encoder to a gamma-encoder over `ring`:
     coefficient i is [T_i; gamma T_i; ...; gamma^(nu-1) T_i], T_i the
-    transversal lift of the field coefficient i."""
+    transversal lift of the field coefficient i.
+
+    The lift is reduced.  Row gamma^b t(z) has the degree of the field row
+    it lifts, whose nonzero entries lift to units, so the lift's leading
+    coefficient matrix is [T; gamma T; ...; gamma^(nu-1) T], T the lift of
+    the field's leading rows; that is gamma-linearly independent exactly
+    when T has full rank over F, i.e. when the field encoder is reduced."""
     if not is_reduced(Gtilde):
         raise NotReduced("field encoder must be reduced")
     mul, n = ring.mul, Gtilde.n
@@ -196,7 +202,9 @@ def lift_from_residue_field(Gtilde: PolyMatrix, ring) -> ConvCode:
         [mul(g, e) for e in row] for g in powers
         for row in lift_matrix(C, ring).data], n) for C in Gtilde.coeffs]
     encoder = PolyMatrix(ring, coeffs, k=ring.nu * Gtilde.k, n=n)
-    return ConvCode(ring, n, encoder)
+    code = ConvCode(ring, n, encoder)
+    code._reduced = True  # as proved above
+    return code
 
 
 # ---------------------------------------------------------------------------

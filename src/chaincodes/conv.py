@@ -321,9 +321,18 @@ def column_distance(C: ConvCode, j, budget=DEFAULT_DISTANCE_BUDGET):
     to a unit: the head combination H with v's first block leaves v - H in
     C_j with zero first block, so v - H = u S_j for a T-message u (the
     rows of S_j are a gamma-generator sequence) with u_0 G_0 = 0, hence
-    u_0 = 0 (G_0 is delay-free) and v = H + (v - H) is visited.  The code
-    remembers each d_j; the delay-free check and the budget apply to
-    every call."""
+    u_0 = 0 (G_0 is delay-free) and v = H + (v - H) is visited.
+
+    The code remembers each d_j, and the walk stops at the first weight
+    that reaches the floor d_i, the largest one remembered for an i < j
+    (1 if none): cutting a visited word to i + 1 blocks keeps its nonzero
+    first block, so every weight of the walk is at least d_i.  The checks
+    of j >= 0, k >= 1 and delay-freeness and the budget apply to every
+    call."""
+    if j < 0:
+        raise InvalidParams(f"column distances need j >= 0; got j={j}")
+    if not C.k:
+        raise InvalidParams("the code is {0}: it has no column distances")
     if not C.delay_free():
         raise NotDelayFree("column distances need a delay-free encoder")
     q = C.ring.q
@@ -333,37 +342,61 @@ def column_distance(C: ConvCode, j, budget=DEFAULT_DISTANCE_BUDGET):
             f"column distance j={j} needs {count} weight evaluations",
             requested=count, allowed=budget)
     if j not in C._distances:
-        C._distances[j] = min(_normalised_weights(C.ring, *_walk_rows(C, j)))
+        floor = max((d for i, d in C._distances.items() if i < j), default=1)
+        rows, s, length = _walk_rows(C, j)
+        least = length + 1
+        for weight in _normalised_weights(C.ring, rows, s, length):
+            if weight < least:
+                least = weight
+                if least <= floor:
+                    break
+        C._distances[j] = least
     return C._distances[j]
 
 
-def _row_steps(ring, row):
-    """For t < q - 1, the (coordinate, value, entry index) triples of the
-    nonzero additive coordinates of (reps[t+1] - reps[t]) row."""
+def _row_steps(ring, rows):
+    """For each row and t < q - 1, the (coordinate, value, entry index)
+    triples of the nonzero additive coordinates of (reps[t+1] - reps[t])
+    row.  The coordinates of t e are found once per distinct difference t
+    and entry e, and a row's lists for equal differences are one list:
+    under the digits transversal of Z_(p^r) every difference is 1."""
     reps = ring.representatives()
     _, coords = ring.additive_coords()
-    d = len(coords(ring.zero))
-    return [[(p * d + i, x, p) for p, e in enumerate(row)
-             for i, x in enumerate(coords(ring.mul(t, e))) if x]
-            for t in map(ring.sub, reps[1:], reps)]
+    d, mul = len(coords(ring.zero)), ring.mul
+    diffs = list(map(ring.sub, reps[1:], reps))
+    entries = {e for row in rows for e in row}
+    nonzero = {t: {e: [(i, x) for i, x in enumerate(coords(mul(t, e))) if x]
+                   for e in entries} for t in dict.fromkeys(diffs)}
+    table = []
+    for row in rows:
+        lists = {t: [(p * d + i, x, p) for p, e in enumerate(row)
+                     for i, x in known[e]] for t, known in nonzero.items()}
+        table.append([lists[t] for t in diffs])
+    return table
 
 
 def _walk_rows(C: ConvCode, j):
     """(steps, s, length) of column_distance's walk: the Gray steps of the
     s socle heads, then of block rows 1..j of S_j (row a of [G_0 | G_1 |
     ...] after b zero blocks in block row b), cut to the length (j+1) n of
-    S_j; the steps of the s + k rows are built once per code."""
+    S_j; the steps of the s + k rows are built once per code, and a row's
+    shared lists are moved once."""
     ring, k, n, s = C.ring, C.k, C.n, len(C._pivots)
     if C._steps is None:
         heads = [[ring.mul(ring.gamma_power(ring.nu - 1 - e), x) for x in row]
                  for row, e, _ in C._pivots]
-        C._steps = [_row_steps(ring, row) for row in [*heads, *C._rows.data]]
+        C._steps = _row_steps(ring, [*heads, *C._rows.data])
     length, d = (j + 1) * n, len(ring.additive_coords()[1](ring.zero))
-    return [[[(c + b * n * d, v, p + b * n) for c, v, p in step
-              if p + b * n < length] for step in C._steps[r]]
-            for b, r in [(0, r) for r in range(s)] + [
-                (b, s + a) for b in range(1, j + 1) for a in range(k)]
-            ], s, length
+    moved = []
+    for b, r in [(0, r) for r in range(s)] + [
+            (b, s + a) for b in range(1, j + 1) for a in range(k)]:
+        shift, steps = b * n, C._steps[r]
+        distinct = {id(step): step for step in steps}
+        lists = {key: [(c + shift * d, v, p + shift) for c, v, p in step
+                       if p + shift < length]
+                 for key, step in distinct.items()}
+        moved.append([lists[id(step)] for step in steps])
+    return moved, s, length
 
 
 def _normalised_weights(ring, rows, s, length):
@@ -417,7 +450,10 @@ DistanceBounds = namedtuple("DistanceBounds",
 
 
 def distance_profile(C: ConvCode, max_j, budget=DEFAULT_DISTANCE_BUDGET):
-    """(d_0, ..., d_max_j), the column distances up to max_j."""
+    """(d_0, ..., d_max_j), the column distances up to max_j >= 0."""
+    if max_j < 0:
+        raise InvalidParams(f"a distance profile needs max_j >= 0; "
+                            f"got max_j={max_j}")
     return tuple(column_distance(C, j, budget=budget)
                  for j in range(max_j + 1))
 

@@ -18,8 +18,8 @@ from chaincodes.constructions import (EXHAUSTIVE, RANDOM, ToeplitzSpec,
                                       lift_from_residue_field, lift_matrix,
                                       proper_index_pairs, search_superregular,
                                       stack_gamma_layers)
-from chaincodes.conv import MINORS, ConvCode, PolyMatrix, is_mdp, \
-    is_reduced, is_reverse_mdp
+from chaincodes.conv import MINORS, ConvCode, PolyMatrix, gamma_degree, \
+    is_mdp, is_reduced, is_reverse_mdp
 from chaincodes.errors import (BadCounts, BudgetExceeded, CrossCheckFailed,
                                DependentRows, InvalidParams, NotSuperregular,
                                SizeMismatch)
@@ -301,6 +301,43 @@ def test_lift_blocks_are_gamma_layers_of_the_lifted_coefficients(ring):
             assert block.data == tuple(
                 tuple(ring.mul(g, ring.lift(field.project(e))) for e in row)
                 for g in powers for row in Gi.data)
+        lifted += 1
+
+
+@pytest.mark.parametrize("ring", [
+    zmod(4), zmod(9), zmod(27), zmod(121), GaloisRing(2, 2, 2),
+    TruncatedPolyRing(4, 2), TruncatedPolyRing(2, 3)], ids=repr)
+def test_a_lift_is_known_to_be_reduced(ring, monkeypatch):
+    # the lift keeps the reducedness its field encoder proved: the code's
+    # answers are the encoder's, and neither reduced() nor delta decides
+    # it again
+    from chaincodes import conv
+    rng = random.Random(25)
+    field = residue_ring(ring)
+    els = list(field.elements())
+    calls = []
+    real = conv.is_reduced
+
+    def counting(G):
+        calls.append(G)
+        return real(G)
+
+    lifted = 0
+    while lifted < 4:
+        kt = 1 + lifted % 2
+        n = rng.randint(kt + 1, 3)
+        Gt = PolyMatrix(field, [M(field, [[rng.choice(els) for _ in range(n)]
+                                          for _ in range(kt)])
+                                for _ in range(rng.randint(1, 2))], k=kt, n=n)
+        if None in map(Gt.row_degree, range(kt)) or not is_reduced(Gt):
+            continue
+        monkeypatch.setattr(conv, "is_reduced", counting)
+        C = lift_from_residue_field(Gt, ring)
+        answers = C.reduced(), C.delta
+        monkeypatch.setattr(conv, "is_reduced", real)
+        assert calls == []
+        assert answers == (is_reduced(C.encoder), gamma_degree(C.encoder))
+        assert answers == (True, ring.nu * sum(Gt.row_degrees()))
         lifted += 1
 
 

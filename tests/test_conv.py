@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from itertools import combinations
 from fractions import Fraction
 from math import ceil, comb
 from pathlib import Path
@@ -471,8 +472,8 @@ def oracle_weights(C):
 def full_walk(C, j):
     """The Gray walk with block row 0 of S_j as its k heads."""
     S = sliding_matrix(C.encoder, j)
-    return _normalised_weights(
-        C.ring, [_row_steps(C.ring, row) for row in S.data], C.k, S.cols)
+    return _normalised_weights(C.ring, _row_steps(C.ring, S.data), C.k,
+                               S.cols)
 
 
 def assert_walk_matches_oracle(C, j, weights):
@@ -589,25 +590,161 @@ def test_row_steps_are_built_once_per_code(z121, monkeypatch):
     built = []
     real = conv._row_steps
 
-    def counting(ring, row):
-        built.append(len(row))
-        return real(ring, row)
+    def counting(ring, rows):
+        built.append(len(rows))
+        return real(ring, rows)
 
     monkeypatch.setattr(conv, "_row_steps", counting)
     C = ConvCode(z121, 3, PM(z121, [[[1, 2, 1], [11, 22, 11]],
                                     [[1, 3, 4], [11, 33, 44]]]))
     assert built == []
-    per_code = len(C._pivots) + C.k
     assert distance_profile(C, 1) == (3, 5)
-    assert len(built) == per_code
+    assert built == [len(C._pivots) + C.k]
     assert column_distance(C, 2) >= 5
     assert is_mdp(C, DISTANCES)
-    assert len(built) == per_code
+    assert built == [len(C._pivots) + C.k]
     R = conv._reversed_code(C)
     assert is_reverse_mdp(C, DISTANCES)
-    assert len(built) == per_code + len(R._pivots) + R.k
+    assert built == [len(C._pivots) + C.k, len(R._pivots) + R.k]
     assert is_reverse_mdp(C, DISTANCES)
-    assert len(built) == per_code + len(R._pivots) + R.k
+    assert built == [len(C._pivots) + C.k, len(R._pivots) + R.k]
+
+
+def test_column_distance_rejects_negative_j(code322):
+    C = ConvCode(code322.ring, code322.n, code322.encoder)
+    for known in ([], [0, 1]):
+        for j in known:
+            column_distance(C, j)
+        with pytest.raises(InvalidParams):
+            column_distance(C, -1)
+        with pytest.raises(InvalidParams):
+            distance_profile(C, -1)
+        assert sorted(C._distances) == known
+    assert distance_profile(C, 0) == (3,)
+
+
+def test_the_zero_code_has_no_column_distance(z4):
+    C = ConvCode(z4, 2, PolyMatrix(z4, [], k=0, n=2))
+    assert C.delay_free()
+    with pytest.raises(InvalidParams):
+        column_distance(C, 0)
+    assert C._distances == {}
+
+
+def early_stop_codes(ring, rng):
+    """Seeded validated delay-free codes over `ring`: two lifts of k~ = 1
+    field encoders and four gamma-layered codes with random first
+    exponents, as in test_socle_walk_on_codes_with_mixed_parameters."""
+    from chaincodes.constructions import lift_from_residue_field
+    field, codes = residue_ring(ring), []
+    while len(codes) < 2:
+        G = random_poly_matrix(field, 1, rng.randint(2, 3), rng.randint(1, 2),
+                               rng)
+        if G.degree >= 1 and is_delay_free(G):
+            codes.append(lift_from_residue_field(G, ring))
+    while len(codes) < 6:
+        n, layers = rng.randint(2, 3), []
+        for _ in range(rng.randint(1, 2)):
+            base = random_poly_matrix(ring, 1, n, rng.randint(1, 2), rng)
+            layers += [(e, base)
+                       for e in range(rng.randrange(ring.nu), ring.nu)]
+        try:
+            C = ConvCode(ring, n, gamma_multiples(layers))
+        except ValueError:  # not a gamma-basis
+            continue
+        if C.delay_free():
+            codes.append(C)
+    return codes
+
+
+def assert_distances_in_any_order(C):
+    """column_distance equals the oracle when d_0, d_1, ... are asked in
+    order (each walk may stop at the d_(j-1) before it), when each j is
+    asked cold (from the top down, so the floor is 1), and when asked
+    again; returns the oracle's profile."""
+    known = {j: min(w for _, w in weights) for j, weights in oracle_weights(C)}
+    down = sorted(known, reverse=True)
+    in_order = ConvCode(C.ring, C.n, C.encoder)
+    cold = ConvCode(C.ring, C.n, C.encoder)
+    for _ in range(2):
+        assert [column_distance(in_order, j) for j in known] == [
+            known[j] for j in known]
+        assert [column_distance(cold, j) for j in down] == [
+            known[j] for j in down]
+    return tuple(known.values())
+
+
+@pytest.mark.parametrize("ring", [
+    zmod(4), zmod(9), zmod(27), GaloisRing(2, 2, 2),
+    TruncatedPolyRing(4, 2), TruncatedPolyRing(2, 3)], ids=repr)
+def test_column_distance_stops_at_the_remembered_floor(ring):
+    rng = random.Random(25)
+    profiles = [assert_distances_in_any_order(C)
+                for C in early_stop_codes(ring, rng)]
+    # some profile repeats a distance, where the in-order walk stops at
+    # the floor it remembers
+    assert any(p[j] == p[j - 1] for p in profiles for j in range(1, len(p)))
+
+
+def test_the_walk_stops_at_d_j_minus_1(monkeypatch):
+    from chaincodes import conv
+    from chaincodes.constructions import lift_from_residue_field
+    G = PM(zmod(2), [[[1, 1]], [[0, 1]]])
+    lifted = lift_from_residue_field(G, zmod(4))
+    assert assert_distances_in_any_order(lifted) == (2, 3, 3, 3)
+    yielded = []
+    real = conv._normalised_weights
+
+    def counting(*args):
+        for weight in real(*args):
+            yielded.append(weight)
+            yield weight
+
+    monkeypatch.setattr(conv, "_normalised_weights", counting)
+    q, s, k = lifted.ring.q, len(lifted._pivots), lifted.k
+    full = (q ** s - 1) // (q - 1) * q ** (2 * k)
+    in_order = ConvCode(lifted.ring, lifted.n, lifted.encoder)
+    assert distance_profile(in_order, 1) == (2, 3)
+    yielded.clear()
+    assert column_distance(in_order, 2) == 3
+    assert yielded[-1] == 3 and len(yielded) < full
+    # asked cold, d_2 = 3 is above the floor 1: the whole walk
+    cold = ConvCode(lifted.ring, lifted.n, lifted.encoder)
+    yielded.clear()
+    assert column_distance(cold, 2) == 3
+    assert len(yielded) == full
+
+
+def direct_steps(ring, row):
+    """Row's Gray steps, each t e's coordinates found afresh: for t < q - 1,
+    the nonzero additive coordinates of (reps[t+1] - reps[t]) row."""
+    reps = ring.representatives()
+    _, coords = ring.additive_coords()
+    d = len(coords(ring.zero))
+    return [[(p * d + i, x, p) for p, e in enumerate(row)
+             for i, x in enumerate(coords(ring.mul(t, e))) if x]
+            for t in map(ring.sub, reps[1:], reps)]
+
+
+@pytest.mark.parametrize("ring", [
+    zmod(4), zmod(9), zmod(121),                   # digit transversal
+    GaloisRing(2, 2, 2), GaloisRing(3, 2, 2),      # Teichmueller
+    TruncatedPolyRing(4, 2), TruncatedPolyRing(2, 3)], ids=repr)
+def test_row_steps_share_one_list_per_distinct_difference(ring):
+    reps = ring.representatives()
+    diffs = list(map(ring.sub, reps[1:], reps))
+    digits = isinstance(ring, GaloisRing) and ring.s == 1
+    for C in early_stop_codes(ring, random.Random(25)):
+        rows = [list(row) for row in C._rows.data]
+        table = _row_steps(ring, rows)
+        column_distance(C, 0)
+        assert C._steps[len(C._pivots):] == table
+        for row, steps in zip(rows, table):
+            assert steps == direct_steps(ring, row)
+            for a, b in combinations(range(len(diffs)), 2):
+                assert (steps[a] is steps[b]) == (diffs[a] == diffs[b])
+            if digits:  # every difference is 1: the row has one list
+                assert len({id(step) for step in steps}) == 1
 
 
 def test_convcode_refuses_rows_the_walk_would_misread():

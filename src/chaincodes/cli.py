@@ -222,10 +222,12 @@ def cmd_distances(args, report):
     n, k = code.n, code.k
     profile = distance_profile(code, args.max_j, budget=args.budget)
     res["profile"] = list(profile)
-    bounds = [optimal_cd_bound(j, n, k, ring.nu)
-              for j in range(args.max_j + 1)]
-    res["optimal_bounds"] = bounds
-    res["saturated"] = [d == b for d, b in zip(profile, bounds)]
+    try:
+        res["optimal_bounds"] = bounds = [optimal_cd_bound(j, n, k, ring.nu)
+                                          for j in range(args.max_j + 1)]
+        res["saturated"] = [d == b for d, b in zip(profile, bounds)]
+    except NuNotDividingK as exc:
+        report.warn(str(exc))
     try:
         res["L"] = L_index(n, k, code.delta, ring.nu)
     except (NuNotDividingK, InvalidParams) as exc:

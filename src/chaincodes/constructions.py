@@ -22,7 +22,7 @@ from .errors import (MALFORMED, BadCounts, BudgetExceeded,
                      CrossCheckFailed, DependentRows, InvalidParams,
                      NotReduced, NotSuperregular, SizeMismatch)
 from .fields import factorize
-from .linalg import RingMatrix, diagonal_exponents, field_clear_column
+from .linalg import RingMatrix, diagonal_exponents
 from .rings import zmod
 
 EXHAUSTIVE = "exhaustive"
@@ -104,7 +104,8 @@ def is_gamma_superregular(spec: ToeplitzSpec, cross_check=True):
     matrix: a node holds the rows after its last i, reduced against its
     prefix's pivots; a child takes one as row i and a column j >= i after
     the last j.  det(I + i, J + j) = det(I, J) * r_i[j] (Schur complement),
-    so each minor is one nonzero test.  (I + c, J + c) is the same
+    so each minor is one nonzero test, on walk codes cleared by the field's
+    walk_clear, as in the minors walk.  (I + c, J + c) is the same
     Toeplitz submatrix, so only pairs with i_1 = 1 are walked.  With
     cross_check set, the ring determinants of all proper minors must give
     the same verdict (CrossCheckFailed otherwise)."""
@@ -120,12 +121,12 @@ def is_gamma_superregular(spec: ToeplitzSpec, cross_check=True):
                     return False
                 if j + 1 < ell:
                     rest = rows[k + 1:]
-                    field_clear_column(field, rest, 0, prow, j)
+                    field.walk_clear(rest, 0, prow, j)
                     if not walk(rest, first + k + 1, j + 1, len(rest)):
                         return False
         return True
 
-    a = [ring.project(x) for x in spec.first_row]
+    a = field.walk_codes([ring.project(x) for x in spec.first_row])
     verdict = walk([[field.zero] * i + a[:ell - i] for i in range(ell)],
                    0, 0, 1)
     if cross_check:

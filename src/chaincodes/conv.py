@@ -18,9 +18,8 @@ from .errors import (BudgetExceeded, CodeLoadError, CrossCheckFailed,
                      InvalidParams, NotDelayFree, NotReduced, NuNotDividingK,
                      PreconditionViolated, UnequalRowDegrees, ZeroRow)
 from .linalg import (RingMatrix, _gamma_multiples_in_later_rows, _pivot_rows,
-                     _shifted_rows, diagonal_exponents, field_clear_column,
-                     gamma_dimension, is_gamma_linearly_independent,
-                     module_solve_left)
+                     _shifted_rows, diagonal_exponents,
+                     is_gamma_linearly_independent, module_solve_left)
 from .rings import make_ring
 
 DISTANCES = "distances"
@@ -185,12 +184,18 @@ def is_polynomial_gamma_basis(G: PolyMatrix):
     signed minors on J: so sum a_l g_l = 0 with a_i = +-minor(I, J) != 0
     and deg a_l <= r deg G <= top.  At nu > 1, top = deg G misses a
     dependency with higher-degree digits."""
+    return _is_gamma_basis(G, _pivot_rows(G.coefficient(0))[0])
+
+
+def _is_gamma_basis(G: PolyMatrix, pivots):
+    """is_polynomial_gamma_basis(G) given the rows _pivot_rows places on
+    G_0, or on [G_0 | G_1 | ...] with pivots in G_0's columns (same e's)."""
     ring, m = G.ring, max(G.degree, 0)
     top = (G.k - 1) * m if ring.nu == 1 else m
     shifts = range(top + 1)
     S = sliding_matrix(G, top + m)
     return _gamma_multiples_in_later_rows(S, G.k, shifts) and (
-        gamma_dimension(G.coefficient(0)) == G.k
+        sum(ring.nu - e for _, e, _ in pivots) == G.k
         or is_gamma_linearly_independent(
             _shifted_rows(S, G.k, range(G.k), shifts)))
 
@@ -224,15 +229,15 @@ class ConvCode:
     def __init__(self, ring, n, encoder: PolyMatrix):
         if encoder.n != n or encoder.ring != ring:
             raise ValueError("encoder does not match ring or length")
-        if not is_polynomial_gamma_basis(encoder):
-            raise ValueError("encoder rows do not form a gamma-basis")
         # the rows of [G_0 | G_1 | ... | G_m]; pivots in G_0's columns give
-        # G_0's exponents and the socle heads of column_distance
+        # G_0's exponents (validation) and the socle heads of column_distance
         coeffs = encoder.coeffs or (encoder.coefficient(0),)
         self._rows = RingMatrix._canonical(ring, [
             [e for G_e in coeffs for e in G_e.row(a)]
             for a in range(encoder.k)], len(coeffs) * n)
         self._pivots = _pivot_rows(self._rows, width=n)[0]
+        if not _is_gamma_basis(encoder, self._pivots):
+            raise ValueError("encoder rows do not form a gamma-basis")
         # G_0 of a gamma-basis is a gamma-generator sequence
         # (is_polynomial_gamma_basis), so its gamma-dimension decides it
         self._g0_independent = (sum(ring.nu - e for _, e, _ in self._pivots)
@@ -488,9 +493,13 @@ def column_distance_bound(j, n, params, k):
 
 
 def optimal_cd_bound(j, n, k, nu):
-    """Column-distance bound under the distance-optimal parameter choice."""
+    """Column-distance bound under the distance-optimal parameter choice;
+    past j = 0 only for nu | k (2(1 + z, 1) over Z4 has d_2 = 3 > 2)."""
     if k < 1 or nu < 1 or j < 0 or n < ceil(k / nu):
         raise InvalidParams(f"bad parameters n={n}, k={k}, nu={nu}, j={j}")
+    if j and k % nu:
+        raise NuNotDividingK(f"no column-distance bound at j={j}: nu={nu} "
+                             f"does not divide k={k}")
     big = ceil(k / nu)
     small = k // nu
     N = k - small * nu
@@ -573,18 +582,19 @@ def _minors_condition(field, rows, L, n, k0):
 
     One depth-first walk over the selections in lexicographic order shares
     the elimination of each prefix.  It starts from the projected rows that
-    are not zero (the gamma-layers of a lifted code project to zero).  A
-    node holds the rows its prefix did not take as pivots, with the
-    prefix's columns cleared; choosing column t takes the first of them
-    that is nonzero at t as the pivot, clears t from the rest and hands
-    them to the child.  With no pivot the prefix is dependent, so every
-    selection through it fails and the answer is False.  At a single
-    position a nonzero column is enough; at the last two, two columns
-    have rank 2 exactly when both are nonzero and their keys differ: the
-    column scaled to a first nonzero entry of 1, or with two rows left (as
-    for field and lifted codes) y * x^-1 for (x, y), -1 (no code) if x = 0.
-    One sweep keeps the next-to-last keys and tests each last one."""
-    inv, mul = field.inv, field.mul
+    are not zero (the gamma-layers of a lifted code project to zero), in
+    the field's walk codes.  A node holds the rows its prefix did not take
+    as pivots, with the prefix's columns cleared; choosing column t takes
+    the first of them that is nonzero at t as the pivot, clears t from the
+    rest (walk_clear) and hands them to the child.  With no pivot the
+    prefix is dependent, so every selection through it fails and the
+    answer is False.  At a single position a nonzero column is enough; at
+    the last two, two columns have rank 2 exactly when both are nonzero
+    and their keys differ: the column scaled to a first nonzero entry of
+    1, or with two rows left (as for field and lifted codes) y / x for (x,
+    y) (walk_ratio), -1 (no code) if x = 0.  One sweep keeps the
+    next-to-last keys and tests each last one."""
+    ratio, clear = field.walk_ratio, field.walk_clear
     need, total = (L + 1) * k0, (L + 1) * n
     # admissible choices for position c: t_(s*k0+1) > s*n (1-based)
     last_lo = (need - 1) // k0 * n if (need - 1) % k0 == 0 else 0
@@ -597,7 +607,7 @@ def _minors_condition(field, rows, L, n, k0):
             for t in range(lo, total):
                 x, y = r0[t], r1[t]
                 if x or y:
-                    key = mul(y, inv(x)) if x else -1
+                    key = ratio(x, y) if x else -1
                     if t >= first_last and key in seen:
                         return False
                     seen.add(key)
@@ -608,8 +618,7 @@ def _minors_condition(field, rows, L, n, k0):
             col = [row[t] for row in rows]
             head = next(filter(None, col), 0)
             if head:
-                f = inv(head)
-                col = tuple([mul(f, e) for e in col])
+                col = tuple([ratio(head, e) for e in col])
                 if t >= first_last and col in seen:
                     return False
                 seen.add(col)
@@ -631,12 +640,13 @@ def _minors_condition(field, rows, L, n, k0):
                 return False
             rest = rows[:i] + rows[i + 1:]
             # the rows before the pivot are zero at t
-            field_clear_column(field, rest, i, prow, t)
+            clear(rest, i, prow, t)
             if not independent(rest, c + 1, t + 1):
                 return False
         return True
 
-    return independent([row for row in rows if any(row)], 0, 0)
+    return independent([field.walk_codes(row) for row in rows if any(row)],
+                       0, 0)
 
 
 def is_mdp(C: ConvCode, method=MINORS, budget=DEFAULT_DISTANCE_BUDGET):

@@ -154,13 +154,38 @@ def _encode(digits, p):
 
 class _Field:
     """Shared behaviour: the elements are the codes 0..q-1, and a field is
-    identified by its `key`."""
+    identified by its `key`.  The MDP and superregularity walks compute on
+    walk codes: zero is 0, and a nonzero code is itself (ExtField: 1 + log)."""
 
     zero = 0
     one = 1
 
     def elements(self):
         return range(self.q)
+
+    def walk_codes(self, row):
+        return row
+
+    def axpy(self, xs, f, ys):
+        """[x + f*y for x, y in zip(xs, ys)]."""
+        return [self.add(x, self.mul(f, y)) for x, y in zip(xs, ys)]
+
+    def clear_column(self, rows, start, prow, c):
+        """Clear column c of rows[start:] with the pivot row `prow` (prow[c]
+        != 0): a row nonzero at c is replaced by zeros up to c and its
+        updated entries after c, read from neither row before c; the others
+        stay.  Row lists are replaced, never changed."""
+        f0 = None
+        for i in range(start, len(rows)):
+            x = rows[i][c]
+            if x:
+                if f0 is None:
+                    axpy, mul = self.axpy, self.mul
+                    f0 = self.neg(self.inv(prow[c]))
+                    head, tail = [0] * (c + 1), prow[c + 1:]
+                rows[i] = head + axpy(rows[i][c + 1:], mul(x, f0), tail)
+
+    walk_clear = clear_column
 
     def __eq__(self, other):
         return isinstance(other, _Field) and other.key == self.key
@@ -200,6 +225,9 @@ class PrimeField(_Field):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
         return pow(a, self.p - 2, self.p)
+
+    def walk_ratio(self, x, y):  # y / x, x != 0
+        return y * pow(x, -1, self.p) % self.p
 
     def pow(self, a, e):
         return pow(a, e, self.p)
@@ -326,29 +354,39 @@ class ExtField(_Field):
             return 0
         return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
 
-    def axpy(self, xs, f, ys):
-        """[x + f*y for x, y in zip(xs, ys)], with log f looked up once."""
-        if f == 0:
-            return list(xs)
-        log, exp, zech, n = self._log, self._exp, self._zech, self.q - 1
-        lf = log[f]
-        out = []
-        append = out.append
-        for x, y in zip(xs, ys):
-            if not y:
-                append(x)
-            elif x:
-                lx = log[x]
-                z = zech[(lf + log[y] - lx) % n]
-                append(0 if z < 0 else exp[(lx + z) % n])
-            else:
-                append(exp[(lf + log[y]) % n])
-        return out
-
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
         return self._exp[(-self._log[a]) % (self.q - 1)]
+
+    def walk_codes(self, row):  # 0, and 1 + log x in [1, q - 1] for x != 0
+        log = self._log
+        return [x and 1 + log[x] for x in row]
+
+    def walk_ratio(self, x, y):  # y / x, x != 0: a log difference
+        return y and (y - x) % (self.q - 1) + 1
+
+    def walk_clear(self, rows, start, prow, c):
+        """clear_column on walk codes: a row with x at c gains f * prow,
+        log f = log x - log prow[c] + log(-1), and a + f b for a, b != 0 is
+        a (1 + f b / a), one lookup in the field's own Zech list."""
+        zech, n = self._zech, self.q - 1
+        lp = prow[c] - (n // 2 if self.p != 2 else 0)  # -1 = g^(n/2)
+        head, tail = [0] * (c + 1), prow[c + 1:]
+        for i in range(start, len(rows)):
+            x = rows[i][c]
+            if x:
+                lf, out = x - lp, head[:]
+                append = out.append
+                for a, b in zip(rows[i][c + 1:], tail):
+                    if not b:
+                        append(a)
+                    elif a:
+                        z = zech[(lf + b - a) % n]
+                        append(0 if z < 0 else (a + z - 1) % n + 1)
+                    else:
+                        append((lf + b - 1) % n + 1)
+                rows[i] = out
 
     def pow(self, a, e):
         if a == 0:

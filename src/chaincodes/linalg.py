@@ -153,28 +153,9 @@ def field_echelon(field, rows, width=None):
         det = mul(det, work[r][c])
         if r + 1 < m:
             # below the pivot row, columns up to c are zero once updated
-            field_clear_column(field, work, r + 1, work[r], c)
+            field.clear_column(work, r + 1, work[r], c)
         r += 1
     return work, r, det
-
-
-def field_clear_column(field, rows, start, prow, c):
-    """Clear column c of rows[start:] in place with the pivot row `prow`
-    (prow[c] != 0).
-
-    A row that is zero at c is left as it is; any other row is replaced
-    by zeros up to c followed by its updated entries after c, so entries
-    before c are not read from either row.  Row lists are never changed,
-    only replaced.  The factor is made at the first row to clear."""
-    f0 = None
-    for i in range(start, len(rows)):
-        x = rows[i][c]
-        if x:
-            if f0 is None:
-                axpy, mul = field.axpy, field.mul
-                f0 = field.neg(field.inv(prow[c]))
-                head, tail = [field.zero] * (c + 1), prow[c + 1:]
-            rows[i] = head + axpy(rows[i][c + 1:], mul(x, f0), tail)
 
 
 def field_rank(field, rows):

@@ -15,11 +15,14 @@ and the unique digit expansion a = sum(t_i * gamma^i) over T.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import product
+from itertools import accumulate, product, repeat
+from math import gcd, isqrt
+from operator import lshift
 
 from .errors import (MALFORMED, DigitNotInT, InvalidConvention,
                      InvalidParams, MixedRings, NotAUnit, RejectedModulus)
-from .fields import default_modulus, factorize, get_field, prime_power_split
+from .fields import (_poly_divmod, default_modulus, factorize, get_field,
+                     prime_power_split)
 
 TEICHMULLER = "teichmuller"
 DIGITS = "digits"
@@ -240,22 +243,20 @@ class GaloisRing(ChainRing):
         self.zero = (0,) * s
         self.one = tuple([1] + [0] * (s - 1))
         self.gamma = tuple([p % self.pr] + [0] * (s - 1))
-        self._lift_cache = {}
+        self._teichmuller = None  # see lift
+        self._valuations = {p ** v: v for v in range(r + 1)}
+        # mul's slots hold a product's coefficients folded by z^i mod f
+        m = self.pr
+        self._slot = w = (s * (m - 1) ** 2 * (s * m - s - m + 2)).bit_length()
+        self._shifts = shifts = tuple(range(0, w * s, w))
+        self._fold = [sum(map(lshift, _poly_divmod([0] * i + [1], modulus, m),
+                              shifts)) for i in range(s, 2 * s - 1)]
         if s == 1:
             self._bind_zmod_ops()
 
     def _bind_zmod_ops(self):
         """Fix Z_{p^r} ops on the one coordinate as instance attributes."""
-        p, m, r = self.p, self.pr, self.r
-
-        def valuation(a):
-            c, v = a[0], 0
-            while not c % p:
-                if not c:
-                    return r
-                c //= p
-                v += 1
-            return v
+        p, m, r, vals = self.p, self.pr, self.r, self._valuations
 
         def invert_unit(a):
             try:
@@ -268,7 +269,10 @@ class GaloisRing(ChainRing):
         self.neg = lambda a: (-a[0] % m,)
         self.mul = lambda a, b: (a[0] * b[0] % m,)
         self.project = lambda a: a[0] % p
-        self.valuation, self.invert_unit = valuation, invert_unit
+        self.valuation = lambda a: vals[gcd(m, a[0])]
+        self.invert_unit = invert_unit
+        e = 1 if self.convention == DIGITS else p ** (r - 1)  # see lift
+        self.lift = lambda code: (pow(code % p, e, m),)
 
     # --- coordinate arithmetic --------------------------------------------
 
@@ -285,34 +289,22 @@ class GaloisRing(ChainRing):
         return tuple([(-x) % m for x in a])
 
     def mul(self, a, b):
-        """Schoolbook product reduced by the monic modulus f from the top
-        degree down, z^i = z^(i-s) (z^s - f), then mod p^r once."""
-        s, f, m = self.s, self.modulus, self.pr
-        full = [0] * (2 * s - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    full[i + j] += ai * bj
-        for i in range(2 * s - 2, s - 1, -1):
-            c = full[i]
-            if c:
-                for k in range(s):
-                    full[i - s + k] -= c * f[k]
-        return tuple([c % m for c in full[:s]])
+        """Kronecker product: each operand packed in w-bit slots of one int,
+        one int product, its slots s .. 2s - 2 folded onto the low s by the
+        packed rows z^i mod f, each slot then mod p^r; no slot carries."""
+        w, shifts = self._slot, self._shifts
+        full = sum(map(lshift, a, shifts)) * sum(map(lshift, b, shifts))
+        mask = (1 << w) - 1
+        low, full = full & ((1 << w * self.s) - 1), full >> w * self.s
+        for row in self._fold:
+            low += (full & mask) * row
+            full >>= w
+        m = self.pr
+        return tuple([(low >> k & mask) % m for k in shifts])
 
     def valuation(self, a):
-        best = self.r
-        for c in a:
-            if c:
-                v = 0
-                while c % self.p == 0:
-                    c //= self.p
-                    v += 1
-                if v < best:
-                    best = v
-                    if v == 0:
-                        return 0
-        return best
+        """The least valuation of a coordinate: gcd(p^r, a) = p^v."""
+        return self._valuations[gcd(self.pr, *a)]
 
     def shift_down(self, a, e):
         if e == 0:
@@ -324,19 +316,25 @@ class GaloisRing(ChainRing):
         return self.residue.from_coords(a)
 
     def lift(self, code):
-        cached = self._lift_cache.get(code)
-        if cached is not None:
-            return cached
-        if self.convention == DIGITS:
-            out = (code % self.p,)
-        else:
-            # x^(p^(r-1)) is the Teichmueller element over c^(p^(r-1)) for
-            # any x over c, so lift a p^k-th power with k = -(r-1) mod s
-            k = -(self.r - 1) % self.s
-            y = self._embed(self.residue.pow(code, self.p ** k))
-            out = self._pow(y, self.p ** (self.r - 1))
-        self._lift_cache[code] = out
-        return out
+        """The Teichmueller element xi^l over a residue code g^l (s > 1),
+        as xi^(aS) * xi^b for l = aS + b, from two tables of S powers made
+        on the first lift.  xi = y^(p^(r-1)), y the coordinate lift of
+        g^(p^k), k = -(r-1) mod s: that power kills the 1 + pGR part of a
+        unit and lands over g^(p^(k+r-1)) = g."""
+        if not code:
+            return self.zero
+        if self._teichmuller is None:
+            F, S = self.residue, isqrt(self.q - 2) + 1
+            y = self._embed(F.pow(F.generator(), self.p ** (-(self.r - 1)
+                                                            % self.s)))
+            xi = self._pow(y, self.p ** (self.r - 1))
+            small, big = (list(accumulate(repeat(x, S - 1), self.mul,
+                                          initial=self.one))
+                          for x in (xi, self._pow(xi, S)))
+            self._teichmuller = S, big, small
+        S, big, small = self._teichmuller
+        a, b = divmod(self.residue._log[code], S)
+        return self.mul(big[a], small[b])
 
     def _embed(self, code):
         """The residue code as an element by its coordinates."""

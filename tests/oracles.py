@@ -412,6 +412,32 @@ def gamma_standard_form_by_clearing(A):
     return RingMatrix._canonical(ring, out, A.cols), perm
 
 
+def galois_product_by_schoolbook(ring, a, b):
+    """a * b in GR(p^r, s): the schoolbook product of the coordinate
+    polynomials reduced from degree 2s - 2 down by the monic modulus f
+    itself (z^i = z^(i-s) (z^s - f)), each kept coefficient then taken mod
+    p^r once."""
+    s, f, m = ring.s, ring.modulus, ring.pr
+    full = [0] * (2 * s - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            full[i + j] += ai * bj
+    for i in range(2 * s - 2, s - 1, -1):
+        for k in range(s):
+            full[i - s + k] -= full[i] * f[k]
+    return tuple([c % m for c in full[:s]])
+
+
+def teichmuller_by_root_power(ring, code):
+    """The Teichmueller element over a residue code of a Galois ring as
+    y^(p^(r-1)) for the coordinate lift y of code^(p^k), k = -(r-1) mod s:
+    that power removes the 1 + pGR part of a unit and lands over
+    code^(p^(k+r-1)) = code."""
+    k = -(ring.r - 1) % ring.s
+    y = ring.residue.coords(ring.residue.pow(code, ring.p ** k))
+    return ring_power(ring, y, ring.p ** (ring.r - 1))
+
+
 def galois_product_by_division(ring, a, b):
     """a * b in GR(p^r, s) = Z_{p^r}[z]/(f): the schoolbook product of the
     coordinate polynomials, then long division by the monic f, every

@@ -187,13 +187,13 @@ def test_degree_0_code_is_built_once_per_block_code(monkeypatch):
     from chaincodes import conv
     z9 = zmod(9)
     validated = []
-    real = conv.is_polynomial_gamma_basis
+    real = conv._is_gamma_basis
 
-    def counting(G):
+    def counting(G, pivots):
         validated.append(G.k)
-        return real(G)
+        return real(G, pivots)
 
-    monkeypatch.setattr(conv, "is_polynomial_gamma_basis", counting)
+    monkeypatch.setattr(conv, "_is_gamma_basis", counting)
     code = BlockCode(M(z9, [[1, 2, 4, 5], [0, 3, 3, 6]]))
     assert code.k == 3 and validated == [2, 3]
     total = 3 ** code.k

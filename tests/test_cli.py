@@ -230,6 +230,25 @@ def test_distances_report(capsys, golden):
     assert res["L"] == 1
 
 
+def test_distances_omit_the_optimal_bounds_when_nu_does_not_divide_k(
+        capsys, tmp_path):
+    # 2(1 + z, 1) over Z4: k = 1, nu = 2, and d_2 = 3 exceeds the formula's
+    # 2, so the profile comes without optimal_bounds and saturated
+    z4 = zmod(4)
+    G = PolyMatrix(z4, [RingMatrix(z4, [[2, 2]]), RingMatrix(z4, [[2, 0]])])
+    path = tmp_path / "z4.json"
+    path.write_text(json.dumps(ConvCode(z4, 2, G).to_json()))
+    code, doc = run(capsys, "distances", "--code", str(path), "--max-j", "3")
+    assert code == 0
+    res = doc["results"]
+    assert res["profile"] == [2, 3, 3, 3]
+    assert "optimal_bounds" not in res and "saturated" not in res
+    assert "L" not in res
+    assert any("no column-distance bound at j=1" in w for w in doc["warnings"])
+    code, doc = run(capsys, "distances", "--code", str(path), "--max-j", "0")
+    assert code == 0 and doc["results"]["optimal_bounds"] == [2]
+
+
 def test_distances_budget_exit_2(capsys, golden):
     code, doc = run(capsys, "distances", "--code", str(golden["code322"]),
                     "--max-j", "9", "--budget", "100000")

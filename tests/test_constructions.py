@@ -155,13 +155,14 @@ def test_walk_visits_each_proper_pair_with_first_row_one_once(
     # a node clears its column unless it is in the last column, so on a
     # superregular matrix the clears count the pairs with i_1 = 1, j_s < 6
     calls = []
-    clear = constructions.field_clear_column
+    field = toeplitz6.ring.residue
+    clear = field.walk_clear
 
-    def counting(field, rows, start, prow, c):
+    def counting(rows, start, prow, c):
         calls.append(c)
-        clear(field, rows, start, prow, c)
+        clear(rows, start, prow, c)
 
-    monkeypatch.setattr(constructions, "field_clear_column", counting)
+    monkeypatch.setattr(field, "walk_clear", counting)
     assert is_gamma_superregular(toeplitz6, cross_check=False)
     assert len(calls) == sum(1 for I, J in proper_index_pairs(6)
                              if I[0] == 1 and J[-1] < 6) == 90

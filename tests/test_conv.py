@@ -393,9 +393,9 @@ def test_column_distance_budget(code322):
 
 
 def test_a_code_reduces_its_g0_once_beyond_validation(code322, monkeypatch):
-    # validation reduces G_0 once; one pivot pass over [G_0 | ... | G_m]
-    # then decides delay-freeness, the constant-block parameters and the
-    # socle heads
+    # one pivot pass over [G_0 | ... | G_m], placed before validation,
+    # decides the delay-free half of validation, delay-freeness, the
+    # constant-block parameters and the socle heads
     from chaincodes import conv, linalg
     G = code322.encoder
     passes = []
@@ -409,9 +409,34 @@ def test_a_code_reduces_its_g0_once_beyond_validation(code322, monkeypatch):
     monkeypatch.setattr(linalg, "_pivot_rows", counting)
     monkeypatch.setattr(conv, "_pivot_rows", counting)
     C = ConvCode(G.ring, G.n, G)
-    assert passes == [None, G.n]
+    assert passes == [G.n]
     assert is_mdp(C, MINORS) and is_mdp(C, DISTANCES)
-    assert passes == [None, G.n]
+    assert passes == [G.n]
+    # the public check reduces G_0 alone, through the same decision
+    assert is_polynomial_gamma_basis(G) and passes == [G.n, None]
+
+
+@pytest.mark.parametrize("ring", [zmod(9), zmod(121), GaloisRing(2, 2, 2)],
+                         ids=repr)
+def test_a_lift_is_built_with_one_pivot_pass(ring, monkeypatch):
+    # gamma times a lifted row t is the next layer's row gamma t, or zero,
+    # so validation stacks nothing and the constructor's pass over
+    # [G_0 | ... | G_m] is the only reduction of any matrix
+    from chaincodes import conv, linalg
+    from chaincodes.constructions import lift_from_residue_field
+    F = residue_ring(ring)
+    G = PM(F, [[[1, 1, 1]], [[0, 1, 2]]])
+    passes = []
+    real = linalg._pivot_rows
+
+    def counting(A, width=None):
+        passes.append((A.rows, width))
+        return real(A, width)
+
+    monkeypatch.setattr(linalg, "_pivot_rows", counting)
+    monkeypatch.setattr(conv, "_pivot_rows", counting)
+    C = lift_from_residue_field(G, ring)
+    assert C.k == ring.nu and passes == [(ring.nu, 3)]
 
 
 def test_each_column_distance_is_walked_once(monkeypatch):
@@ -834,6 +859,19 @@ def test_optimal_cd_bound_322():
     assert optimal_cd_bound(1, 3, 2, 2) == 5
 
 
+def test_optimal_cd_bound_needs_nu_to_divide_k_beyond_j_0():
+    # the Z4 code 2(1 + z, 1) has the profile 2, 3, 3, 3, above the formula
+    # at j = 2; j = 0 stays the block Singleton bound
+    z4 = zmod(4)
+    C = ConvCode(z4, 2, PM(z4, [[[2, 2]], [[2, 0]]]))
+    assert distance_profile(C, 3) == (2, 3, 3, 3)
+    assert optimal_cd_bound(0, 2, 1, 2) == 2
+    for j in (1, 2, 3):
+        with pytest.raises(NuNotDividingK):
+            optimal_cd_bound(j, 2, 1, 2)
+    assert optimal_cd_bound(2, 4, 2, 2) == (4 - 1) * 3 + 1
+
+
 def test_column_distance_bound_two_cases():
     # j <= nu and j > nu branches with params (1, 0)
     assert column_distance_bound(0, 3, (1, 0), 2) == 3
@@ -914,18 +952,18 @@ def test_reversed_code_is_kept_and_walked_once(z121, monkeypatch):
     C = ConvCode(z121, 3, PM(z121, [[[1, 2, 1], [11, 22, 11]],
                                     [[1, 3, 4], [11, 33, 44]]]))
     walked, validated = [], []
-    real_walk, real_basis = conv._walk_rows, conv.is_polynomial_gamma_basis
+    real_walk, real_basis = conv._walk_rows, conv._is_gamma_basis
 
     def counting_walk(code, j):
         walked.append((code is C, j))
         return real_walk(code, j)
 
-    def counting_basis(G, **kwargs):
+    def counting_basis(G, pivots):
         validated.append(G)
-        return real_basis(G, **kwargs)
+        return real_basis(G, pivots)
 
     monkeypatch.setattr(conv, "_walk_rows", counting_walk)
-    monkeypatch.setattr(conv, "is_polynomial_gamma_basis", counting_basis)
+    monkeypatch.setattr(conv, "_is_gamma_basis", counting_basis)
     assert is_reverse_mdp(C, MINORS)
     assert walked == [] and validated == [reverse_encoder(C)]
     assert is_reverse_mdp(C, DISTANCES)
@@ -1165,7 +1203,7 @@ def _leaf_cases(F):
 
 
 @pytest.mark.parametrize("ring", [GaloisRing(11, 1, 2), GaloisRing(3, 1, 3),
-                                  zmod(11)], ids=repr)
+                                  GaloisRing(2, 1, 4), zmod(11)], ids=repr)
 def test_minors_condition_leaf_cases(ring):
     F = ring.residue
     for name, codes, L, n, k0, expected in _leaf_cases(F):
@@ -1175,12 +1213,15 @@ def test_minors_condition_leaf_cases(ring):
             name
 
 
-def test_two_row_leaf_makes_one_inv_and_one_mul_per_column():
-    # every column nonzero and of its own ratio: the sweep sees them all
+def test_two_row_leaf_makes_one_walk_ratio_per_column():
+    # every column nonzero and of its own ratio: the sweep sees them all,
+    # and keys each column with x != 0 by one log difference, with no
+    # field product or inverse; (0, y) is keyed -1 with no call
     F = CountingField(GaloisRing(11, 1, 2).residue)
     rows = [[1, 0, 1, 2, 3, 5, 7], [0, 1, 1, 1, 1, 1, 1]]
     assert _minors_condition(F, rows, 0, 7, 2)
-    assert F.calls["inv"] <= 7 and F.calls["mul"] <= 7, F.calls
+    assert F.calls["walk_ratio"] == 6, F.calls
+    assert not F.calls["mul"] and not F.calls["inv"], F.calls
 
 
 # ------------------------------------------------------------ serialization

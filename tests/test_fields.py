@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -81,3 +82,32 @@ def test_neg_is_the_additive_inverse(p, h):
     for a in field.elements():
         assert field.add(a, field.neg(a)) == 0
         assert field.sub(a, a) == 0
+
+
+@pytest.mark.parametrize("p, h", [(2, 1), (11, 1), (2, 4), (3, 2), (11, 2),
+                                  (11, 5)])
+def test_walk_ops_are_the_plain_ops_in_walk_codes(p, h):
+    # walk_clear is clear_column and walk_ratio is y * x^-1, read through
+    # walk_codes; zero stays 0 and the Zech -1 mark (x = -f*y) included
+    F = get_field(p, h)
+    rng = random.Random(p * 10 + h)
+    codes = [0, 1, F.q - 1] + [rng.randrange(F.q) for _ in range(20)]
+    for _ in range(150):
+        width = rng.randint(1, 6)
+        c = rng.randrange(width)
+        prow = [rng.choice(codes) for _ in range(width)]
+        prow[c] = prow[c] or 1
+        rows = [[rng.choice(codes) for _ in range(width)] for _ in range(4)]
+        # a row that the update cancels entry by entry beyond c
+        rows.append([F.neg(F.mul(5 % F.q or 1, e)) for e in prow])
+        plain = list(rows)
+        F.clear_column(plain, 1, prow, c)
+        walked = [F.walk_codes(row) for row in rows]
+        F.walk_clear(walked, 1, F.walk_codes(prow), c)
+        assert walked == [F.walk_codes(row) for row in plain]
+        assert not any(row[c] for row in plain[1:]) and plain[-1] != rows[-1]
+    for x in filter(None, codes):
+        for y in codes:
+            wx, wy = F.walk_codes([x, y])
+            assert F.walk_ratio(wx, wy) == \
+                F.walk_codes([F.mul(y, F.inv(x))])[0]

@@ -8,8 +8,10 @@ from chaincodes.rings import ChainRingSpec
 from chaincodes.errors import (DigitNotInT, InvalidConvention, InvalidParams,
                                MixedRings, NotAUnit, RejectedModulus)
 from chaincodes.fields import default_modulus, get_field
-from oracles import (galois_product_by_division, invert_unit_by_exponent,
-                     teichmuller_by_iteration, teichmuller_by_power)
+from oracles import (galois_product_by_division,
+                     galois_product_by_schoolbook, invert_unit_by_exponent,
+                     teichmuller_by_iteration, teichmuller_by_power,
+                     teichmuller_by_root_power)
 
 
 @pytest.fixture(scope="module")
@@ -203,13 +205,102 @@ def test_lift_matches_the_iteration_oracle(p, r, s):
 
 @pytest.mark.parametrize("p, r, s", TEICHMULLER_RINGS + [(5, 3, 3)])
 def test_lift_matches_the_full_power_oracle(p, r, s):
-    # lift(c) = y^(p^(r-1)) with y over c^(p^k), k = -(r-1) mod s, against
-    # x^(q^(r-1)) with x over c itself
+    # lift(c) = xi^(aS) xi^b from the two power tables, against x^(q^(r-1))
+    # with x over c itself
     ring = GaloisRing(p, r, s)
     rng = random.Random(1231)
     codes = [0, 1] + [rng.randrange(2, ring.q) for _ in range(300)]
     for c in codes:
         assert ring.lift(c) == teichmuller_by_power(ring, c)
+
+
+# GR(121,2), GR(8,4), GR(27,3), GR(25,3), GR(121,5), and the fields
+# GR(11,1,5), GR(4,1,2)
+@pytest.mark.parametrize("p, r, s", [(11, 2, 2), (2, 3, 4), (3, 3, 3),
+                                     (5, 2, 3), (11, 2, 5), (11, 1, 5),
+                                     (2, 1, 2)])
+def test_table_lift_matches_the_power_oracles(p, r, s):
+    # every code of the small rings, 500 seeded codes of the large ones;
+    # the iteration oracle x -> x^q on a sample, as it is the slowest
+    ring = GaloisRing(p, r, s)
+    codes = range(ring.q) if ring.q <= 4000 else \
+        [0, 1, ring.q - 1] + random.Random(27).sample(range(2, ring.q), 500)
+    lifts = [ring.lift(c) for c in codes]
+    assert lifts == [teichmuller_by_root_power(ring, c) for c in codes]
+    assert lifts == [teichmuller_by_power(ring, c) for c in codes]
+    sample = list(codes)[::max(1, len(codes) // 40)]
+    assert [ring.lift(c) for c in sample] == \
+        [teichmuller_by_iteration(ring, c) for c in sample]
+    assert ring.teichmuller_generator() == \
+        teichmuller_by_power(ring, ring.residue.generator())
+
+
+@pytest.mark.parametrize("ring", [
+    GaloisRing(11, 2, 5), GaloisRing(3, 2, 2), zmod(121),
+    zmod(9, convention="teichmuller")], ids=repr)
+def test_lifts_leave_no_per_element_state(ring):
+    # the first lift builds two tables of about sqrt(q) powers (none for
+    # s = 1); a thousand more lifts add nothing to the ring
+    def state():
+        return {name: len(value) if hasattr(value, "__len__") else value
+                for name, value in vars(ring).items() if name != "residue"
+                and not callable(value)}
+
+    ring.lift(1)
+    before = state()
+    rng = random.Random(1000)
+    for _ in range(1000):
+        ring.lift(rng.randrange(ring.q))
+    assert state() == before
+    tables = vars(ring)["_teichmuller"]
+    if ring.s == 1:
+        assert tables is None
+    else:
+        S, big, small = tables
+        assert len(big) == len(small) == S and (S - 1) ** 2 <= ring.q - 2 \
+            < S ** 2
+
+
+def test_no_lift_table_is_built_by_the_constructor():
+    ring = GaloisRing(11, 2, 5)
+    assert ring._teichmuller is None
+    ring.mul(ring.one, ring.gamma)
+    assert ring._teichmuller is None
+
+
+# (p, r, s) over p in {2, 3, 11}, r in {1, 2, 5} and s in {2, 3, 5}
+PACKED_RINGS = [(p, r, s) for p in (2, 3, 11) for r in (1, 2, 5)
+                for s in (2, 3, 5)]
+
+
+@pytest.mark.parametrize("p, r, s", PACKED_RINGS)
+def test_packed_product_matches_the_schoolbook_oracle(p, r, s):
+    ring = GaloisRing(p, r, s)
+    m = ring.pr
+    rng = random.Random(p * 100 + r * 10 + s)
+    top = (m - 1,) * s  # every slot at its widest
+    pairs = [(top, top), (ring.one, top), (ring.zero, top)] + [
+        tuple(tuple(rng.choice((0, m - 1, rng.randrange(m)))
+                    for _ in range(s)) for _ in range(2))
+        for _ in range(150)]
+    assert [ring.mul(a, b) for a, b in pairs] == \
+        [galois_product_by_schoolbook(ring, a, b) for a, b in pairs]
+
+
+@pytest.mark.parametrize("ring", [
+    # z^3 + z + 3 over Z_8 (3 = 1 + p), z^2 + 2z + 2 over Z_9, and over
+    # Z_121 z^5 + 13 (13 = 2 + p) and z^5 + 2z + 1
+    GaloisRing(2, 3, 3, modulus=(3, 1, 0, 1)),
+    GaloisRing(3, 2, 2, modulus=(2, 2, 1)),
+    GaloisRing(11, 2, 5, modulus=(13, 0, 0, 0, 0, 1)),
+    GaloisRing(11, 2, 5, modulus=(1, 2, 0, 0, 0, 1))], ids=repr)
+def test_packed_product_under_a_non_default_modulus(ring):
+    rng = random.Random(2727)
+    pairs = [tuple(tuple(rng.randrange(ring.pr) for _ in range(ring.s))
+                   for _ in range(2)) for _ in range(300)]
+    assert [ring.mul(a, b) for a, b in pairs] == \
+        [galois_product_by_schoolbook(ring, a, b) for a, b in pairs] == \
+        [galois_product_by_division(ring, a, b) for a, b in pairs]
 
 
 @pytest.mark.parametrize("ring", [GaloisRing(*prs)
@@ -253,6 +344,25 @@ def test_valuation_laws_exhaustive():
             vm = ring.valuation(ring.mul(a, b))
             assert vm == min(va + vb, ring.nu)
             assert ring.valuation(ring.add(a, b)) >= min(va, vb)
+
+
+@pytest.mark.parametrize("ring", [GaloisRing(2, 3, 3), GaloisRing(3, 2, 2),
+                                  zmod(27), zmod(8)], ids=repr)
+def test_valuation_is_the_least_coordinate_valuation(ring):
+    # gcd(p^r, a) = p^v against dividing each coordinate by p
+    def least(a):
+        best = ring.r
+        for c in a:
+            v = 0
+            while c and c % ring.p == 0:
+                c //= ring.p
+                v += 1
+            best = min(best, v) if c else best
+        return best
+
+    for a in ring.elements():
+        assert ring.valuation(a) == \
+            GaloisRing.valuation(ring, a) == least(a), a
 
 
 def test_truncated_poly_ring():

@@ -182,7 +182,17 @@ def is_polynomial_gamma_basis(G: PolyMatrix):
     != 0.  For every column c, the singular matrix on rows I + {i} and
     columns J + {c} expands along c to sum a_l(z) g_l(z)_c = 0, a_l the
     signed minors on J: so sum a_l g_l = 0 with a_i = +-minor(I, J) != 0
-    and deg a_l <= r deg G <= top.  At nu > 1, top = deg G misses a
+    and deg a_l <= r deg G <= top.
+
+    At nu > 1, an encoder whose every entry has valuation >= nu - 1 is
+    G = gamma^(nu-1) H, decided exactly as at nu = 1, with top = (k - 1)
+    deg G.  Every gamma g_i is 0, so the rows are a gamma-generator
+    sequence, and for T-digit polynomials a_i, sum a_i g_i = gamma^(nu-1)
+    sum a_i h_i is 0 exactly when sum a-bar_i h-bar_i = 0 over F[z], H-bar
+    the projection of H, with a-bar_i = 0 only for a_i = 0 (lift(project(t))
+    = t on T).  So G, and each stack of its shifted rows, is independent
+    exactly when H-bar, or its stack, is: the nu = 1 bound applies.  Any
+    other encoder at nu > 1 is decided on top = deg G, which misses a
     dependency with higher-degree digits."""
     return _is_gamma_basis(G, _pivot_rows(G.coefficient(0))[0])
 
@@ -190,8 +200,10 @@ def is_polynomial_gamma_basis(G: PolyMatrix):
 def _is_gamma_basis(G: PolyMatrix, pivots):
     """is_polynomial_gamma_basis(G) given the rows _pivot_rows places on
     G_0, or on [G_0 | G_1 | ...] with pivots in G_0's columns (same e's)."""
-    ring, m = G.ring, max(G.degree, 0)
-    top = (G.k - 1) * m if ring.nu == 1 else m
+    ring, m, low = G.ring, max(G.degree, 0), G.ring.nu - 1
+    exact = not low or all(ring.valuation(x) >= low
+                           for c in G.coeffs for row in c.data for x in row)
+    top = (G.k - 1) * m if exact else m
     shifts = range(top + 1)
     S = sliding_matrix(G, top + m)
     return _gamma_multiples_in_later_rows(S, G.k, shifts) and (
@@ -359,55 +371,43 @@ def column_distance(C: ConvCode, j, budget=DEFAULT_DISTANCE_BUDGET):
     return C._distances[j]
 
 
-def _row_steps(ring, rows):
-    """For each row and t < q - 1, the (coordinate, value, entry index)
-    triples of the nonzero additive coordinates of (reps[t+1] - reps[t])
-    row.  The coordinates of t e are found once per distinct difference t
-    and entry e, and a row's lists for equal differences are one list:
-    under the digits transversal of Z_(p^r) every difference is 1."""
-    reps = ring.representatives()
-    _, coords = ring.additive_coords()
-    d, mul = len(coords(ring.zero)), ring.mul
-    diffs = list(map(ring.sub, reps[1:], reps))
-    entries = {e for row in rows for e in row}
-    nonzero = {t: {e: [(i, x) for i, x in enumerate(coords(mul(t, e))) if x]
-                   for e in entries} for t in dict.fromkeys(diffs)}
-    table = []
-    for row in rows:
-        lists = {t: [(p * d + i, x, p) for p, e in enumerate(row)
-                     for i, x in known[e]] for t, known in nonzero.items()}
-        table.append([lists[t] for t in diffs])
-    return table
-
-
 def _walk_rows(C: ConvCode, j):
     """(steps, s, length) of column_distance's walk: the Gray steps of the
     s socle heads, then of block rows 1..j of S_j (row a of [G_0 | G_1 |
     ...] after b zero blocks in block row b), cut to the length (j+1) n of
-    S_j; the steps of the s + k rows are built once per code, and a row's
-    shared lists are moved once."""
-    ring, k, n, s = C.ring, C.k, C.n, len(C._pivots)
+    S_j.  A row's steps for t < q - 1 are the (coordinate, value, entry
+    index) triples of the nonzero additive coordinates of (reps[t+1] -
+    reps[t]) row, one list per distinct difference (under the digits
+    transversal of Z_(p^r) every difference is 1).  The code keeps the
+    s + k rows, the differences and the nonzero coordinates of t e for
+    each distinct t and entry e from its first walk."""
+    ring, n, s = C.ring, C.n, len(C._pivots)
+    _, coords = ring.additive_coords()
     if C._steps is None:
-        heads = [[ring.mul(ring.gamma_power(ring.nu - 1 - e), x) for x in row]
-                 for row, e, _ in C._pivots]
-        C._steps = _row_steps(ring, [*heads, *C._rows.data])
-    length, d = (j + 1) * n, len(ring.additive_coords()[1](ring.zero))
-    moved = []
-    for b, r in [(0, r) for r in range(s)] + [
-            (b, s + a) for b in range(1, j + 1) for a in range(k)]:
-        shift, steps = b * n, C._steps[r]
-        distinct = {id(step): step for step in steps}
-        lists = {key: [(c + shift * d, v, p + shift) for c, v, p in step
-                       if p + shift < length]
-                 for key, step in distinct.items()}
-        moved.append([lists[id(step)] for step in steps])
-    return moved, s, length
+        reps, mul = ring.representatives(), ring.mul
+        rows = [[mul(ring.gamma_power(ring.nu - 1 - e), x) for x in row]
+                for row, e, _ in C._pivots] + list(C._rows.data)
+        diffs = list(map(ring.sub, reps[1:], reps))
+        entries = {e for row in rows for e in row}
+        C._steps = rows, diffs, {
+            t: {e: [(i, x) for i, x in enumerate(coords(mul(t, e))) if x]
+                for e in entries} for t in dict.fromkeys(diffs)}
+    rows, diffs, nonzero = C._steps
+    length, d = (j + 1) * n, len(coords(ring.zero))
+    walk = []
+    for b, row in [(0, row) for row in rows[:s]] + [
+            (b, row) for b in range(1, j + 1) for row in rows[s:]]:
+        cut = list(enumerate(row[:length - b * n], b * n))
+        lists = {t: [(p * d + i, x, p) for p, e in cut for i, x in known[e]]
+                 for t, known in nonzero.items()}
+        walk.append([lists[t] for t in diffs])
+    return walk, s, length
 
 
 def _normalised_weights(ring, rows, s, length):
     """The weight of sum_r reps[u_r] row r, a word of `length` positions,
     for each T-message u whose first nonzero digit is 1, at r < s, rows[r]
-    being the Gray steps of row r (_row_steps): (q^s - 1)/(q - 1) q^(N-s)
+    being the Gray steps of row r (_walk_rows): (q^s - 1)/(q - 1) q^(N-s)
     messages of N rows (all normalised ones of S_j for block row 0 as
     s = k heads).  Head r starts from its t = 0 step, the row itself, and
     the later digits run in reflected q-ary Gray order (Knuth, TAOCP 4A,

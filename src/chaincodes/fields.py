@@ -154,8 +154,8 @@ def _encode(digits, p):
 
 class _Field:
     """Shared behaviour: the elements are the codes 0..q-1, and a field is
-    identified by its `key`.  The MDP and superregularity walks compute on
-    walk codes: zero is 0, and a nonzero code is itself (ExtField: 1 + log)."""
+    identified by its `key`.  Every elimination (walk_clear) runs on walk
+    codes: zero is 0, and a nonzero code is itself (ExtField: 1 + log)."""
 
     zero = 0
     one = 1
@@ -166,26 +166,7 @@ class _Field:
     def walk_codes(self, row):
         return row
 
-    def axpy(self, xs, f, ys):
-        """[x + f*y for x, y in zip(xs, ys)]."""
-        return [self.add(x, self.mul(f, y)) for x, y in zip(xs, ys)]
-
-    def clear_column(self, rows, start, prow, c):
-        """Clear column c of rows[start:] with the pivot row `prow` (prow[c]
-        != 0): a row nonzero at c is replaced by zeros up to c and its
-        updated entries after c, read from neither row before c; the others
-        stay.  Row lists are replaced, never changed."""
-        f0 = None
-        for i in range(start, len(rows)):
-            x = rows[i][c]
-            if x:
-                if f0 is None:
-                    axpy, mul = self.axpy, self.mul
-                    f0 = self.neg(self.inv(prow[c]))
-                    head, tail = [0] * (c + 1), prow[c + 1:]
-                rows[i] = head + axpy(rows[i][c + 1:], mul(x, f0), tail)
-
-    walk_clear = clear_column
+    plain_codes = walk_codes  # the codes of walk_codes(row) = row
 
     def __eq__(self, other):
         return isinstance(other, _Field) and other.key == self.key
@@ -216,11 +197,6 @@ class PrimeField(_Field):
     def mul(self, a, b):
         return (a * b) % self.p
 
-    def axpy(self, xs, f, ys):
-        """[x + f*y for x, y in zip(xs, ys)]."""
-        p = self.p
-        return [(x + f * y) % p for x, y in zip(xs, ys)]
-
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
@@ -228,6 +204,22 @@ class PrimeField(_Field):
 
     def walk_ratio(self, x, y):  # y / x, x != 0
         return y * pow(x, -1, self.p) % self.p
+
+    def walk_clear(self, rows, start, prow, c):
+        """Clear column c of rows[start:] with the pivot row `prow` (prow[c]
+        != 0): a row nonzero at c is replaced by zeros up to c and its
+        updated entries after c, read from neither row before c; the others
+        stay.  Row lists are replaced, never changed."""
+        p, f0 = self.p, None
+        for i in range(start, len(rows)):
+            x = rows[i][c]
+            if x:
+                if f0 is None:
+                    f0 = p - pow(prow[c], -1, p)
+                    head, tail = [0] * (c + 1), prow[c + 1:]
+                f = x * f0
+                rows[i] = head + [(a + f * b) % p
+                                  for a, b in zip(rows[i][c + 1:], tail)]
 
     def pow(self, a, e):
         return pow(a, e, self.p)
@@ -363,13 +355,17 @@ class ExtField(_Field):
         log = self._log
         return [x and 1 + log[x] for x in row]
 
+    def plain_codes(self, row):  # the codes of walk_codes(row) = row
+        exp = self._exp
+        return [w and exp[w - 1] for w in row]
+
     def walk_ratio(self, x, y):  # y / x, x != 0: a log difference
         return y and (y - x) % (self.q - 1) + 1
 
     def walk_clear(self, rows, start, prow, c):
-        """clear_column on walk codes: a row with x at c gains f * prow,
-        log f = log x - log prow[c] + log(-1), and a + f b for a, b != 0 is
-        a (1 + f b / a), one lookup in the field's own Zech list."""
+        """Clear column c as PrimeField does, on walk codes: a row with x at c
+        gains f * prow, log f = log x - log prow[c] + log(-1), and a + f b
+        for a, b != 0 is a (1 + f b / a), one lookup in its Zech list."""
         zech, n = self._zech, self.q - 1
         lp = prow[c] - (n // 2 if self.p != 2 else 0)  # -1 = g^(n/2)
         head, tail = [0] * (c + 1), prow[c + 1:]
@@ -396,8 +392,11 @@ class ExtField(_Field):
     def coords(self, a):
         return tuple(_digits(a, self.p, self.h))
 
-    def from_coords(self, coords):
-        return _encode([c % self.p for c in coords], self.p)
+    def from_coords(self, coords):  # one Horner pass from the top digit
+        p, acc = self.p, 0
+        for c in reversed(coords):
+            acc = acc * p + c % p
+        return acc
 
     def __repr__(self):
         return f"F_{self.p}^{self.h}"

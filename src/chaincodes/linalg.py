@@ -128,16 +128,14 @@ def field_echelon(field, rows, width=None):
 
     Pivots are taken only in the first `width` columns (all by default):
     column by column, the first nonzero entry at or below the current row
-    is swapped up and the entries below it are cleared.  det is the
-    determinant of a square input; it is zero once a column has no
-    pivot."""
-    work = list(rows)  # rows are replaced, never changed in place
+    is swapped up and the entries below it are cleared on walk codes
+    (walk_clear).  det is the determinant of a square input, the signed
+    product of the pivots; it is zero once a column has no pivot."""
+    work = [field.walk_codes(row) for row in rows]  # replaced, not changed
     m = len(work)
     if width is None:
         width = len(work[0]) if work else 0
-    mul, neg = field.mul, field.neg
-    det = field.one
-    r = 0
+    det, r = field.one, 0
     for c in range(width):
         if r == m:
             break
@@ -149,12 +147,13 @@ def field_echelon(field, rows, width=None):
             continue
         if pivot != r:
             work[r], work[pivot] = work[pivot], work[r]
-            det = neg(det)
-        det = mul(det, work[r][c])
-        if r + 1 < m:
-            # below the pivot row, columns up to c are zero once updated
-            field.clear_column(work, r + 1, work[r], c)
+            det = field.neg(det)
+        # below the pivot row, columns up to c are zero once updated
+        field.walk_clear(work, r + 1, work[r], c)
         r += 1
+    work = [field.plain_codes(row) for row in work]
+    for i in range(r):  # pivot i is at column i unless det is zero
+        det = field.mul(det, work[i][i])
     return work, r, det
 
 
@@ -197,14 +196,14 @@ def t_combination(ring, digits, rows, n):
 
 def iter_span(field, basis):
     """All nonzero combinations of `basis` (list of row vectors)."""
-    axpy, m = field.axpy, len(basis[0]) if basis else 0
+    add, mul, m = field.add, field.mul, len(basis[0]) if basis else 0
     for coeffs in product(field.elements(), repeat=len(basis)):
         if not any(coeffs):
             continue
         vec = [0] * m
         for c, brow in zip(coeffs, basis):
             if c:
-                vec = axpy(vec, c, brow)
+                vec = [add(x, mul(c, y)) for x, y in zip(vec, brow)]
         yield vec
 
 

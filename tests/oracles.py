@@ -126,6 +126,40 @@ class CountingField:
         return counted
 
 
+def clear_column_by_row_update(field, rows, start, prow, c):
+    """rows with each of rows[start:] replaced by row - (row[c] / prow[c])
+    prow, entry by entry in plain codes (prow[c] != 0)."""
+    inv = field.inv(prow[c])
+    return list(rows[:start]) + [
+        [field.sub(a, field.mul(field.mul(row[c], inv), b))
+         for a, b in zip(row, prow)] for row in rows[start:]]
+
+
+def field_echelon_by_row_update(field, rows, width=None):
+    """(rows, rank, det) of forward elimination in plain codes: in each of
+    the first `width` columns the first nonzero entry at or below row r is
+    swapped up and cleared below it by clear_column_by_row_update; det is
+    the signed product of the pivots, zero once a column has none."""
+    work = [list(row) for row in rows]
+    if width is None:
+        width = len(work[0]) if work else 0
+    det, r = field.one, 0
+    for c in range(width):
+        if r == len(work):
+            break
+        below = [i for i in range(r, len(work)) if work[i][c]]
+        if not below:
+            det = field.zero
+            continue
+        if below[0] != r:
+            work[r], work[below[0]] = work[below[0]], work[r]
+            det = field.neg(det)
+        det = field.mul(det, work[r][c])
+        work = clear_column_by_row_update(field, work, r + 1, work[r], c)
+        r += 1
+    return work, r, det
+
+
 def independent_by_enumeration(A):
     """Whether no nontrivial T-combination of the rows of A is zero, by
     lifting every nonzero vector of the residue left kernel through T: a

@@ -156,6 +156,24 @@ def test_check_gamma_basis_of_three_rows_in_f5_z_squared_exits_1(
         assert doc["results"]["error"]["type"] == "CodeLoadError"
 
 
+def test_check_gamma_basis_of_five_times_those_rows_in_z25_exits_1(
+        capsys, tmp_path):
+    # 5 G(z) over Z25, every entry of valuation nu - 1: decided as G(z)
+    # over F_5, whose dependency needs digits of degree 2
+    z25 = zmod(25)
+    G = PolyMatrix(z25, [RingMatrix(z25, [[5, 20], [20, 5], [10, 20]]),
+                         RingMatrix(z25, [[15, 20], [0, 20], [0, 15]])])
+    path = tmp_path / "z25_three_rows.json"
+    path.write_text(json.dumps({"ring": z25.descriptor(), "n": 2,
+                                "encoder": G.to_json()}))
+    code, doc = run(capsys, "check", "gamma-basis", "--code", str(path))
+    assert code == 1
+    assert doc["results"]["gamma-basis"] is False
+    code, doc = run(capsys, "check", "delay-free", "--code", str(path))
+    assert code == 2
+    assert doc["results"]["error"]["type"] == "CodeLoadError"
+
+
 @pytest.mark.parametrize("coeff_rows, claimed, error", [
     # rows z and 3z have no gamma-degree
     ([[[0], [0]], [[1], [3]]], {"delta": 2}, "NotReduced"),

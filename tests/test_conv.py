@@ -25,7 +25,7 @@ from chaincodes.conv import (DISTANCES, MINORS, ConvCode, DistanceBounds,
                              leading_coefficient_matrix, optimal_cd_bound,
                              reverse_encoder, sliding_matrix,
                              _minors_condition, _normalised_weights,
-                             _row_steps, _walk_rows)
+                             _walk_rows)
 from chaincodes.errors import (BudgetExceeded, CodeLoadError, InvalidParams,
                                NotDelayFree, NotReduced, NuNotDividingK,
                                PreconditionViolated, UnequalRowDegrees,
@@ -263,6 +263,29 @@ def test_three_rows_in_f5_z_squared_are_not_a_gamma_basis():
         ConvCode(z5, 2, G)
 
 
+def test_gamma_times_the_three_f5_rows_is_not_a_gamma_basis():
+    # 5 G over Z25, G the rows above: every entry has valuation nu - 1,
+    # so the rows are decided as their division by 5 over F_5
+    z25 = zmod(25)
+    G = PM(z25, [[[5, 20], [20, 5], [10, 20]], [[15, 20], [0, 20], [0, 15]]])
+    assert not is_delay_free(G)
+    assert stacked_independence(G)  # shifts t <= deg G miss it
+    assert not is_polynomial_gamma_basis(G)
+    with pytest.raises(ValueError):
+        ConvCode(z25, 2, G)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "at nu > 1 an encoder that is not delay-free, and not in "
+    "gamma^(nu-1) R[z]^n, is still decided on shifts t <= deg G; stacking "
+    "to shifts t <= 2, or to any top up to 8, says False"))
+def test_z9_rows_that_need_deeper_digits_are_not_a_gamma_basis():
+    z9 = zmod(9)
+    G = PM(z9, [[[3, 1], [0, 3], [3, 6], [0, 0]],
+                [[2, 7], [6, 6], [3, 6], [6, 0]]])
+    assert not is_polynomial_gamma_basis(G)
+
+
 def delay_row(G, a):
     """G with row a multiplied by z."""
     zero = [G.ring.zero] * G.n
@@ -298,6 +321,35 @@ def test_field_encoders_match_the_stacking_oracle(ring):
     assert verdicts[False, False, False] >= 5, verdicts
     assert verdicts[True, False, False] >= 5, verdicts
     assert wider >= 1, verdicts
+
+
+@pytest.mark.parametrize("ring", [
+    zmod(4), zmod(8), zmod(25), TruncatedPolyRing(2, 2), GaloisRing(2, 2, 2)],
+    ids=repr)
+def test_gamma_multiples_of_field_encoders_get_the_field_verdict(ring):
+    # G = gamma^(nu-1) H, H the lift of a random encoder H-bar over the
+    # residue field: G is a gamma-basis exactly when H-bar is one
+    F, g = residue_ring(ring), ring.gamma_power(ring.nu - 1)
+    rng = random.Random(28)
+    els = list(F.elements())
+    verdicts = Counter()
+    for _ in range(80):
+        k, m = rng.randint(1, 3), rng.randint(0, 2)
+        n = rng.randint(max(1, k - 1), k + 1)
+        H = PolyMatrix(F, [M(F, [[rng.choice(els) for _ in range(n)]
+                                 for _ in range(k)])
+                           for _ in range(m + 1)], k=k, n=n)
+        if rng.random() < 0.4:
+            H = delay_row(H, rng.randrange(k))
+        G = PolyMatrix(ring, [M(ring, [
+            [ring.mul(g, ring.lift(F.project(x))) for x in row]
+            for row in c.data]) for c in H.coeffs], k=k, n=n)
+        verdict = is_polynomial_gamma_basis(H)
+        assert is_polynomial_gamma_basis(G) == verdict, H.coeffs
+        verdicts[is_delay_free(H), verdict] += 1
+    assert verdicts[True, True] >= 5, verdicts
+    assert verdicts[False, True] >= 5, verdicts
+    assert verdicts[False, False] >= 5, verdicts
 
 
 @pytest.mark.parametrize("ring", [
@@ -497,8 +549,8 @@ def oracle_weights(C):
 def full_walk(C, j):
     """The Gray walk with block row 0 of S_j as its k heads."""
     S = sliding_matrix(C.encoder, j)
-    return _normalised_weights(C.ring, _row_steps(C.ring, S.data), C.k,
-                               S.cols)
+    return _normalised_weights(C.ring, [direct_steps(C.ring, row)
+                                        for row in S.data], C.k, S.cols)
 
 
 def assert_walk_matches_oracle(C, j, weights):
@@ -610,29 +662,24 @@ def test_socle_walk_cuts_and_pads_the_row_steps():
     assert assert_matches_oracle(padded) == 4
 
 
-def test_row_steps_are_built_once_per_code(z121, monkeypatch):
+def test_row_steps_are_built_once_per_code(z121):
     from chaincodes import conv
-    built = []
-    real = conv._row_steps
-
-    def counting(ring, rows):
-        built.append(len(rows))
-        return real(ring, rows)
-
-    monkeypatch.setattr(conv, "_row_steps", counting)
     C = ConvCode(z121, 3, PM(z121, [[[1, 2, 1], [11, 22, 11]],
                                     [[1, 3, 4], [11, 33, 44]]]))
-    assert built == []
+    assert C._steps is None
     assert distance_profile(C, 1) == (3, 5)
-    assert built == [len(C._pivots) + C.k]
+    table = C._steps
+    assert len(table[0]) == len(C._pivots) + C.k
     assert column_distance(C, 2) >= 5
     assert is_mdp(C, DISTANCES)
-    assert built == [len(C._pivots) + C.k]
+    assert C._steps is table
     R = conv._reversed_code(C)
+    assert R._steps is None
     assert is_reverse_mdp(C, DISTANCES)
-    assert built == [len(C._pivots) + C.k, len(R._pivots) + R.k]
+    reversed_table = R._steps
+    assert len(reversed_table[0]) == len(R._pivots) + R.k
     assert is_reverse_mdp(C, DISTANCES)
-    assert built == [len(C._pivots) + C.k, len(R._pivots) + R.k]
+    assert C._steps is table and R._steps is reversed_table
 
 
 def test_column_distance_rejects_negative_j(code322):
@@ -756,20 +803,33 @@ def direct_steps(ring, row):
     GaloisRing(2, 2, 2), GaloisRing(3, 2, 2),      # Teichmueller
     TruncatedPolyRing(4, 2), TruncatedPolyRing(2, 3)], ids=repr)
 def test_row_steps_share_one_list_per_distinct_difference(ring):
+    # _walk_rows builds each j's lists from the code's shared table; they
+    # are the direct steps of the rows shifted by b blocks and cut to S_j
     reps = ring.representatives()
     diffs = list(map(ring.sub, reps[1:], reps))
     digits = isinstance(ring, GaloisRing) and ring.s == 1
     for C in early_stop_codes(ring, random.Random(25)):
-        rows = [list(row) for row in C._rows.data]
-        table = _row_steps(ring, rows)
         column_distance(C, 0)
-        assert C._steps[len(C._pivots):] == table
-        for row, steps in zip(rows, table):
-            assert steps == direct_steps(ring, row)
-            for a, b in combinations(range(len(diffs)), 2):
-                assert (steps[a] is steps[b]) == (diffs[a] == diffs[b])
-            if digits:  # every difference is 1: the row has one list
-                assert len({id(step) for step in steps}) == 1
+        table, n = C._steps, C.n
+        heads = [[ring.mul(ring.gamma_power(ring.nu - 1 - e), x) for x in row]
+                 for row, e, _ in C._pivots]
+        assert [list(row) for row in table[0]] == heads + [
+            list(row) for row in C._rows.data]
+        assert table[1] == diffs
+        for j in range(3):
+            walk, s, length = _walk_rows(C, j)
+            assert C._steps is table
+            assert (s, length) == (len(heads), (j + 1) * n)
+            shifted = [(0, row) for row in heads] + [
+                (b, row) for b in range(1, j + 1) for row in C._rows.data]
+            assert len(walk) == len(shifted)
+            for (b, row), steps in zip(shifted, walk):
+                cut = ([ring.zero] * (b * n) + list(row))[:length]
+                assert steps == direct_steps(ring, cut)
+                for a, c in combinations(range(len(diffs)), 2):
+                    assert (steps[a] is steps[c]) == (diffs[a] == diffs[c])
+                if digits:  # every difference is 1: the row has one list
+                    assert len({id(step) for step in steps}) == 1
 
 
 def test_convcode_refuses_rows_the_walk_would_misread():
@@ -1211,6 +1271,38 @@ def test_minors_condition_leaf_cases(ring):
         verdict = _minors_condition(F, S.residue_rows(), L, n, k0)
         assert verdict == minors_condition_oracle(S, L, n, k0) == expected, \
             name
+
+
+@pytest.mark.parametrize("rows, verdict, d0", [
+    ([[0, 1, 1], [1, 0, 1], [1, 2, 3], [2, 0, 2]], True, 2),
+    ([[0, 1, 1], [1, 0, 0], [1, 2, 2], [2, 0, 0]], False, 1)])
+def test_minors_leaf_of_three_rows_on_a_validated_code(rows, verdict, d0,
+                                                       monkeypatch):
+    # a non-standard gamma-basis over Z4 of degree 0: two pivots with
+    # e = 0, so L = 0 and need = 2, and three nonzero projected rows, all
+    # handed to the leaf of the last two positions
+    z4 = zmod(4)
+    C = ConvCode(z4, 3, PM(z4, [rows]))
+    assert [e for _, e, _ in C._pivots] == [0, 0]
+    assert L_index(C.n, C.k, C.delta, z4.nu) == 0
+    F, walked, ratios = z4.residue, [], []
+    walk_codes, walk_ratio = F.walk_codes, F.walk_ratio
+
+    def counting_codes(row):
+        walked.append(row)
+        return walk_codes(row)
+
+    def counting_ratio(x, y):
+        ratios.append((x, y))
+        return walk_ratio(x, y)
+
+    monkeypatch.setattr(F, "walk_codes", counting_codes)
+    monkeypatch.setattr(F, "walk_ratio", counting_ratio)
+    assert is_mdp(C, MINORS) == verdict
+    # the leaf keys each of the 3 columns by 3 ratios, one per row
+    assert len(walked) == 3 and len(ratios) == 3 * 3, (walked, ratios)
+    assert is_mdp(C, DISTANCES) == verdict
+    assert column_distance(C, 0) == column_distance_oracle(C, 0) == d0
 
 
 def test_two_row_leaf_makes_one_walk_ratio_per_column():

@@ -5,7 +5,7 @@ import pytest
 
 from chaincodes.errors import InvalidParams
 from chaincodes.fields import ExtField, get_field, is_irreducible
-from oracles import zech_tables_by_polynomials
+from oracles import clear_column_by_row_update, zech_tables_by_polynomials
 
 # (p, h, modulus); the last two have no primitive z + c, so their generator
 # has degree 2 (F_3^4: z^2 + z)
@@ -68,11 +68,28 @@ def test_tables_are_built_on_the_first_lookup_as_plain_lists():
 
 def test_a_stand_in_held_across_the_build_still_reads_the_tables():
     eager = ExtField(5, 3)
-    eager.mul(1, 1)
-    lazy = ExtField(5, 3)  # axpy holds all three stand-ins in locals
-    xs, ys = list(range(0, 125, 3)), list(range(1, 125, 3))
-    assert lazy.axpy(xs, 7, ys) == eager.axpy(xs, 7, ys) == [
-        eager.add(x, eager.mul(7, y)) for x, y in zip(xs, ys)]
+    lazy = ExtField(5, 3)  # walk_clear holds the Zech stand-in in a local
+    prow, row = list(range(1, 125, 3)), list(range(2, 125, 3))
+    walked = [eager.walk_codes(r) for r in (prow, row)]
+    assert not isinstance(lazy._zech, list)
+    lazy.walk_clear(walked, 1, walked[0], 0)
+    assert lazy.plain_codes(walked[1]) == clear_column_by_row_update(
+        eager, [prow, row], 1, prow, 0)[1]
+
+
+@pytest.mark.parametrize("p, h", [(3, 2), (2, 4), (11, 2)])
+def test_coords_and_from_coords_round_trip(p, h):
+    # every code of F_9, F_16 and F_121; coordinates are read mod p
+    field = get_field(p, h)
+    rng = random.Random(p * h)
+    for a in field.elements():
+        coords = field.coords(a)
+        assert len(coords) == h and all(0 <= c < p for c in coords)
+        assert sum(c * p ** i for i, c in enumerate(coords)) == a
+        assert field.from_coords(coords) == a
+        wrapped = [c + p * rng.randint(-3, 3) for c in coords]
+        assert field.from_coords(wrapped) == a
+        assert field.from_coords(tuple(c - p for c in coords)) == a
 
 
 @pytest.mark.parametrize("p, h", [(2, 8), (3, 4), (11, 2)])
@@ -87,8 +104,9 @@ def test_neg_is_the_additive_inverse(p, h):
 @pytest.mark.parametrize("p, h", [(2, 1), (11, 1), (2, 4), (3, 2), (11, 2),
                                   (11, 5)])
 def test_walk_ops_are_the_plain_ops_in_walk_codes(p, h):
-    # walk_clear is clear_column and walk_ratio is y * x^-1, read through
-    # walk_codes; zero stays 0 and the Zech -1 mark (x = -f*y) included
+    # walk_clear is the plain row update and walk_ratio is y * x^-1, read
+    # through walk_codes and back through plain_codes; zero stays 0 and
+    # the Zech -1 mark (x = -f*y) included
     F = get_field(p, h)
     rng = random.Random(p * 10 + h)
     codes = [0, 1, F.q - 1] + [rng.randrange(F.q) for _ in range(20)]
@@ -100,12 +118,18 @@ def test_walk_ops_are_the_plain_ops_in_walk_codes(p, h):
         rows = [[rng.choice(codes) for _ in range(width)] for _ in range(4)]
         # a row that the update cancels entry by entry beyond c
         rows.append([F.neg(F.mul(5 % F.q or 1, e)) for e in prow])
-        plain = list(rows)
-        F.clear_column(plain, 1, prow, c)
+        # entries before c are read from neither row: the update is the
+        # plain one on rows zero there, and a row zero at c stays
+        zeroed = [[0] * c + row[c:] for row in rows]
+        updated = clear_column_by_row_update(F, zeroed, 1, [0] * c + prow[c:],
+                                             c)
+        plain = [new if i and row[c] else row
+                 for i, (row, new) in enumerate(zip(rows, updated))]
         walked = [F.walk_codes(row) for row in rows]
         F.walk_clear(walked, 1, F.walk_codes(prow), c)
         assert walked == [F.walk_codes(row) for row in plain]
-        assert not any(row[c] for row in plain[1:]) and plain[-1] != rows[-1]
+        assert [F.plain_codes(row) for row in walked] == plain
+        assert not any(row[c] for row in plain[1:]) and not any(plain[-1])
     for x in filter(None, codes):
         for y in codes:
             wx, wy = F.walk_codes([x, y])

@@ -7,6 +7,7 @@ from chaincodes import GaloisRing, TruncatedPolyRing, zmod
 from chaincodes.block import BlockCode
 from chaincodes.conv import ConvCode, PolyMatrix, is_polynomial_gamma_basis
 from chaincodes.errors import BudgetExceeded, NotSquare, ZeroMatrix
+from chaincodes.fields import get_field
 from chaincodes import linalg
 from chaincodes.linalg import (RingMatrix, determinant,
                                diagonal_exponents, diagonal_reduction,
@@ -18,7 +19,7 @@ from chaincodes.linalg import (RingMatrix, determinant,
                                is_gamma_linearly_independent,
                                module_solve_left, parameters_of,
                                residue_determinant, shape_of, standard_form)
-from oracles import (determinant_by_elimination,
+from oracles import (determinant_by_elimination, field_echelon_by_row_update,
                      gamma_standard_form_by_clearing,
                      generator_sequence_by_enumeration,
                      independent_by_enumeration, is_unit_determinant, matmul)
@@ -813,6 +814,21 @@ def random_field_rows(field, m, n, rng):
 def brute_span(field, rows, n):
     return {tuple(field_combination(field, coeffs, rows, n))
             for coeffs in product(field.elements(), repeat=len(rows))}
+
+
+@pytest.mark.parametrize("p, h", [(2, 1), (11, 1), (2, 2), (3, 2), (11, 2),
+                                  (5, 3)])
+def test_field_echelon_matches_the_plain_row_update(p, h):
+    # on walk codes, for square and non-square rows and pivots cut to a
+    # width, as field_left_kernel asks
+    field = get_field(p, h)
+    rng = random.Random(100 * p + h)
+    for _ in range(60):
+        m, n = rng.randint(0, 5), rng.randint(1, 5)
+        rows = random_field_rows(field, m, n, rng)
+        for width in (None, rng.randint(0, n)):
+            got = field_echelon(field, rows, width)
+            assert got == field_echelon_by_row_update(field, rows, width)
 
 
 @pytest.mark.parametrize("p,s", FIELD_RINGS)

@@ -1,14 +1,13 @@
 """Property tests of the coordinate arithmetic, the unit inverse and the
 Teichmueller lift over Galois rings with s > 1 and truncated polynomial
-rings over non-prime fields, and of the fused field row update."""
+rings over non-prime fields."""
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaincodes import GaloisRing, TruncatedPolyRing, zmod
 from chaincodes.errors import NotAUnit
-from chaincodes.fields import get_field
 from oracles import ring_power
 
 RINGS = [GaloisRing(2, 3, 3), GaloisRing(3, 3, 2), GaloisRing(2, 4, 2),
@@ -67,26 +66,6 @@ def test_invert_unit_of_a_non_unit_raises_not_a_unit(ring, data):
     a = data.draw(elements(ring).filter(lambda x: not ring.is_unit(x)))
     with pytest.raises(NotAUnit):
         ring.invert_unit(a)
-
-
-FIELDS = [get_field(2), get_field(11), get_field(2, 3), get_field(3, 2),
-          get_field(11, 2)]
-# codes are drawn below the largest q and reduced mod the field's q
-CODE = st.one_of(st.just(0), st.integers(0, max(F.q for F in FIELDS) - 1))
-# over F_11^2, x = -f*y cancels: the Zech entry of x + f*y is the -1 mark
-F121 = get_field(11, 2)
-CANCEL = [(F121.neg(F121.mul(5, y)), y) for y in (1, 12, 120)]
-
-
-@pytest.mark.parametrize("field", FIELDS, ids=repr)
-@SETTINGS
-@given(f=CODE, pairs=st.lists(st.tuples(CODE, CODE), max_size=8))
-@example(f=5, pairs=CANCEL + [(0, 7), (7, 0), (3, 4)])
-def test_axpy_is_add_of_mul(field, f, pairs):
-    f, pairs = f % field.q, [(x % field.q, y % field.q) for x, y in pairs]
-    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
-    assert field.axpy(xs, f, ys) == [field.add(x, field.mul(f, y))
-                                     for x, y in pairs]
 
 
 AXIOM_RINGS = [zmod(8), zmod(121), GaloisRing(3, 2, 2), GaloisRing(2, 3, 3),

@@ -308,9 +308,16 @@ def search_superregular(ell, ring, strategy=EXHAUSTIVE, seed=None,
     elif strategy == RANDOM:
         if seed is None:
             raise InvalidParams("random search requires an explicit seed")
-        rng = random.Random(seed)
-        els = list(ring.elements())
-        draws = (tuple(rng.choice(els) for _ in range(ell - 1))
+        # rng.randrange(size) draws the index that rng.choice(list(
+        # ring.elements())) would, with no list of R and for any |R|;
+        # element(i) is the i-th of ring.elements(): base coord_modulus,
+        # first coordinate most significant
+        rng, size = random.Random(seed), ring.size()
+        m, width = ring.coord_modulus, len(ring.zero)
+        powers = [m ** e for e in reversed(range(width))]
+        element = (lambda i: (i,)) if width == 1 else \
+            (lambda i: tuple([i // w % m for w in powers]))
+        draws = (tuple([element(rng.randrange(size)) for _ in range(ell - 1)])
                  for _ in range(budget))
         tails = dict.fromkeys(draws)  # distinct, in draw order
     else:

@@ -588,12 +588,12 @@ def _minors_condition(field, rows, L, n, k0):
     the first of them that is nonzero at t as the pivot, clears t from the
     rest (walk_clear) and hands them to the child.  With no pivot the
     prefix is dependent, so every selection through it fails and the
-    answer is False.  At a single position a nonzero column is enough; at
-    the last two, two columns have rank 2 exactly when both are nonzero
-    and their keys differ: the column scaled to a first nonzero entry of
-    1, or with two rows left (as for field and lifted codes) y / x for (x,
-    y) (walk_ratio), -1 (no code) if x = 0.  One sweep keeps the
-    next-to-last keys and tests each last one."""
+    answer is False.  At a single position a nonzero column is enough.  At
+    the last two with two rows left (as for field and lifted codes), two
+    columns have rank 2 exactly when both are nonzero and their keys
+    differ: y / x for (x, y) (walk_ratio), -1 (no code) if x = 0.  One
+    sweep keeps the next-to-last keys and tests each last one.  With more
+    rows left, the general step takes the next-to-last position too."""
     ratio, clear = field.walk_ratio, field.walk_clear
     need, total = (L + 1) * k0, (L + 1) * n
     # admissible choices for position c: t_(s*k0+1) > s*n (1-based)
@@ -602,26 +602,14 @@ def _minors_condition(field, rows, L, n, k0):
     def last_two(rows, lo):
         first_last = max(lo + 1, last_lo)  # after some next-to-last t' < t
         seen = set()
-        if len(rows) == 2:
-            r0, r1 = rows
-            for t in range(lo, total):
-                x, y = r0[t], r1[t]
-                if x or y:
-                    key = ratio(x, y) if x else -1
-                    if t >= first_last and key in seen:
-                        return False
-                    seen.add(key)
-                elif t >= first_last or t < total - 1:
-                    return False
-            return True
+        r0, r1 = rows
         for t in range(lo, total):
-            col = [row[t] for row in rows]
-            head = next(filter(None, col), 0)
-            if head:
-                col = tuple([ratio(head, e) for e in col])
-                if t >= first_last and col in seen:
+            x, y = r0[t], r1[t]
+            if x or y:
+                key = ratio(x, y) if x else -1
+                if t >= first_last and key in seen:
                     return False
-                seen.add(col)
+                seen.add(key)
             elif t >= first_last or t < total - 1:
                 return False
         return True
@@ -630,7 +618,7 @@ def _minors_condition(field, rows, L, n, k0):
         lo = max(start, (c // k0) * n) if c % k0 == 0 else start
         if c == need - 1:
             return all(any(row[t] for row in rows) for t in range(lo, total))
-        if c == need - 2:
+        if c == need - 2 and len(rows) == 2:
             return last_two(rows, lo)
         for t in range(lo, total - (need - c) + 1):
             for i, prow in enumerate(rows):

@@ -12,7 +12,6 @@ generator.
 
 from __future__ import annotations
 
-from functools import reduce
 from operator import mul
 
 from .errors import InvalidParams
@@ -143,10 +142,6 @@ def _digits(code, p, h):
         out.append(code % p)
         code //= p
     return out
-
-
-def _encode(digits, p):
-    return reduce(lambda acc, d: acc * p + d, reversed(digits), 0)
 
 
 # ---------------------------------------------------------------------------

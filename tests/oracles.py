@@ -2,12 +2,12 @@
 compared against."""
 
 from collections import Counter
+from functools import reduce
 from itertools import combinations, product
 
 from chaincodes.conv import sliding_matrix
 from chaincodes.errors import BudgetExceeded, CrossCheckFailed
-from chaincodes.fields import (_digits, _encode, _poly_mulmod, _poly_powmod,
-                               factorize)
+from chaincodes.fields import _digits, _poly_mulmod, _poly_powmod, factorize
 from chaincodes.linalg import (RingMatrix, _min_valuation_pivot,
                                _sub_multiple, determinant, field_left_kernel,
                                field_rank, gamma_span_solve,
@@ -269,6 +269,10 @@ def superregular_minor_valuations(spec):
         out[I, J] = 0 if is_unit_determinant(sub) \
             else ring.valuation(determinant(sub))
     return out
+
+
+def _encode(digits, p):
+    return reduce(lambda acc, d: acc * p + d, reversed(digits), 0)
 
 
 def zech_tables_by_polynomials(field):

@@ -512,7 +512,8 @@ def _distinct_draws(ell, ring, seed, budget):
 
 @pytest.mark.parametrize("ell, ring, seed, budget", [
     (3, zmod(11), 1, 60), (4, zmod(13), 5, 150), (4, zmod(121), 9, 150),
-    (3, GaloisRing(2, 2, 2), 2, 100), (3, TruncatedPolyRing(4, 2), 3, 80)],
+    (3, GaloisRing(2, 2, 2), 2, 100), (3, TruncatedPolyRing(4, 2), 3, 80),
+    (1, zmod(13), 4, 5), (1, TruncatedPolyRing(4, 2), 6, 3)],
     ids=repr)
 def test_search_candidates_are_the_distinct_draws_or_all_tails(
         ell, ring, seed, budget, monkeypatch):
@@ -521,11 +522,18 @@ def test_search_candidates_are_the_distinct_draws_or_all_tails(
     monkeypatch.setattr(type(ring), "coerce",
                         lambda self, x: coerced.append(x) or real(self, x))
 
+    def unlisted(self):
+        raise AssertionError("a random search listed the ring")
+
     def searched(**kwargs):
         # the tails are canonical elements: no candidate, nor its reverse,
-        # is coerced again during a search
+        # is coerced again during a search; a random one draws element
+        # indices and never lists R
         before = len(coerced)
-        hits = search_superregular(ell, ring, reverse=reverse, **kwargs)
+        with monkeypatch.context() as patch:
+            if kwargs.get("strategy") == RANDOM:
+                patch.setattr(type(ring), "elements", unlisted)
+            hits = search_superregular(ell, ring, reverse=reverse, **kwargs)
         assert len(coerced) == before
         return hits
 
@@ -543,6 +551,21 @@ def test_search_candidates_are_the_distinct_draws_or_all_tails(
                     if check(ToeplitzSpec(ring, (ring.one,) + t))]
             hits = searched()
             assert [h.first_row for h in hits] == want
+
+
+def test_random_search_over_a_ring_of_more_than_2_63_elements(monkeypatch):
+    # F_2[u]/(u^70) has 2^70 elements: no list of them, nor a range of
+    # their indices, fits; element i is the 70 bits of i, the highest first
+    ring = TruncatedPolyRing(2, 70)
+    monkeypatch.setattr(type(ring), "elements", None)
+    rng = random.Random(3)
+    draws = [rng.randrange(2 ** 70) for _ in range(4)]
+    want = [(ring.one, tuple(i >> (69 - b) & 1 for b in range(70)))
+            for i in draws]
+    want = [row for row in want if is_gamma_superregular(
+        ToeplitzSpec(ring, row))]
+    hits = search_superregular(2, ring, strategy=RANDOM, seed=3, budget=4)
+    assert [h.first_row for h in hits] == want
 
 
 # determinant is patched to a non-unit, so the ring path disagrees with the

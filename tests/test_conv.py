@@ -1202,6 +1202,9 @@ def test_minors_condition_matches_oracle(ring):
     rng = random.Random(505)
     nu = ring.nu
     verdicts, needs, k0s, empty = Counter(), set(), set(), 0
+    # verdicts of the trials with more nonzero projected rows than
+    # positions: the general step takes their next-to-last position too
+    many_rows = Counter()
     for trial in range(150):
         L, k0 = rng.randint(0, 3), rng.randint(1, 3)
         n = k0 - 1 if trial % 10 == 0 and k0 > 1 else rng.randint(k0, k0 + 3)
@@ -1223,7 +1226,8 @@ def test_minors_condition_matches_oracle(ring):
             # selected columns
             S = M(ring, random_sparse_matrix(ring, (L + 1) * k0 * nu,
                                              (L + 1) * n, density, rng))
-        verdict = _minors_condition(ring.residue, S.residue_rows(), L, n, k0)
+        rows = S.residue_rows()
+        verdict = _minors_condition(ring.residue, rows, L, n, k0)
         assert verdict == minors_condition_oracle(S, L, n, k0), trial
         if n < k0:
             empty += 1
@@ -1231,9 +1235,15 @@ def test_minors_condition_matches_oracle(ring):
             verdicts[verdict] += 1
             needs.add((L + 1) * k0)
             k0s.add(k0)
+            if sum(map(any, rows)) > (L + 1) * k0:
+                many_rows[verdict] += 1
     assert min(verdicts[True], verdicts[False]) >= 15, verdicts
     assert {1, 2, 3, 4}.issubset(needs) and max(needs) >= 6, needs
     assert k0s == {1, 2, 3} and empty >= 2, (k0s, empty)
+    # a field has only `need` rows; a ring with nu >= 2 draws nu times more
+    if nu > 1:
+        assert sum(many_rows.values()) >= 20 and len(many_rows) == 2, \
+            many_rows
 
 
 def _leaf_cases(F):
@@ -1279,14 +1289,15 @@ def test_minors_condition_leaf_cases(ring):
 def test_minors_leaf_of_three_rows_on_a_validated_code(rows, verdict, d0,
                                                        monkeypatch):
     # a non-standard gamma-basis over Z4 of degree 0: two pivots with
-    # e = 0, so L = 0 and need = 2, and three nonzero projected rows, all
-    # handed to the leaf of the last two positions
+    # e = 0, so L = 0 and need = 2, and three nonzero projected rows, more
+    # than the two-row leaf of the last two positions takes
     z4 = zmod(4)
     C = ConvCode(z4, 3, PM(z4, [rows]))
     assert [e for _, e, _ in C._pivots] == [0, 0]
     assert L_index(C.n, C.k, C.delta, z4.nu) == 0
-    F, walked, ratios = z4.residue, [], []
+    F, walked, ratios, clears = z4.residue, [], [], []
     walk_codes, walk_ratio = F.walk_codes, F.walk_ratio
+    walk_clear = F.walk_clear
 
     def counting_codes(row):
         walked.append(row)
@@ -1296,11 +1307,18 @@ def test_minors_leaf_of_three_rows_on_a_validated_code(rows, verdict, d0,
         ratios.append((x, y))
         return walk_ratio(x, y)
 
+    def counting_clear(rows, start, prow, c):
+        clears.append(c)
+        return walk_clear(rows, start, prow, c)
+
     monkeypatch.setattr(F, "walk_codes", counting_codes)
     monkeypatch.setattr(F, "walk_ratio", counting_ratio)
+    monkeypatch.setattr(F, "walk_clear", counting_clear)
     assert is_mdp(C, MINORS) == verdict
-    # the leaf keys each of the 3 columns by 3 ratios, one per row
-    assert len(walked) == 3 and len(ratios) == 3 * 3, (walked, ratios)
+    # the general step takes the next-to-last position, so the two-row
+    # leaf is never entered
+    assert len(walked) == 3 and ratios == [] and clears, \
+        (walked, ratios, clears)
     assert is_mdp(C, DISTANCES) == verdict
     assert column_distance(C, 0) == column_distance_oracle(C, 0) == d0
 

@@ -185,29 +185,22 @@ def cmd_construct(args, report):
     if missing:
         args.usage_error(f"construct {args.kind} needs {', '.join(missing)}")
     if args.kind == "lift":
-        src = load_code(args.field_code)
-        if src.ring.nu != 1:
-            raise InvalidParams("lift input must live over a nu=1 ring")
-        target = parse_ring(args.ring)
-        code = lift_from_residue_field(src.encoder, target)
+        encoder = load_code(args.field_code).encoder
+    elif args.kind == "binomial":
+        encoder, warnings = binomial_encoder(args.n, args.k, args.delta,
+                                             args.p)
+        for w in warnings:
+            report.warn(w)
     else:
-        if args.kind == "binomial":
-            encoder, warnings = binomial_encoder(args.n, args.k, args.delta,
-                                                 args.p)
-            for w in warnings:
-                report.warn(w)
-        else:
-            spec = load_toeplitz(args.matrix)
-            if spec.ring.nu != 1:
-                raise InvalidParams(
-                    "block extraction expects a matrix over a nu=1 ring")
-            encoder = extract_mdp_blocks(spec, n=args.n, k=args.k, L=args.L)
-        # unlike `lift`, a --ring with nu = 1 keeps the code as built
-        code = ConvCode(encoder.ring, args.n, encoder)
-        if args.ring is not None:
-            target = parse_ring(args.ring)
-            if target.nu > 1:
-                code = lift_from_residue_field(encoder, target)
+        spec = load_toeplitz(args.matrix)
+        if spec.ring.nu != 1:
+            raise InvalidParams(
+                "block extraction expects a matrix over a nu=1 ring")
+        encoder = extract_mdp_blocks(spec, n=args.n, k=args.k, L=args.L)
+    if args.ring is None:
+        code = ConvCode(encoder.ring, encoder.n, encoder)
+    else:
+        code = lift_from_residue_field(encoder, parse_ring(args.ring))
     res["code"] = code.to_json()
     res["n"] = code.n
     res["k"] = code.k

@@ -176,8 +176,10 @@ def stack_gamma_layers(A: RingMatrix, row_counts):
 
 def lift_matrix(M: RingMatrix, ring) -> RingMatrix:
     """Entry-wise transversal lift of a matrix over a nu=1 chain ring with
-    the same residue field."""
+    the same residue field; a source with nu > 1 is refused, not projected."""
     src = M.ring
+    if src.nu != 1:
+        raise InvalidParams("lift input must live over a nu=1 ring")
     if src.residue != ring.residue:
         raise InvalidParams("residue fields differ")
     return RingMatrix._canonical(ring, [[ring.lift(src.project(e))
@@ -186,22 +188,22 @@ def lift_matrix(M: RingMatrix, ring) -> RingMatrix:
 
 
 def lift_from_residue_field(Gtilde: PolyMatrix, ring) -> ConvCode:
-    """Lift a reduced residue-field encoder to a gamma-encoder over `ring`:
-    coefficient i is [T_i; gamma T_i; ...; gamma^(nu-1) T_i], T_i the
-    transversal lift of the field coefficient i.
+    """Lift a reduced encoder over the residue field, a nu=1 ring, to a
+    gamma-encoder over `ring`: coefficient i is [T_i; gamma T_i; ...;
+    gamma^(nu-1) T_i], T_i the transversal lift of the field coefficient i.
 
     The lift is reduced.  Row gamma^b t(z) has the degree of the field row
     it lifts, whose nonzero entries lift to units, so the lift's leading
     coefficient matrix is [T; gamma T; ...; gamma^(nu-1) T], T the lift of
     the field's leading rows; that is gamma-linearly independent exactly
     when T has full rank over F, i.e. when the field encoder is reduced."""
-    if not is_reduced(Gtilde):
-        raise NotReduced("field encoder must be reduced")
     mul, n = ring.mul, Gtilde.n
     powers = [ring.gamma_power(b) for b in range(ring.nu)]
     coeffs = [RingMatrix._canonical(ring, [
         [mul(g, e) for e in row] for g in powers
         for row in lift_matrix(C, ring).data], n) for C in Gtilde.coeffs]
+    if not is_reduced(Gtilde):
+        raise NotReduced("field encoder must be reduced")
     encoder = PolyMatrix(ring, coeffs, k=ring.nu * Gtilde.k, n=n)
     code = ConvCode(ring, n, encoder)
     code._reduced = True  # as proved above

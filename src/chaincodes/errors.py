@@ -48,8 +48,8 @@ class InvalidParams(ChainCodesError):
 
 
 # what reading a JSON descriptor with a missing key, or of the wrong JSON
-# type, raises; the readers report it as InvalidParams
-MALFORMED = (KeyError, TypeError, AttributeError)
+# type or value, raises; the readers report it as InvalidParams
+MALFORMED = (KeyError, TypeError, AttributeError, ValueError)
 
 
 class BudgetExceeded(ChainCodesError):

@@ -435,8 +435,8 @@ class TruncatedPolyRing(ChainRing):
 
 def make_ring(spec):
     """Build a ring from a ChainRingSpec or a JSON-style descriptor dict;
-    a descriptor with a missing key or of the wrong type raises
-    InvalidParams."""
+    a descriptor with a missing key, of the wrong type or of an unknown
+    family raises InvalidParams."""
     try:
         if isinstance(spec, dict):
             modulus = spec.get("modulus")
@@ -453,7 +453,7 @@ def make_ring(spec):
             return TruncatedPolyRing(spec.q, spec.nu)
     except MALFORMED as exc:
         raise InvalidParams(f"malformed ring descriptor: {exc!r}") from exc
-    raise ValueError(f"unknown ring family {spec.family!r}")
+    raise InvalidParams(f"unknown ring family {spec.family!r}")
 
 
 def zmod(m, convention=None):

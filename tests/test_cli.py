@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from chaincodes import zmod
+from chaincodes import TruncatedPolyRing, zmod
 from chaincodes.cli import main
 from chaincodes.constructions import ToeplitzSpec
 from chaincodes.conv import ConvCode, PolyMatrix
@@ -236,6 +236,68 @@ def test_construct_pipes_into_check(capsys, golden, monkeypatch, tmp_path):
     code2, doc2 = run(capsys, "check", "reverse-mdp", "--code", str(report))
     assert code2 == 0
     assert doc2["results"]["reverse-mdp"] == {"minors": True}
+
+
+BINOMIAL_731 = ("construct", "binomial", "--n", "3", "--k", "1",
+                "--delta", "1", "--p", "7")
+
+
+def test_construct_refuses_a_ring_over_another_residue_field(capsys):
+    code, doc = run(capsys, *BINOMIAL_731, "--ring", "z5")
+    assert code == 2
+    assert doc["results"]["error"] == {"type": "InvalidParams",
+                                       "message": "residue fields differ"}
+
+
+def test_construct_lift_refuses_a_code_over_a_ring_with_nu_above_1(
+        capsys, golden):
+    code, doc = run(capsys, "construct", "lift", "--field-code",
+                    str(golden["code322"]), "--ring", "z1331")
+    assert code == 2
+    assert doc["results"]["error"] == {
+        "type": "InvalidParams",
+        "message": "lift input must live over a nu=1 ring"}
+
+
+def test_construct_with_a_nu_1_ring_keeps_the_code(capsys, golden):
+    # a --ring of nu = 1 lifts too, and the lift is the code itself
+    superregular = ("construct", "superregular", "--matrix",
+                    str(golden["t6"]), "--n", "3", "--k", "1", "--L", "1")
+    for argv, ring in ((BINOMIAL_731, 7), (superregular, 11)):
+        docs = []
+        for extra in ((), ("--ring", f"z{ring}")):
+            code, doc = run(capsys, *argv, *extra)
+            assert code == 0
+            del doc["command"], doc["timing_seconds"]
+            docs.append(doc)
+        assert docs[0] == docs[1]
+        assert docs[0]["results"]["code"]["ring"] == zmod(ring).descriptor()
+
+
+def test_construct_lifts_to_a_truncated_ring_of_nu_1(capsys):
+    code, doc = run(capsys, *BINOMIAL_731, "--ring", "tp(7,1)")
+    assert code == 0
+    assert doc["results"]["code"]["ring"] == \
+        TruncatedPolyRing(7, 1).descriptor()
+    assert (doc["results"]["k"], doc["results"]["delta"]) == (1, 1)
+
+
+def test_construct_validates_one_code(capsys, golden, monkeypatch):
+    # the lift is the only code built: no field code is built and dropped
+    from chaincodes import conv
+    calls = []
+    real = conv._is_gamma_basis
+
+    def counting(G, pivots):
+        calls.append(G.ring)
+        return real(G, pivots)
+
+    monkeypatch.setattr(conv, "_is_gamma_basis", counting)
+    code, doc = run(capsys, "construct", "superregular", "--matrix",
+                    str(golden["t6"]), "--n", "3", "--k", "1", "--L", "1",
+                    "--ring", "z121")
+    assert code == 0
+    assert calls == [zmod(121)]
 
 
 def test_distances_report(capsys, golden):
@@ -483,6 +545,55 @@ def test_ring_with_degenerate_or_missing_parameters_rejected(capsys, name):
 def test_matrix_without_a_ring_is_invalid(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("{}"))
     code, doc = run(capsys, "blockcode", "shape", "--matrix", "-")
+    assert code == 2
+    assert doc["results"]["error"]["type"] == "InvalidParams"
+
+
+# an entry count that is not rows*cols, an entry that is no integer, a
+# wrong coordinate count and an unknown ring family
+MALFORMED_VALUES = {
+    "entry count": lambda d: d["entries"].pop(),
+    "entry": lambda d: d["entries"].__setitem__(-1, "x"),
+    "coordinates": lambda d: d["entries"].__setitem__(-1, [1, 0]),
+    "family": lambda d: d.__setitem__("ring", {"family": "padic", "p": 3}),
+}
+
+
+@pytest.mark.parametrize("defect", MALFORMED_VALUES)
+def test_malformed_descriptor_values_are_invalid(capsys, tmp_path, golden,
+                                                 defect):
+    mutate = MALFORMED_VALUES[defect]
+    matrix = RingMatrix(zmod(9), [[1, 0], [0, 1]]).to_json()
+    mutate(matrix)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(matrix))
+    for argv in (["blockcode", "params", "--matrix"],
+                 ["construct", "superregular", "--n", "3", "--k", "1",
+                  "--L", "1", "--matrix"]):
+        code, doc = run(capsys, *argv, str(path))
+        assert code == 2
+        assert doc["results"]["error"]["type"] == "InvalidParams"
+    # the same defect in a code file: in its first encoder coefficient, or
+    # in its ring
+    obj = json.loads(golden["code322"].read_text())
+    mutate(obj if defect == "family" else obj["encoder"]["coeffs"][0])
+    path.write_text(json.dumps(obj))
+    code, doc = run(capsys, "check", "mdp", "--code", str(path))
+    assert code == 2
+    assert doc["results"]["error"]["type"] == "InvalidParams"
+
+
+@pytest.mark.parametrize("ring, first_row", [
+    (zmod(11).descriptor(), [1, "x"]),
+    (zmod(11).descriptor(), [1, [1, 0]]),
+    ({"family": "padic", "p": 11}, [1, 2, 1, 1, 3, 4])],
+    ids=["entry", "coordinates", "family"])
+def test_malformed_toeplitz_rows_are_invalid(capsys, tmp_path, ring,
+                                             first_row):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"ring": ring, "first_row": first_row}))
+    code, doc = run(capsys, "construct", "superregular", "--n", "3", "--k",
+                    "1", "--L", "1", "--matrix", str(path))
     assert code == 2
     assert doc["results"]["error"]["type"] == "InvalidParams"
 

@@ -262,9 +262,23 @@ def test_lift_matrix(z11, z121):
         [[1, 10], [0, 5]]
 
 
-def test_lift_matrix_rejects_residue_mismatch(z11):
+def test_lift_matrix_rejects_residue_mismatch(z11, z121):
     with pytest.raises(InvalidParams):
         lift_matrix(M(z11, [[1]]), zmod(9))
+    # a source with nu > 1 is refused, not projected
+    with pytest.raises(InvalidParams, match="nu=1"):
+        lift_matrix(M(z121, [[12]]), zmod(1331))
+
+
+def test_lift_from_residue_field_refuses_a_source_with_nu_above_1(z121):
+    # projecting would turn the entry 12 into 1; the refusal comes before
+    # the source is checked for reducedness
+    G = PolyMatrix(z121, [M(z121, [[1, 12, 1]]), M(z121, [[1, 3, 4]])])
+    with pytest.raises(InvalidParams, match="nu=1"):
+        lift_from_residue_field(G, zmod(1331))
+    not_reduced = PolyMatrix(z121, [M(z121, [[1, 12], [2, 24]])])
+    with pytest.raises(InvalidParams, match="nu=1"):
+        lift_from_residue_field(not_reduced, zmod(1331))
 
 
 def test_lift_from_residue_field_layers(z11, z121):

@@ -198,10 +198,10 @@ def lift_from_residue_field(Gtilde: PolyMatrix, ring) -> ConvCode:
     the field's leading rows; that is gamma-linearly independent exactly
     when T has full rank over F, i.e. when the field encoder is reduced."""
     mul, n = ring.mul, Gtilde.n
-    powers = [ring.gamma_power(b) for b in range(ring.nu)]
-    coeffs = [RingMatrix._canonical(ring, [
-        [mul(g, e) for e in row] for g in powers
-        for row in lift_matrix(C, ring).data], n) for C in Gtilde.coeffs]
+    powers = [ring.gamma_power(b) for b in range(1, ring.nu)]
+    coeffs = [RingMatrix._canonical(ring, list(T) + [
+        [mul(g, e) for e in row] for g in powers for row in T], n)
+        for T in (lift_matrix(C, ring).data for C in Gtilde.coeffs)]
     if not is_reduced(Gtilde):
         raise NotReduced("field encoder must be reduced")
     encoder = PolyMatrix(ring, coeffs, k=ring.nu * Gtilde.k, n=n)

@@ -206,7 +206,8 @@ def _is_gamma_basis(G: PolyMatrix, pivots):
     top = (G.k - 1) * m if exact else m
     shifts = range(top + 1)
     S = sliding_matrix(G, top + m)
-    return _gamma_multiples_in_later_rows(S, G.k, shifts) and (
+    # exact: every gamma * g_i is 0, so the walk would pass every row
+    return (exact or _gamma_multiples_in_later_rows(S, G.k, shifts)) and (
         sum(ring.nu - e for _, e, _ in pivots) == G.k
         or is_gamma_linearly_independent(
             _shifted_rows(S, G.k, range(G.k), shifts)))
@@ -588,12 +589,12 @@ def _minors_condition(field, rows, L, n, k0):
     the first of them that is nonzero at t as the pivot, clears t from the
     rest (walk_clear) and hands them to the child.  With no pivot the
     prefix is dependent, so every selection through it fails and the
-    answer is False.  At a single position a nonzero column is enough.  At
+    answer is False; a prefix with a pivot at every position passes.  At
     the last two with two rows left (as for field and lifted codes), two
     columns have rank 2 exactly when both are nonzero and their keys
     differ: y / x for (x, y) (walk_ratio), -1 (no code) if x = 0.  One
     sweep keeps the next-to-last keys and tests each last one.  With more
-    rows left, the general step takes the next-to-last position too."""
+    rows left, the general step takes the last two positions too."""
     ratio, clear = field.walk_ratio, field.walk_clear
     need, total = (L + 1) * k0, (L + 1) * n
     # admissible choices for position c: t_(s*k0+1) > s*n (1-based)
@@ -615,9 +616,9 @@ def _minors_condition(field, rows, L, n, k0):
         return True
 
     def independent(rows, c, start):
+        if c == need:
+            return True
         lo = max(start, (c // k0) * n) if c % k0 == 0 else start
-        if c == need - 1:
-            return all(any(row[t] for row in rows) for t in range(lo, total))
         if c == need - 2 and len(rows) == 2:
             return last_two(rows, lo)
         for t in range(lo, total - (need - c) + 1):

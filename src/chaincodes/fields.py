@@ -216,9 +216,6 @@ class PrimeField(_Field):
                 rows[i] = head + [(a + f * b) % p
                                   for a, b in zip(rows[i][c + 1:], tail)]
 
-    def pow(self, a, e):
-        return pow(a, e, self.p)
-
     def generator(self):
         facs = factorize(self.p - 1) if self.p > 2 else []
         for g in range(1, self.p):

@@ -172,17 +172,6 @@ def field_left_kernel(field, rows):
     return [row[n:] for row in work[rank:]]
 
 
-def field_solve_left(field, rows, target):
-    """One x with x * rows == target, or None: a left-kernel vector y of
-    (rows; target) with y_m != 0 gives x = -y[:m] / y_m."""
-    m = len(rows)
-    for y in field_left_kernel(field, list(rows) + [list(target)]):
-        if y[m]:
-            f = field.neg(field.inv(y[m]))
-            return [field.mul(f, c) for c in y[:m]]
-    return None
-
-
 def t_combination(ring, digits, rows, n):
     """sum(t_i * row_i) over the length-n rows, as a list of entries."""
     add, mul, zero = ring.add, ring.mul, ring.zero
@@ -348,25 +337,28 @@ def gamma_span_solve(A, target):
 
     Solves the projected system over the residue field, then enumerates the
     affine solution coset, lifting each candidate through T and checking
-    exactly over the ring.  Cost q^(kernel dim), at most ORACLE_BUDGET."""
+    exactly over the ring.  Cost q^(kernel dim), at most ORACLE_BUDGET.
+    One elimination of (rows; target) gives both, as it never scales a row
+    and pivots on the target only outside the row space: a left-kernel y
+    with y_m != 0 gives the solution -y[:m] / y_m, the others the kernel."""
     ring = A.ring
     field = ring.residue
     m = A.rows
     # trivial hits that need no search
     if all(e == ring.zero for e in target):
         return (ring.zero,) * m
-    if m == 0:
-        return None
     tlist = list(target)
     for i, row in enumerate(A.data):
         if list(row) == tlist:
             return tuple(ring.one if j == i else ring.zero for j in range(m))
-    rows = A.residue_rows()
     tvec = [ring.project(e) for e in target]
-    part = field_solve_left(field, rows, tvec)
-    if part is None:
+    ys = field_left_kernel(field, A.residue_rows() + [tvec])
+    y = next((y for y in ys if y[m]), None)
+    if y is None:
         return None
-    kernel = field_left_kernel(field, rows)
+    kernel = [v[:m] for v in ys if not v[m]]
+    f = field.neg(field.inv(y[m]))
+    part = [field.mul(f, c) for c in y[:m]]
     if field.q ** len(kernel) > ORACLE_BUDGET:
         # membership in the full module span is necessary for membership in
         # the T-span; a cheap reduction settles clear negatives exactly

@@ -79,6 +79,23 @@ def test_check_reverse_mdp(capsys, golden):
     assert doc["results"]["reverse-mdp"] == {"minors": True}
 
 
+def test_check_reduced(capsys, golden, tmp_path):
+    code, doc = run(capsys, "check", "reduced", "--code",
+                    str(golden["code322"]))
+    assert code == 0
+    assert doc["results"]["reduced"] is True
+    # rows (1, 1 + z) and (0, z) over Z5: the leading rows are (0, 1) twice
+    z5 = zmod(5)
+    G = PolyMatrix(z5, [RingMatrix(z5, [[1, 1], [0, 0]]),
+                        RingMatrix(z5, [[0, 1], [0, 1]])])
+    path = tmp_path / "z5_not_reduced.json"
+    path.write_text(json.dumps({"ring": z5.descriptor(), "n": 2,
+                                "encoder": G.to_json()}))
+    code, doc = run(capsys, "check", "reduced", "--code", str(path))
+    assert code == 1
+    assert doc["results"]["reduced"] is False
+
+
 def test_check_delay_free_fails_with_exit_1(capsys, golden):
     code, doc = run(capsys, "check", "delay-free", "--code",
                     str(golden["not_delay_free"]))
@@ -223,6 +240,33 @@ def test_construct_superregular_matches_lift(capsys, golden):
     assert doc["results"]["code"] == doc2["results"]["code"]
     assert doc["results"]["code"] == json.loads(
         golden["code322"].read_text())
+
+
+def test_construct_superregular_from_the_whole_matrix(capsys, tmp_path):
+    # the full Toeplitz matrix gives the report of its first row; a broken
+    # Toeplitz pattern, or a ring with nu > 1, is refused
+    def construct(obj):
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps(obj))
+        code, doc = run(capsys, "construct", "superregular", "--matrix",
+                        str(path), "--n", "3", "--k", "1", "--L", "1")
+        del doc["command"], doc["timing_seconds"]
+        return code, doc
+
+    first_row = (1, 2, 1, 1, 3, 4)
+    spec = ToeplitzSpec(zmod(11), first_row)
+    code, doc = construct(spec.to_json())
+    assert code == 0
+    full = spec.materialize().to_json()
+    assert construct(full) == (0, doc)
+    full["entries"][7] = 5  # row 1, column 1, on the diagonal of 1s
+    code, doc = construct(full)
+    assert code == 2
+    assert doc["results"]["error"]["type"] == "InvalidParams"
+    code, doc = construct(
+        ToeplitzSpec(zmod(121), first_row).materialize().to_json())
+    assert code == 2
+    assert doc["results"]["error"]["type"] == "InvalidParams"
 
 
 def test_construct_pipes_into_check(capsys, golden, monkeypatch, tmp_path):

@@ -21,8 +21,8 @@ from chaincodes.constructions import (EXHAUSTIVE, RANDOM, ToeplitzSpec,
 from chaincodes.conv import MINORS, ConvCode, PolyMatrix, gamma_degree, \
     is_mdp, is_reduced, is_reverse_mdp
 from chaincodes.errors import (BadCounts, BudgetExceeded, CrossCheckFailed,
-                               DependentRows, InvalidParams, NotSuperregular,
-                               SizeMismatch)
+                               DependentRows, InvalidParams, NotReduced,
+                               NotSuperregular, SizeMismatch)
 from chaincodes.linalg import (RingMatrix, is_gamma_generator_sequence,
                                is_gamma_linearly_independent)
 from oracles import (proper_index_pairs_by_generator,
@@ -279,6 +279,14 @@ def test_lift_from_residue_field_refuses_a_source_with_nu_above_1(z121):
     not_reduced = PolyMatrix(z121, [M(z121, [[1, 12], [2, 24]])])
     with pytest.raises(InvalidParams, match="nu=1"):
         lift_from_residue_field(not_reduced, zmod(1331))
+
+
+def test_lift_from_residue_field_refuses_an_encoder_that_is_not_reduced():
+    # rows (1, 1 + z) and (0, z) over Z5: the leading rows are (0, 1) twice
+    z5 = zmod(5)
+    G = PolyMatrix(z5, [M(z5, [[1, 1], [0, 0]]), M(z5, [[0, 1], [0, 1]])])
+    with pytest.raises(NotReduced):
+        lift_from_residue_field(G, zmod(25))
 
 
 def test_lift_from_residue_field_layers(z11, z121):

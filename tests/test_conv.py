@@ -204,6 +204,26 @@ def test_field_generator_half_stacks_no_tail(monkeypatch):
     assert stacked == [4 * 7]
 
 
+def test_exact_encoders_skip_the_generator_walk(code322, monkeypatch):
+    # at nu = 1, or with every entry of valuation >= nu - 1, each gamma g_i
+    # is 0, so the rows are a gamma-generator sequence with no walk
+    from chaincodes import conv
+    walked = []
+    real = conv._gamma_multiples_in_later_rows
+
+    def counting(S, k, shifts):
+        walked.append(S.ring)
+        return real(S, k, shifts)
+
+    monkeypatch.setattr(conv, "_gamma_multiples_in_later_rows", counting)
+    z11, z121 = zmod(11), code322.ring
+    ConvCode(z11, 3, PM(z11, [[[1, 2, 1]], [[1, 3, 4]]]))
+    ConvCode(z121, 3, PM(z121, [[[11, 22, 11]], [[11, 33, 44]]]))
+    assert walked == []
+    assert is_polynomial_gamma_basis(code322.encoder)
+    assert walked == [z121]
+
+
 def random_encoder(ring, rng):
     """A k x n encoder of degree 0..2 with sparse entries; in about half of
     them each row after the first is gamma times the row above it with
@@ -1116,6 +1136,23 @@ def test_mdp_preconditions(z4, z121):
     C2 = ConvCode(z121, 2, G)
     with pytest.raises(PreconditionViolated):
         is_mdp(C2)
+    # constant-block parameters (0, 2), not (1, 0)
+    C3 = ConvCode(z4, 2, PM(z4, [[[2, 0], [0, 2]]]))
+    with pytest.raises(PreconditionViolated, match="parameters"):
+        is_mdp(C3)
+    # delay-free, but the leading rows are (1, 1) twice
+    z5 = zmod(5)
+    C4 = ConvCode(z5, 2, PM(z5, [[[1, 0], [0, 1]], [[1, 1], [1, 1]]]))
+    with pytest.raises(PreconditionViolated, match="not reduced"):
+        is_mdp(C4)
+
+
+def test_reverse_encoder_requires_a_reduced_encoder():
+    # rows (1, 1 + z) and (0, z): the leading rows are (0, 1) twice
+    z5 = zmod(5)
+    C = ConvCode(z5, 2, PM(z5, [[[1, 1], [0, 0]], [[0, 1], [0, 1]]]))
+    with pytest.raises(NotReduced):
+        reverse_encoder(C)
 
 
 def test_reverse_encoder_requires_equal_row_degrees(z121):

@@ -235,6 +235,18 @@ def test_table_lift_matches_the_power_oracles(p, r, s):
         teichmuller_by_power(ring, ring.residue.generator())
 
 
+@pytest.mark.parametrize("m", [2, 4, 5, 8, 9, 25, 27, 121])
+def test_teichmuller_generator_of_z_mod_prime_power(m):
+    # the lift of the residue field's generator: the Teichmueller element
+    # over it, or under the digit convention the generator's digit, which
+    # is that element at r = 1
+    ring = zmod(m, convention="teichmuller")
+    assert ring.teichmuller_generator() == \
+        teichmuller_by_power(ring, ring.residue.generator())
+    digits = zmod(m, convention="digits")
+    assert digits.teichmuller_generator() == (digits.residue.generator(),)
+
+
 @pytest.mark.parametrize("ring", [
     GaloisRing(11, 2, 5), GaloisRing(3, 2, 2), zmod(121),
     zmod(9, convention="teichmuller")], ids=repr)

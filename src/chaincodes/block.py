@@ -12,7 +12,7 @@ from math import ceil
 
 from .conv import (DEFAULT_DISTANCE_BUDGET, ConvCode, PolyMatrix,
                    column_distance, optimal_cd_bound)
-from .errors import BudgetExceeded, InvalidParams
+from .errors import InvalidParams, check_budget
 from .linalg import RingMatrix, gamma_basis, parameters_of, shape_of
 
 
@@ -52,11 +52,7 @@ def min_distance_block(code: BlockCode, budget=DEFAULT_DISTANCE_BUDGET):
     d_0 of the encoder's degree-0 code, validated when the block code was
     built, whose walk visits (q^s - 1)/(q - 1) of the q^k messages the
     budget counts."""
-    ring = code.ring
-    total = ring.q ** code.k
-    if total > budget:
-        raise BudgetExceeded(f"{total} codewords exceed budget {budget}",
-                             requested=total, allowed=budget)
+    check_budget("codewords", code.ring.q ** code.k, budget)
     if not code.k:
         return None
     return column_distance(code._conv, 0, budget=budget)

@@ -18,9 +18,9 @@ from math import comb, isqrt
 from . import linalg
 from .conv import (ConvCode, PolyMatrix, _minors_condition,
                    _residue_sliding_rows, _sliding_rows, is_reduced)
-from .errors import (MALFORMED, BadCounts, BudgetExceeded,
-                     CrossCheckFailed, DependentRows, InvalidParams,
-                     NotReduced, NotSuperregular, SizeMismatch)
+from .errors import (MALFORMED, BadCounts, CrossCheckFailed, DependentRows,
+                     InvalidParams, NotReduced, NotSuperregular, SizeMismatch,
+                     check_budget)
 from .fields import factorize
 from .linalg import RingMatrix, diagonal_exponents
 from .rings import zmod
@@ -301,11 +301,8 @@ def search_superregular(ell, ring, strategy=EXHAUSTIVE, seed=None,
     if ell < 1:
         raise InvalidParams(f"search needs ell >= 1; got ell={ell}")
     if strategy == EXHAUSTIVE:
-        total = ring.size() ** (ell - 1)
-        if total > budget:
-            raise BudgetExceeded(
-                f"exhaustive search needs {total} candidates",
-                requested=total, allowed=budget)
+        check_budget("exhaustive search candidates",
+                     ring.size() ** (ell - 1), budget)
         tails = product(ring.elements(), repeat=ell - 1)
     elif strategy == RANDOM:
         if seed is None:

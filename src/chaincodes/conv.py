@@ -14,9 +14,10 @@ from __future__ import annotations
 from collections import namedtuple
 from math import ceil
 
-from .errors import (BudgetExceeded, CodeLoadError, CrossCheckFailed,
-                     InvalidParams, NotDelayFree, NotReduced, NuNotDividingK,
-                     PreconditionViolated, UnequalRowDegrees, ZeroRow)
+from .errors import (CodeLoadError, CrossCheckFailed, InvalidParams,
+                     NotDelayFree, NotReduced, NuNotDividingK,
+                     PreconditionViolated, UnequalRowDegrees, ZeroRow,
+                     check_budget)
 from .linalg import (RingMatrix, _gamma_multiples_in_later_rows, _pivot_rows,
                      _shifted_rows, diagonal_exponents,
                      is_gamma_linearly_independent, module_solve_left)
@@ -170,9 +171,9 @@ def is_polynomial_gamma_basis(G: PolyMatrix):
     Independence.  The constant terms of those passes put gamma G_0[i] in
     the R-span of the rows of G_0 after i (a shifted row z^t g_j, t > 0,
     has none), so G_0 is a gamma-generator sequence.  It is then
-    independent, i.e. G delay-free, exactly when gamma_dimension(G_0) ==
-    k (is_gamma_linearly_independent).  A delay-free encoder is
-    independent: in a relation sum a_i(z) g_i(z) = 0 with T-digit
+    independent, i.e. G delay-free, exactly when the nu - e of its pivots
+    sum to k (gamma_dimension), which decides G of degree 0.  A delay-free
+    encoder is independent: in a relation sum a_i(z) g_i(z) = 0 with T-digit
     polynomials a_i not all zero, the coefficient of the lowest power z^s
     in any a_i is sum a_(i,s) G_0[i] = 0, a T-dependency of the rows of
     G_0.  Any other encoder is decided on the shifted rows z^t g_i,
@@ -209,7 +210,7 @@ def _is_gamma_basis(G: PolyMatrix, pivots):
     # exact: every gamma * g_i is 0, so the walk would pass every row
     return (exact or _gamma_multiples_in_later_rows(S, G.k, shifts)) and (
         sum(ring.nu - e for _, e, _ in pivots) == G.k
-        or is_gamma_linearly_independent(
+        or m > 0 and is_gamma_linearly_independent(
             _shifted_rows(S, G.k, range(G.k), shifts)))
 
 
@@ -354,11 +355,8 @@ def column_distance(C: ConvCode, j, budget=DEFAULT_DISTANCE_BUDGET):
     if not C.delay_free():
         raise NotDelayFree("column distances need a delay-free encoder")
     q = C.ring.q
-    count = (q ** C.k - 1) * q ** (j * C.k)
-    if count > budget:
-        raise BudgetExceeded(
-            f"column distance j={j} needs {count} weight evaluations",
-            requested=count, allowed=budget)
+    check_budget(f"weight evaluations for column distance j={j}",
+                 (q ** C.k - 1) * q ** (j * C.k), budget)
     if j not in C._distances:
         floor = max((d for i, d in C._distances.items() if i < j), default=1)
         rows, s, length = _walk_rows(C, j)

@@ -62,6 +62,13 @@ class BudgetExceeded(ChainCodesError):
         self.allowed = allowed
 
 
+def check_budget(what, requested, allowed):
+    """Raise BudgetExceeded if `requested` `what` exceed `allowed`."""
+    if requested > allowed:
+        raise BudgetExceeded(f"{requested} {what} exceed the budget {allowed}",
+                             requested=requested, allowed=allowed)
+
+
 class ZeroRow(ChainCodesError):
     """Operation undefined on matrices with zero rows."""
 

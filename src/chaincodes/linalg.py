@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from itertools import chain, product
 
-from .errors import (MALFORMED, BudgetExceeded, InvalidParams, NotSquare,
-                     ZeroMatrix)
+from .errors import (MALFORMED, InvalidParams, NotSquare, ZeroMatrix,
+                     check_budget)
 
 # the most residue-field candidates one enumeration may lift; read at call
 # time by gamma_span_solve and is_gamma_linearly_independent
@@ -359,14 +359,12 @@ def gamma_span_solve(A, target):
     kernel = [v[:m] for v in ys if not v[m]]
     f = field.neg(field.inv(y[m]))
     part = [field.mul(f, c) for c in y[:m]]
-    if field.q ** len(kernel) > ORACLE_BUDGET:
+    count = field.q ** len(kernel)
+    if count > ORACLE_BUDGET and not module_solve_left(A, target):
         # membership in the full module span is necessary for membership in
         # the T-span; a cheap reduction settles clear negatives exactly
-        if not module_solve_left(A, target):
-            return None
-        raise BudgetExceeded(
-            f"span membership needs {field.q}^{len(kernel)} candidates",
-            requested=field.q ** len(kernel), allowed=ORACLE_BUDGET)
+        return None
+    check_budget("span membership candidates", count, ORACLE_BUDGET)
     coset = chain([part], ([field.add(a, b) for a, b in zip(part, kvec)]
                            for kvec in iter_span(field, kernel)))
     return _lifted_solution(A, target, coset)
@@ -443,10 +441,7 @@ def is_gamma_linearly_independent(A):
         return True
     if is_gamma_generator_sequence(A):
         return gamma_dimension(A) == A.rows
-    if field.q ** len(kernel) > ORACLE_BUDGET:
-        raise BudgetExceeded(
-            f"oracle needs {field.q}^{len(kernel)} kernel lifts",
-            requested=field.q ** len(kernel), allowed=ORACLE_BUDGET)
+    check_budget("kernel lifts", field.q ** len(kernel), ORACLE_BUDGET)
     # a nonzero kernel vector lifts to a nonzero T-vector: lift is
     # injective and lift(0) == 0
     return _lifted_solution(A, [ring.zero] * A.cols,

@@ -152,7 +152,8 @@ class ChainRing:
         return self._rep_set
 
     def teichmuller_generator(self):
-        """xi with T = {0, xi, xi^2, ..., xi^{q-1} = 1}."""
+        """The lift of the residue field's generator, which is xi with T =
+        {0, xi, ..., xi^{q-1} = 1} only under the Teichmuller convention."""
         return self.lift(self.residue.generator())
 
     # --- misc -------------------------------------------------------------

@@ -33,6 +33,7 @@ def test_block_code_expands_generator(z4):
         [[1, 1], [2, 2]]
     assert code.shape() == (1, 1)
     assert code.parameters() == (1, 0)
+    assert repr(code) == "BlockCode(n=2, k=2, ring=Z_4)"
 
 
 def test_block_code_keeps_gamma_basis(z4):

@@ -12,6 +12,7 @@ from chaincodes.cli import main
 from chaincodes.constructions import ToeplitzSpec
 from chaincodes.conv import ConvCode, PolyMatrix
 from chaincodes.linalg import RingMatrix
+from chaincodes.rings import ChainRing
 
 
 def run(capsys, *argv):
@@ -204,6 +205,56 @@ def test_check_gamma_basis_checks_the_claims(capsys, tmp_path, coeff_rows,
     code, doc = run(capsys, "check", "gamma-basis", "--code", str(path))
     assert code == 2
     assert doc["results"]["error"]["type"] == error
+
+
+def assert_cross_check_failed(capsys, argv, message):
+    code, doc = run(capsys, *argv)
+    assert code == 2
+    error = doc["results"]["error"]
+    assert error["type"] == "CrossCheckFailed" and message in error["message"]
+
+
+def test_minors_that_disagree_with_distances_exit_2(capsys, golden,
+                                                    monkeypatch):
+    from chaincodes import cli
+    monkeypatch.setattr(cli, "is_mdp",
+                        lambda code, method, budget: method == "minors")
+    assert_cross_check_failed(
+        capsys, ["check", "mdp", "--code", str(golden["code322"]),
+                 "--method", "both"],
+        "minors verdict True disagrees with distances verdict False")
+
+
+def test_a_first_hit_that_fails_the_recheck_exits_2(capsys, monkeypatch):
+    from chaincodes import cli
+    monkeypatch.setattr(cli, "is_gamma_superregular",
+                        lambda spec, cross_check: not cross_check)
+    assert_cross_check_failed(
+        capsys, ["search", "superregular", "--ell", "2", "--ring", "f2"],
+        "first hit fails the cross-checked re-verification")
+
+
+def test_a_transversal_that_does_not_start_with_0_and_1_exits_2(
+        capsys, golden, monkeypatch):
+    # the column-distance walk counts on reps[0] = 0 and reps[1] = 1
+    real = ChainRing.representatives
+    monkeypatch.setattr(ChainRing, "representatives",
+                        lambda ring: real(ring)[::-1])
+    assert_cross_check_failed(
+        capsys, ["distances", "--code", str(golden["code322"]),
+                 "--max-j", "0"],
+        "transversal does not start with 0 and 1")
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 13: the budget gate formats |R|^(ell - 1), here 6,245 "
+    "digits, into its message, Python refuses to print an int of more than "
+    "4,300 digits, and the report is a ValueError"))
+def test_search_far_over_budget_reports_budget_exceeded(capsys):
+    code, doc = run(capsys, "search", "superregular", "--ell", "3000",
+                    "--ring", "z121", "--budget", "10")
+    assert code == 2
+    assert doc["results"]["error"]["type"] == "BudgetExceeded"
 
 
 @pytest.mark.parametrize("argv", [

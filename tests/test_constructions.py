@@ -505,6 +505,8 @@ def test_search_needs_a_positive_ell(z11, strategy):
 def test_search_random_requires_seed(z11):
     with pytest.raises(InvalidParams):
         search_superregular(3, z11, strategy=RANDOM)
+    with pytest.raises(InvalidParams, match="unknown strategy 'greedy'"):
+        search_superregular(3, z11, strategy="greedy", seed=1)
 
 
 def test_search_random_reverse(z11):

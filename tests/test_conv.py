@@ -91,12 +91,22 @@ def test_polymatrix_refuses_an_explicit_shape_its_coefficients_lack(z4):
         PolyMatrix(z4, [M(z4, [[0, 0]])], k=2, n=2)
     assert PolyMatrix(z4, [A], k=1, n=2) == PolyMatrix(z4, [A])
     assert PolyMatrix(z4, [M(z4, [[0, 0]])], k=1, n=2).degree == -1
+    # with no explicit shape: coefficients of two shapes or rings, and a
+    # zero matrix, which has no shape of its own
+    for coeffs in ([A, M(z4, [[1], [1]])], [A, M(zmod(8), [[1, 1]])]):
+        with pytest.raises(ValueError, match="matrices disagree"):
+            PolyMatrix(z4, coeffs)
+    with pytest.raises(ValueError, match="needs explicit k, n"):
+        PolyMatrix(z4, [M(z4, [[0, 0]])])
+    assert repr(PolyMatrix(z4, [A])) == "PolyMatrix(1x2, deg=0)"
 
 
 def test_leading_coefficient_matrix(z4):
     G = PM(z4, [[[1, 1], [2, 2]], [[1, 0], [2, 0]]])
     lcm = leading_coefficient_matrix(G)
     assert [[e[0] for e in row] for row in lcm.data] == [[1, 0], [2, 0]]
+    with pytest.raises(ZeroRow, match="row 1 is zero"):
+        leading_coefficient_matrix(PM(z4, [[[1, 1], [0, 0]]]))
 
 
 def test_sliding_matrix_shape(code322):
@@ -155,6 +165,14 @@ def test_convcode_rejects_non_basis(z4):
         ConvCode(z4, 2, PM(z4, [[[1, 1], [1, 1]]]))
 
 
+def test_convcode_needs_the_ring_and_length_of_its_encoder(z4):
+    G = PM(z4, [[[1, 1], [2, 2]]])
+    for ring, n in ((z4, 3), (zmod(8), 2)):
+        with pytest.raises(ValueError, match="does not match ring or length"):
+            ConvCode(ring, n, G)
+    assert repr(ConvCode(z4, 2, G)) == "ConvCode(n=2, k=2, ring=Z_4)"
+
+
 def test_delay_free_encoder_is_not_stacked(code322, z4, monkeypatch):
     # independence of a delay-free encoder is read off the gamma-dimension
     # of G_0; the k(m+1)-row stack is built only for an encoder that is not
@@ -175,6 +193,26 @@ def test_delay_free_encoder_is_not_stacked(code322, z4, monkeypatch):
     assert is_polynomial_gamma_basis(G)
     assert sizes == [4]
     assert not is_delay_free(G)
+
+
+def test_degree_0_encoders_are_decided_by_their_pivots(z4, monkeypatch):
+    # (1, 0), (2, 0), (2, 0) over Z4 pass the generator walk: gamma times
+    # each row is 0 or a later row.  G_0 is then a gamma-generator
+    # sequence, independent exactly when its pivots give nu - e summing to
+    # k = 3; they sum to 2, and no independence oracle runs
+    from chaincodes import conv
+    from chaincodes.block import BlockCode
+
+    def refused(A):
+        raise AssertionError("the pivot count decides a degree-0 encoder")
+
+    monkeypatch.setattr(conv, "is_gamma_linearly_independent", refused)
+    generator = M(z4, [[1, 0], [2, 0], [2, 0]])
+    assert is_gamma_generator_sequence(generator)
+    assert not is_polynomial_gamma_basis(PM(z4, [generator.data]))
+    code = BlockCode(generator)
+    assert code.source == generator
+    assert code.encoder == M(z4, [[1, 0], [2, 0]])
 
 
 def test_field_generator_half_stacks_no_tail(monkeypatch):
@@ -1008,6 +1046,8 @@ def test_mdp_322_both_methods(code322):
     assert code322.delta == 2
     assert is_mdp(code322, DISTANCES)
     assert is_mdp(code322, MINORS)
+    with pytest.raises(ValueError, match="unknown method 'rank'"):
+        is_mdp(code322, "rank")
 
 
 def test_reverse_mdp_322(code322):

@@ -54,6 +54,17 @@ def test_bad_h_is_rejected(build):
         build()
 
 
+def test_constants_zero_and_moduli_of_the_wrong_degree_are_refused():
+    assert not is_irreducible([3], 5) and not is_irreducible([0, 0], 5)
+    for field in (get_field(5), ExtField(5, 2)):
+        with pytest.raises(ZeroDivisionError):
+            field.inv(0)
+    for modulus in [(2, 0, 0, 1), (2, 0, 3)]:  # degree 3; not monic
+        with pytest.raises(ValueError, match="monic of degree h"):
+            ExtField(5, 2, modulus)
+    assert (repr(get_field(5)), repr(ExtField(5, 2))) == ("F_5", "F_5^2")
+
+
 def test_tables_are_built_on_the_first_lookup_as_plain_lists():
     field = ExtField(13, 3)
     names = ("_exp", "_log", "_zech")

@@ -51,6 +51,16 @@ def test_outside_entries_are_coerced():
     assert RingMatrix(z121, [[-1, 200]]).data == (((120,), (79,)),)
 
 
+def test_ragged_rows_hash_repr_and_a_non_square_residue_determinant(z4):
+    with pytest.raises(ValueError, match="ragged rows"):
+        RingMatrix(z4, [[1, 2], [3]])
+    A = RingMatrix(z4, [[1, 2, 3]])
+    assert hash(A) == hash(RingMatrix(z4, [[5, 6, 7]])) and len({A, A}) == 1
+    assert repr(A) == "RingMatrix(Z_4, 1x3)"
+    with pytest.raises(NotSquare):
+        residue_determinant(A)
+
+
 def test_derived_matrices_equal_coerced_ones():
     # submatrix and matmul keep the canonical entries without coercing
     # them again

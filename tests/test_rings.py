@@ -77,12 +77,18 @@ def test_digits_convention_z9():
 def test_digits_convention_rejected_for_extension():
     with pytest.raises(InvalidConvention):
         GaloisRing(2, 2, 2, convention="digits")
+    with pytest.raises(InvalidConvention):
+        GaloisRing(3, 2, 1, convention="gray")
 
 
 def test_galois_ring_modulus_rejected():
     # z^3 + z^2 projects to a reducible polynomial over F_2
     with pytest.raises(RejectedModulus):
         GaloisRing(2, 3, 3, modulus=(0, 0, 1, 1))
+    # not monic (leading 3), or of degree 2, not s = 3
+    for modulus in [(1, 1, 0, 3), (1, 1, 1)]:
+        with pytest.raises(RejectedModulus, match="monic of degree s"):
+            GaloisRing(2, 3, 3, modulus=modulus)
 
 
 def test_gr83_xi_order_seven(gr83):
@@ -403,6 +409,11 @@ def test_element_wrapper_mixed_rings(z8, z9):
     assert (a * a).coords == (1,)
     assert a.is_unit()
     assert (a.inverse() * a).coords == (1,)
+    assert (a - a).coords == (0,) and (-a).coords == (5,)
+    assert a == z8.element(11) and a != b and a != 3
+    assert len({a, z8.element(11), -a}) == 2
+    assert (a.valuation(), z8.element(4).valuation()) == (0, 2)
+    assert repr(a) == "RingElement(Z_8, (3,))"
 
 
 def test_compose_rejects_non_digits(z8):

@@ -96,15 +96,17 @@ def load_matrix(path):
 
 
 def load_toeplitz(path):
+    """The Toeplitz matrix of a file holding its first row or the matrix."""
     obj = load_json(path)
     if "first_row" in obj:
-        return ToeplitzSpec.from_json(obj)
-    A = RingMatrix.from_json(obj)
-    if A.rows != A.cols or A.rows == 0:
+        spec, A = ToeplitzSpec.from_json(obj), None
+    else:
+        A = RingMatrix.from_json(obj)  # its entries are coerced already
+        spec = ToeplitzSpec._make((A.ring, A.row(0) if A.rows else ()))
+    if not spec.size or A is not None and A.rows != A.cols:
         raise InvalidParams("Toeplitz matrix file must be square and "
                             "nonempty")
-    spec = ToeplitzSpec(A.ring, tuple(A.row(0)))
-    if spec.materialize() != A:
+    if A is not None and spec.materialize() != A:
         raise InvalidParams("matrix is not upper-triangular Toeplitz")
     return spec
 

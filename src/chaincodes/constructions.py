@@ -23,7 +23,7 @@ from .errors import (MALFORMED, BadCounts, CrossCheckFailed, DependentRows,
                      check_budget)
 from .fields import factorize
 from .linalg import RingMatrix, diagonal_exponents
-from .rings import zmod
+from .rings import make_ring, zmod
 
 EXHAUSTIVE = "exhaustive"
 RANDOM = "random"
@@ -60,13 +60,9 @@ class ToeplitzSpec(namedtuple("ToeplitzSpec", "ring first_row")):
                               for a in self.first_row]}
 
     @classmethod
-    def from_json(cls, obj, ring=None):
-        from .rings import make_ring
+    def from_json(cls, obj):
         try:
-            if ring is None:
-                ring = make_ring(obj["ring"])
-            return cls(ring, tuple(ring.element_from_json(a)
-                                   for a in obj["first_row"]))
+            return cls(make_ring(obj["ring"]), obj["first_row"])
         except MALFORMED as exc:
             raise InvalidParams(f"malformed Toeplitz matrix: {exc!r}") from exc
 
@@ -128,7 +124,7 @@ def is_gamma_superregular(spec: ToeplitzSpec, cross_check=True):
 
     a = field.walk_codes([ring.project(x) for x in spec.first_row])
     verdict = walk([[field.zero] * i + a[:ell - i] for i in range(ell)],
-                   0, 0, 1)
+                   0, 0, min(ell, 1))  # 0 x 0: no minor, so True
     if cross_check:
         A = spec.materialize()
         if verdict != all(ring.valuation(linalg.determinant(A.submatrix(
@@ -271,6 +267,9 @@ def extract_mdp_blocks(spec: ToeplitzSpec, n, k, L):
     index is negative (every block with c < r), so it is the sliding
     matrix S_L of these blocks; its admissible full-size minors must be
     units."""
+    if not 1 <= k <= n or L < 0:
+        raise InvalidParams(f"block extraction needs 1 <= k <= n and L >= 0; "
+                            f"got n={n}, k={k}, L={L}")
     ell, period = spec.size, n + k - 1
     if ell != (L + 1) * period:
         raise SizeMismatch(

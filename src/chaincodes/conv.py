@@ -40,13 +40,14 @@ class PolyMatrix:
         if any(k not in (None, c.rows) or n not in (None, c.cols)
                for c in coeffs):
             raise ValueError(f"k={k}, n={n} disagree with the coefficients")
+        if any(c.ring != ring for c in coeffs):  # zero ones too
+            raise ValueError("coefficient matrices disagree")
         while coeffs and coeffs[-1].is_zero():
             coeffs.pop()
         if coeffs:
             k, n = coeffs[0].rows, coeffs[0].cols
-            for c in coeffs:
-                if c.rows != k or c.cols != n or c.ring != ring:
-                    raise ValueError("coefficient matrices disagree")
+            if any(c.rows != k or c.cols != n for c in coeffs):
+                raise ValueError("coefficient matrices disagree")
         elif k is None or n is None:
             raise ValueError("zero polynomial matrix needs explicit k, n")
         self.ring = ring
@@ -88,7 +89,7 @@ class PolyMatrix:
 
     @classmethod
     def from_json(cls, obj, ring):
-        coeffs = [RingMatrix.from_json(m, ring=ring) for m in obj["coeffs"]]
+        coeffs = [RingMatrix.from_json(m) for m in obj["coeffs"]]
         return cls(ring, coeffs, k=obj.get("k"), n=obj.get("n"))
 
     def __eq__(self, other):

@@ -30,7 +30,8 @@ def prime_power_split(n):
 
 
 def factorize(n):
-    """Distinct prime factors of n (trial division; n stays small here)."""
+    """Distinct prime factors of n by trial division, which is slow for
+    a large prime factor; nothing bounds n yet (ROADMAP item 13)."""
     factors = []
     d = 2
     while d * d <= n:

@@ -16,6 +16,7 @@ from itertools import chain, product
 
 from .errors import (MALFORMED, InvalidParams, NotSquare, ZeroMatrix,
                      check_budget)
+from .rings import make_ring
 
 # the most residue-field candidates one enumeration may lift; read at call
 # time by gamma_span_solve and is_gamma_linearly_independent
@@ -92,15 +93,13 @@ class RingMatrix:
                             for row in self.data for e in row]}
 
     @classmethod
-    def from_json(cls, obj, ring=None):
-        from .rings import make_ring
+    def from_json(cls, obj):
         try:
-            if ring is None:
-                ring = make_ring(obj["ring"])
+            ring = make_ring(obj["ring"])
             m, n = obj["rows"], obj["cols"]
             if m < 0 or n < 0:
                 raise InvalidParams(f"matrix size {m}x{n} is negative")
-            entries = [ring.element_from_json(e) for e in obj["entries"]]
+            entries = list(obj["entries"])  # coerced by __init__
             if len(entries) != m * n:
                 raise ValueError("entry count does not match rows*cols")
             return cls(ring, [entries[i * n:(i + 1) * n] for i in range(m)],

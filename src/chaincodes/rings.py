@@ -192,11 +192,6 @@ class ChainRing:
             return a[0]
         return list(a)
 
-    def element_from_json(self, obj):
-        if isinstance(obj, int):
-            return self.coerce(obj)
-        return self.coerce(tuple(obj))
-
     # --- identity ----------------------------------------------------------
 
     def __eq__(self, other):

@@ -3,11 +3,13 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
+from itertools import product
 from pathlib import Path
 
 import pytest
 
-from chaincodes import TruncatedPolyRing, zmod
+from chaincodes import TruncatedPolyRing, errors, zmod
 from chaincodes.cli import main
 from chaincodes.constructions import ToeplitzSpec
 from chaincodes.conv import ConvCode, PolyMatrix
@@ -654,13 +656,37 @@ MALFORMED_VALUES = {
 }
 
 
-@pytest.mark.parametrize("defect", MALFORMED_VALUES)
+# defects of an encoder coefficient that only a code file has, with the
+# error each gives: every coefficient is read over its own ring, which
+# must be the code's (Z121 with digit representatives)
+COEFFICIENT_DEFECTS = {
+    "another ring": (lambda e: e["coeffs"][0].__setitem__(
+        "ring", zmod(9).descriptor()), "CodeLoadError"),
+    "another ring, trailing zero": (lambda e: e["coeffs"].append(
+        RingMatrix.zeros(zmod(5), 2, 3).to_json()), "CodeLoadError"),
+    "another convention": (lambda e: e["coeffs"][1]["ring"].__setitem__(
+        "convention", "teichmuller"), "CodeLoadError"),
+    "no ring": (lambda e: e["coeffs"][0].pop("ring"), "InvalidParams"),
+}
+
+
+@pytest.mark.parametrize("defect", [*MALFORMED_VALUES, *COEFFICIENT_DEFECTS])
 def test_malformed_descriptor_values_are_invalid(capsys, tmp_path, golden,
                                                  defect):
+    path = tmp_path / "bad.json"
+    obj = json.loads(golden["code322"].read_text())
+    if defect in COEFFICIENT_DEFECTS:
+        mutate, error = COEFFICIENT_DEFECTS[defect]
+        mutate(obj["encoder"])
+        path.write_text(json.dumps(obj))
+        for argv in (["check", "mdp"], ["distances", "--max-j", "1"]):
+            code, doc = run(capsys, *argv, "--code", str(path))
+            assert code == 2
+            assert doc["results"]["error"]["type"] == error
+        return
     mutate = MALFORMED_VALUES[defect]
     matrix = RingMatrix(zmod(9), [[1, 0], [0, 1]]).to_json()
     mutate(matrix)
-    path = tmp_path / "bad.json"
     path.write_text(json.dumps(matrix))
     for argv in (["blockcode", "params", "--matrix"],
                  ["construct", "superregular", "--n", "3", "--k", "1",
@@ -670,7 +696,6 @@ def test_malformed_descriptor_values_are_invalid(capsys, tmp_path, golden,
         assert doc["results"]["error"]["type"] == "InvalidParams"
     # the same defect in a code file: in its first encoder coefficient, or
     # in its ring
-    obj = json.loads(golden["code322"].read_text())
     mutate(obj if defect == "family" else obj["encoder"]["coeffs"][0])
     path.write_text(json.dumps(obj))
     code, doc = run(capsys, "check", "mdp", "--code", str(path))
@@ -775,12 +800,58 @@ def test_matrix_with_negative_sizes_is_invalid(capsys, tmp_path):
 
 
 def test_empty_toeplitz_matrix_is_invalid(capsys, tmp_path):
+    # as a 0x0 matrix or as an empty first row, whatever the sizes
     path = tmp_path / "m.json"
-    path.write_text(json.dumps(RingMatrix(zmod(11), [], cols=0).to_json()))
-    code, doc = run(capsys, "construct", "superregular", "--n", "3", "--k",
-                    "1", "--L", "1", "--matrix", str(path))
-    assert code == 2
-    assert doc["results"]["error"]["type"] == "InvalidParams"
+    for obj in (RingMatrix(zmod(11), [], cols=0).to_json(),
+                ToeplitzSpec(zmod(11), ()).to_json()):
+        path.write_text(json.dumps(obj))
+        for n, k, L in (("3", "1", "1"), ("1", "1", "-1")):
+            code, doc = run(capsys, "construct", "superregular", "--n", n,
+                            "--k", k, "--L", L, "--matrix", str(path))
+            assert code == 2
+            assert doc["results"]["error"] == {
+                "type": "InvalidParams",
+                "message": "Toeplitz matrix file must be square and nonempty"}
+
+
+def _integer_grid(count, values=("-1", "0", "1", "3")):
+    """Every `count`-tuple of `values`, with one more value that runs
+    through all of them as the tuple varies in any one place."""
+    return [(*t, values[sum(map(values.index, t)) % len(values)])
+            for t in product(values, repeat=count)]
+
+
+def test_integer_options_keep_the_exit_contract(capsys, tmp_path):
+    # every report exits 0, 1 or 2, and an exit 2 names a ChainCodesError
+    # subclass, never a bare ValueError, IndexError or ZeroDivisionError
+    argvs = []
+    for first_row in ((1, 2, 1, 1, 3, 4), (1,), ()):
+        path = tmp_path / f"t{len(first_row)}.json"
+        path.write_text(json.dumps(ToeplitzSpec(zmod(11),
+                                                first_row).to_json()))
+        argvs += [["construct", "superregular", "--matrix", str(path),
+                   "--n", n, "--k", k, "--L", L]
+                  for n, k, L, _ in _integer_grid(3)]
+    argvs += [["construct", "binomial", "--n", n, "--k", k, "--delta", d,
+               "--p", p] for n, k, d, p in _integer_grid(3)]
+    argvs += [["bounds", "--n", n, "--k", k, "--delta", d, "--nu", nu,
+               "--max-j", j] for n, k, d, nu, j in _integer_grid(4)]
+    argvs += [["search", "superregular", "--ring", "z5", "--strategy",
+               strategy, "--ell", ell, "--seed", seed, "--budget", budget,
+               "--max-hits", hits]
+              for strategy in ("exhaustive", "random")
+              for ell, seed, budget, hits in _integer_grid(3)]
+    exits = Counter()
+    for argv in argvs:
+        code, doc = run(capsys, *argv)
+        exits[code] += 1
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert issubclass(getattr(errors, doc["results"]["error"]["type"],
+                                      Exception), errors.ChainCodesError), \
+                (argv, doc["results"]["error"])
+    # none of these commands checks a property, so none exits 1
+    assert len(argvs) == 640 and set(exits) == {0, 2}, exits
 
 
 def test_search_with_ell_zero_is_invalid(capsys):

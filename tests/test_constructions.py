@@ -79,6 +79,34 @@ def test_json_round_trip(toeplitz6):
     assert clone == toeplitz6
 
 
+@pytest.mark.parametrize("ring", [
+    zmod(9), GaloisRing(2, 2, 2), GaloisRing(3, 2, 2),
+    TruncatedPolyRing(4, 2), TruncatedPolyRing(2, 3)], ids=repr)
+def test_json_round_trips_over_every_ring_family(ring):
+    # through json text, entries of several coordinates come back as lists
+    # and each object reads its ring from its own descriptor
+    rng = random.Random(repr(ring))
+    elements = list(ring.elements())
+    A = RingMatrix(ring, [rng.choices(elements, k=3) for _ in range(2)])
+    spec = ToeplitzSpec(ring, rng.choices(elements, k=4))
+    field = residue_ring(ring)
+    units = [e for e in field.elements() if any(e)]
+    encoder = PolyMatrix(field, [
+        M(field, [rng.choices(list(field.elements()), k=3)]),
+        M(field, [rng.choices(units, k=3)])])
+    code = lift_from_residue_field(encoder, ring)
+    assert code.k == ring.nu
+
+    def again(obj):
+        return json.loads(json.dumps(obj.to_json()))
+
+    assert RingMatrix.from_json(again(A)) == A
+    assert ToeplitzSpec.from_json(again(spec)) == spec
+    clone = ConvCode.from_json(again(code))
+    assert (clone.ring, clone.n, clone.encoder) == \
+        (code.ring, code.n, code.encoder)
+
+
 def test_is_proper():
     assert is_proper((1, 3), (2, 3))
     assert not is_proper((2, 3), (1, 3))
@@ -106,6 +134,17 @@ def test_example_matrix_superregular(toeplitz6, z121):
     # residue and exact-ring determinant paths are cross-checked inside
     assert is_gamma_superregular(toeplitz6)
     assert is_gamma_superregular(ToeplitzSpec(z121, (1, 2, 1, 1, 3, 4)))
+
+
+def test_the_empty_toeplitz_matrix_has_no_minor(z11, z121):
+    # proper_index_pairs(0) is empty, so every proper minor is a unit
+    assert proper_index_pairs(0) == ()
+    for ring in (z11, z121):
+        empty = ToeplitzSpec(ring, ())
+        for cross_check in (False, True):
+            assert is_gamma_superregular(empty, cross_check=cross_check)
+            assert is_reverse_gamma_superregular(empty,
+                                                 cross_check=cross_check)
 
 
 def test_example_matrix_not_reverse_superregular(toeplitz6):
@@ -457,6 +496,18 @@ def test_extract_blocks_example_rows(toeplitz6, z121):
 def test_extract_blocks_size_check(toeplitz6):
     with pytest.raises(SizeMismatch):
         extract_mdp_blocks(toeplitz6, n=3, k=2, L=1)
+
+
+@pytest.mark.parametrize("first_row, n, k, L", [
+    ((1,), 0, 0, -2), ((1,), 3, -1, 0), ((1, 2, 1, 1, 3, 4), 1, 2, 2),
+    ((1, 2, 1, 1, 3, 4), 3, 1, -1), ((), 1, 0, 0), ((), 0, 1, 1)],
+    ids=lambda x: f"ell={len(x)}" if isinstance(x, tuple) else str(x))
+def test_extract_blocks_needs_1_le_k_le_n_and_L_ge_0(z11, first_row, n, k,
+                                                      L):
+    # checked before the size check and any walk: (L+1)(n+k-1) matches
+    # the first three rows, and is 0 for the empty ones
+    with pytest.raises(InvalidParams, match="1 <= k <= n and L >= 0"):
+        extract_mdp_blocks(ToeplitzSpec(z11, first_row), n=n, k=k, L=L)
 
 
 def test_extract_blocks_requires_superregular(z11):

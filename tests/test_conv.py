@@ -98,6 +98,12 @@ def test_polymatrix_refuses_an_explicit_shape_its_coefficients_lack(z4):
             PolyMatrix(z4, coeffs)
     with pytest.raises(ValueError, match="needs explicit k, n"):
         PolyMatrix(z4, [M(z4, [[0, 0]])])
+    # a coefficient over another ring, zero ones too, before the trailing
+    # ones are trimmed; Z4 under the Teichmueller convention is another ring
+    for other in (zmod(8), zmod(4, convention="teichmuller")):
+        for coeffs in ([A, M(other, [[0, 0]])], [M(other, [[0, 0]])]):
+            with pytest.raises(ValueError, match="matrices disagree"):
+                PolyMatrix(z4, coeffs, k=1, n=2)
     assert repr(PolyMatrix(z4, [A])) == "PolyMatrix(1x2, deg=0)"
 
 

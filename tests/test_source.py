@@ -25,6 +25,18 @@ def test_no_assert_statement_in_the_library():
     assert found == []
 
 
+def test_no_function_imports_inside_its_body():
+    # every import is at module level, so the import graph is in plain
+    # sight and no call pays for an import
+    found = [f"{path.name}:{node.lineno}"
+             for path, tree in _parsed()
+             for function in ast.walk(tree)
+             if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(function)
+             if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert found == []
+
+
 def test_the_library_imports_only_the_standard_library():
     # the runtime is stdlib-only; relative imports are the package's own
     names = []

@@ -403,12 +403,16 @@ def get_field(p, h=1, modulus=None):
     per process, on the first lookup; a ring that never computes in its
     residue field never builds them.  The cache is keyed on the resolved
     modulus, so the default and an explicit copy of it share one field.
-    A p that is not prime, or an h that is not an integer >= 1, is
-    rejected."""
-    if factorize(p) != [p]:
-        raise InvalidParams(f"F_(p^h) needs a prime p; got p={p}")
+    A p that is not prime, an h that is not an integer >= 1, or an
+    extension field of more than 2^20 elements (its tables hold 3 q
+    entries) is rejected; the size is checked first, from bit lengths."""
     if not isinstance(h, int) or h < 1:
         raise InvalidParams(f"F_(p^h) needs an integer h >= 1; got h={h!r}")
+    if h > 1 and (h * (p.bit_length() - 1) > 20 or p ** h > 1 << 20):
+        raise InvalidParams(f"F_(p^h) for h >= 2 is limited to 2^20 "
+                            f"elements; got p={p}, h={h}")
+    if factorize(p) != [p]:
+        raise InvalidParams(f"F_(p^h) needs a prime p; got p={p}")
     if h == 1:
         modulus = (0, 1)
     elif modulus is None:

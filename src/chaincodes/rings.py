@@ -21,14 +21,13 @@ from operator import lshift
 
 from .errors import (MALFORMED, DigitNotInT, InvalidConvention,
                      InvalidParams, MixedRings, NotAUnit, RejectedModulus)
-from .fields import (_poly_divmod, default_modulus, factorize, get_field,
-                     prime_power_split)
+from .fields import _poly_divmod, get_field, prime_power_split
 
 TEICHMULLER = "teichmuller"
 DIGITS = "digits"
 
 
-# family is "galois" or "truncated"; every other field defaults to None
+# a ring descriptor as a record: make_ring reads the fields that are set
 ChainRingSpec = namedtuple("ChainRingSpec",
                            "family p r s modulus q nu convention",
                            defaults=(None,) * 7)
@@ -82,7 +81,9 @@ class RingElement:
 
 class ChainRing:
     """Shared behaviour; subclasses provide the coordinate arithmetic, the
-    modulus `coord_modulus` of each coordinate and the identity `key`."""
+    modulus `coord_modulus` of each coordinate, the `family`, the names
+    `descriptor_keys` of the constructor arguments and the identity `key`
+    = (family, *constructor arguments)."""
 
     _reps = None
     _rep_set = None
@@ -90,17 +91,19 @@ class ChainRing:
     # --- coordinates ------------------------------------------------------
 
     def coerce(self, x):
+        """Coordinates of an int (not a bool), an element or a list of ints."""
+        m, width = self.coord_modulus, len(self.zero)
+        if type(x) is int:
+            return tuple([x % m] + [0] * (width - 1))
         if isinstance(x, RingElement):
             if x.ring != self:
                 raise MixedRings("element from another ring")
             return x.coords
-        m, width = self.coord_modulus, len(self.zero)
-        if isinstance(x, int):
-            return tuple([x % m] + [0] * (width - 1))
-        x = tuple(int(c) % m for c in x)
-        if len(x) != width:
-            raise ValueError(f"expected {width} coordinates")
-        return x
+        if isinstance(x, (list, tuple)) and all(type(c) is int for c in x):
+            if len(x) != width:
+                raise ValueError(f"expected {width} coordinates")
+            return tuple([c % m for c in x])
+        raise TypeError(f"expected an int or a list of ints; got {x!r}")
 
     def elements(self):
         return product(range(self.coord_modulus), repeat=len(self.zero))
@@ -194,6 +197,14 @@ class ChainRing:
 
     # --- identity ----------------------------------------------------------
 
+    def descriptor(self):
+        """The family, and each constructor argument under its key."""
+        args = [list(a) if isinstance(a, tuple) else a for a in self.key[1:]]
+        return {"family": self.family, **dict(zip(self.descriptor_keys, args))}
+
+    def __reduce__(self):  # rebuilt: GaloisRing's bound ops do not pickle
+        return type(self), self.key[1:]
+
     def __eq__(self, other):
         return isinstance(other, ChainRing) and other.key == self.key
 
@@ -201,32 +212,42 @@ class ChainRing:
         return hash(self.key)
 
 
+def _check_size(base, exponent, name):
+    """Refuse a ring of base^exponent >= 2^256 elements; the bit length of
+    the base decides before a power that large is built."""
+    if exponent * (base.bit_length() - 1) >= 256 or base ** exponent >> 256:
+        raise InvalidParams(f"{name} is limited to fewer than 2^256 elements")
+
+
 class GaloisRing(ChainRing):
     """GR(p^r, s) = Z_{p^r}[z]/(modulus); elements are s-tuples mod p^r."""
 
     family = "galois"
+    descriptor_keys = ("p", "r", "s", "modulus", "convention")
 
     def __init__(self, p, r, s, modulus=None, convention=None):
-        if not all(isinstance(x, int) and x >= 1 for x in (p, r, s)):
-            raise InvalidParams(f"GR(p^r, s) needs integers p, r, s >= 1; "
-                                f"got p={p!r}, r={r!r}, s={s!r}")
-        if factorize(p) != [p]:
-            raise InvalidParams(f"GR(p^r, s) needs a prime p; got p={p}")
+        if not all(type(x) is int for x in (p, r, s)) or min(p - 1, r, s) < 1:
+            raise InvalidParams(f"GR(p^r, s) needs integers p >= 2 and r, s "
+                                f">= 1; got p={p!r}, r={r!r}, s={s!r}")
+        _check_size(p, r * s, "GR(p^r, s)")
         self.p = p
         self.r = r
         self.s = s
         self.pr = self.coord_modulus = p ** r
         self.nu = r
         self.q = p ** s
-        if modulus is None:
-            modulus = default_modulus(p, s)
-        modulus = tuple(c % self.pr for c in modulus)
-        if len(modulus) != s + 1 or modulus[-1] != 1:
-            raise RejectedModulus("modulus must be monic of degree s")
-        try:
+        if modulus is not None:
+            if not all(type(c) is int for c in modulus):
+                raise InvalidParams("modulus coefficients must be integers")
+            modulus = tuple(c % self.pr for c in modulus)
+            if len(modulus) != s + 1 or modulus[-1] != 1:
+                raise RejectedModulus("modulus must be monic of degree s")
+        try:  # the residue field checks p and makes the default modulus
             self.residue = get_field(p, s, modulus)
         except ValueError as exc:
             raise RejectedModulus(str(exc)) from exc
+        if modulus is None:
+            modulus = self.residue.modulus
         self.modulus = modulus
         if convention is None:
             convention = DIGITS if s == 1 else TEICHMULLER
@@ -235,7 +256,7 @@ class GaloisRing(ChainRing):
         if convention not in (TEICHMULLER, DIGITS):
             raise InvalidConvention(convention)
         self.convention = convention
-        self.key = ("galois", p, r, s, modulus, convention)
+        self.key = (self.family, p, r, s, modulus, convention)
         self.zero = (0,) * s
         self.one = tuple([1] + [0] * (s - 1))
         self.gamma = tuple([p % self.pr] + [0] * (s - 1))
@@ -340,15 +361,6 @@ class GaloisRing(ChainRing):
         """(M, f), f an additive isomorphism onto (Z/M)^s, M = p^r."""
         return self.pr, tuple
 
-    # --- identity ----------------------------------------------------------
-
-    def __reduce__(self):  # rebuilt, since the bound ops do not pickle
-        return GaloisRing, self.key[1:]
-
-    def descriptor(self):
-        return {"family": "galois", "p": self.p, "r": self.r, "s": self.s,
-                "modulus": list(self.modulus), "convention": self.convention}
-
     def __repr__(self):
         if self.s == 1:
             return f"Z_{self.pr}"
@@ -359,15 +371,17 @@ class TruncatedPolyRing(ChainRing):
     """F_q[u]/(u^nu); elements are nu-tuples of residue-field codes."""
 
     family = "truncated"
+    descriptor_keys = ("q", "nu")
 
     def __init__(self, q, nu):
-        if not all(isinstance(x, int) and x >= 1 for x in (q, nu)):
+        if not all(type(x) is int and x >= 1 for x in (q, nu)):
             raise InvalidParams(f"F_q[u]/(u^nu) needs integers q, nu >= 1; "
                                 f"got q={q!r}, nu={nu!r}")
+        _check_size(q, nu, "F_q[u]/(u^nu)")
         self.p, self.h = prime_power_split(q)
         self.q = self.coord_modulus = q
         self.nu = nu
-        self.key = ("truncated", q, nu)
+        self.key = (self.family, q, nu)
         self.residue = get_field(self.p, self.h)
         self.zero = (0,) * nu
         self.one = tuple([1] + [0] * (nu - 1))
@@ -422,34 +436,29 @@ class TruncatedPolyRing(ChainRing):
         coords = self.residue.coords
         return self.p, lambda a: tuple(c for x in a for c in coords(x))
 
-    def descriptor(self):
-        return {"family": "truncated", "q": self.q, "nu": self.nu}
-
     def __repr__(self):
         return f"F_{self.q}[u]/(u^{self.nu})"
 
 
 def make_ring(spec):
-    """Build a ring from a ChainRingSpec or a JSON-style descriptor dict;
-    a descriptor with a missing key, of the wrong type or of an unknown
-    family raises InvalidParams."""
+    """A ring from a descriptor dict, or a ChainRingSpec's set fields: the
+    `family` picks the class, called with its `descriptor_keys` (None if
+    missing); any other key or a malformed value raises InvalidParams."""
+    if isinstance(spec, ChainRingSpec):
+        spec = {k: v for k, v in spec._asdict().items() if v is not None}
     try:
-        if isinstance(spec, dict):
-            modulus = spec.get("modulus")
-            spec = ChainRingSpec(
-                family=spec["family"],
-                p=spec.get("p"), r=spec.get("r"), s=spec.get("s"),
-                modulus=tuple(modulus) if modulus else None,
-                q=spec.get("q"), nu=spec.get("nu"),
-                convention=spec.get("convention"))
-        if spec.family == "galois":
-            return GaloisRing(spec.p, spec.r, spec.s, spec.modulus,
-                              spec.convention)
-        if spec.family == "truncated":
-            return TruncatedPolyRing(spec.q, spec.nu)
+        family = spec["family"]
+        for cls in (GaloisRing, TruncatedPolyRing):
+            if cls.family == family:
+                break
+        else:
+            raise InvalidParams(f"unknown ring family {family!r}")
+        extra = spec.keys() - {"family", *cls.descriptor_keys}
+        if extra:
+            raise InvalidParams(f"{family} rings take no keys {sorted(extra)}")
+        return cls(*map(spec.get, cls.descriptor_keys))
     except MALFORMED as exc:
         raise InvalidParams(f"malformed ring descriptor: {exc!r}") from exc
-    raise InvalidParams(f"unknown ring family {spec.family!r}")
 
 
 def zmod(m, convention=None):
@@ -460,7 +469,6 @@ def zmod(m, convention=None):
 
 def residue_ring(ring):
     """The residue field of `ring` packaged as a nu = 1 chain ring."""
-    if isinstance(ring, GaloisRing):
-        red = tuple(c % ring.p for c in ring.modulus)
-        return GaloisRing(ring.p, 1, ring.s, red)
+    if isinstance(ring, GaloisRing):  # the modulus is reduced mod p
+        return GaloisRing(ring.p, 1, ring.s, ring.modulus)
     return TruncatedPolyRing(ring.q, 1)

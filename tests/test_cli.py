@@ -652,6 +652,10 @@ MALFORMED_VALUES = {
     "entry count": lambda d: d["entries"].pop(),
     "entry": lambda d: d["entries"].__setitem__(-1, "x"),
     "coordinates": lambda d: d["entries"].__setitem__(-1, [1, 0]),
+    # an entry is an int or a list of ints, and a bool is neither
+    "string entry": lambda d: d["entries"].__setitem__(-1, "7"),
+    "float coordinate": lambda d: d["entries"].__setitem__(-1, [2.7]),
+    "bool entry": lambda d: d["entries"].__setitem__(-1, True),
     "family": lambda d: d.__setitem__("ring", {"family": "padic", "p": 3}),
 }
 
@@ -724,6 +728,16 @@ def test_ring_descriptor_without_a_family_is_invalid(capsys):
     assert doc["results"]["error"]["type"] == "InvalidParams"
 
 
+@pytest.mark.parametrize("name", [
+    '{"family": "galois", "p": 3, "r": 2, "s": 1, "nu": 7, "q": 1000}',
+    '{"family": "truncated", "q": 4, "nu": 2, "convention": "digits"}'])
+def test_ring_descriptor_with_a_foreign_key_is_invalid(capsys, name):
+    code, doc = run(capsys, "ring", "--ring", name)
+    assert code == 2
+    assert doc["results"]["error"]["type"] == "InvalidParams"
+    assert "take no keys" in doc["results"]["error"]["message"]
+
+
 def test_ring_file_holding_a_list_is_invalid(capsys, tmp_path):
     path = tmp_path / "ring.json"
     path.write_text("[1]")
@@ -742,15 +756,71 @@ def test_construct_binomial_rejects_a_prime_power(capsys, p):
         "message": f"the binomial encoder needs a prime p; got p={p}"}
 
 
-def run_python(source):
+def run_python(source, *args, timeout=None):
     """Standard output of `source` run by a fresh interpreter (module-level
-    caches such as the field cache start empty there)."""
+    caches such as the field cache start empty there), with `args` as its
+    sys.argv[1:]."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return subprocess.run([sys.executable, "-c", source], capture_output=True,
-                          text=True, env=env, check=True).stdout
+    return subprocess.run([sys.executable, "-c", source, *args],
+                          capture_output=True, text=True, env=env, check=True,
+                          timeout=timeout).stdout
+
+
+# one CLI run under a 1 GiB address-space limit, which reports its exit
+# code, its own time and its error type
+BOUNDED_RUN = """
+import contextlib, io, json, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from chaincodes import cli
+out, start = io.StringIO(), time.monotonic()
+with contextlib.redirect_stdout(out):
+    code = cli.main(sys.argv[1:])
+error = json.loads(out.getvalue())["results"]["error"]["type"]
+print(code, time.monotonic() - start, error)
+"""
+
+HUGE = 10 ** 30
+
+
+@pytest.mark.parametrize("name", [
+    f"gr(11,{HUGE},1)", f"gr(11,1,{HUGE})", f"tp(4,{HUGE})",
+    f'{{"family": "galois", "p": {2 ** 256 + 297}, "r": 1, "s": 1}}',
+    f"tp({2 ** 128},2)",
+    # a field table of more than 2^20 entries, and the trial division of
+    # a 61-bit prime the field limit comes before
+    "gr(2,1,21)", f"gr({2 ** 61 - 1},1,2)"])
+def test_a_ring_past_the_size_limits_exits_2_at_once(name):
+    code, seconds, error = run_python(BOUNDED_RUN, "ring", "--ring", name,
+                                      timeout=20).split()
+    assert (code, error) == ("2", "InvalidParams")
+    assert float(seconds) < 1
+
+
+@pytest.mark.parametrize("key", ["r", "s"])
+@pytest.mark.parametrize("where", ["code", "coefficient", "matrix"])
+def test_a_huge_exponent_in_a_file_exits_2_at_once(tmp_path, golden, where,
+                                                    key):
+    path = tmp_path / "huge.json"
+    if where == "matrix":
+        obj = json.loads(golden["matrix_z9"].read_text())
+        obj["ring"][key] = HUGE
+        commands = [["blockcode", "params", "--matrix"]]
+    else:
+        obj = json.loads(golden["code322"].read_text())
+        ring = obj["ring"] if where == "code" else \
+            obj["encoder"]["coeffs"][-1]["ring"]
+        ring[key] = HUGE
+        commands = [["check", "mdp", "--code"],
+                    ["distances", "--max-j", "1", "--code"]]
+    path.write_text(json.dumps(obj))
+    for argv in commands:
+        code, seconds, error = run_python(BOUNDED_RUN, *argv, str(path),
+                                          timeout=20).split()
+        assert (code, error) == ("2", "InvalidParams")
+        assert float(seconds) < 1
 
 
 RING_BUILDS_NO_TABLE = """

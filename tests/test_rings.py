@@ -1,3 +1,4 @@
+import json
 import pickle
 import random
 
@@ -442,13 +443,83 @@ def test_chain_ring_spec_is_an_immutable_value():
         TruncatedPolyRing(4, 2)
 
 
+def test_chain_ring_spec_with_a_foreign_field_is_refused():
+    with pytest.raises(InvalidParams, match="take no keys"):
+        make_ring(ChainRingSpec(family="galois", p=5, r=1, s=1, q=5))
+    with pytest.raises(InvalidParams, match="take no keys"):
+        make_ring(ChainRingSpec(family="truncated", q=4, nu=2, p=2))
+
+
+Z9_DESCRIPTOR = {"family": "galois", "p": 3, "r": 2, "s": 1}
+F9_DESCRIPTOR = {"family": "galois", "p": 3, "r": 1, "s": 2}
+TP_DESCRIPTOR = {"family": "truncated", "q": 4, "nu": 2}
+
+
 @pytest.mark.parametrize("descriptor", [
     {}, {"p": 3, "r": 2, "s": 1}, [1], "z9", None,
     {"family": "galois", "p": 3, "r": 2, "s": 1, "modulus": 5},
-    {"family": "galois", "p": 3, "r": 2, "s": 1, "modulus": ["a", 1]}])
+    {"family": "galois", "p": 3, "r": 2, "s": 1, "modulus": ["a", 1]},
+    # a key of another family, or of none
+    *({**Z9_DESCRIPTOR, key: value}
+      for key, value in [("q", 9), ("nu", 2), ("colour", "red")]),
+    *({**TP_DESCRIPTOR, key: value} for key, value in
+      [("convention", "teichmuller"), ("p", 2), ("modulus", [1, 1, 1])]),
+    # a falsy modulus is not the default one
+    *({**F9_DESCRIPTOR, "modulus": m} for m in ([], 0, False, "")),
+    *({**Z9_DESCRIPTOR, "modulus": m} for m in ([], 0, False, "")),
+    # a bool is not an integer
+    *({**Z9_DESCRIPTOR, key: True} for key in ("p", "r", "s")),
+    *({**TP_DESCRIPTOR, key: True} for key in ("q", "nu")),
+    {**F9_DESCRIPTOR, "modulus": [True, 0, 1]},
+    {**F9_DESCRIPTOR, "modulus": [1.0, 0, 1]}])
 def test_malformed_descriptor_is_invalid_params(descriptor):
-    with pytest.raises(InvalidParams):
+    error = InvalidParams
+    if isinstance(descriptor, dict) and descriptor.get("modulus") in ([], ""):
+        error = RejectedModulus  # an empty modulus has the wrong degree
+    with pytest.raises(error):
         make_ring(descriptor)
+
+
+@pytest.mark.parametrize("ring", [
+    zmod(9), zmod(9, convention="teichmuller"), GaloisRing(2, 2, 2),
+    GaloisRing(3, 2, 2), GaloisRing(3, 2, 2, modulus=(2, 2, 1)),
+    TruncatedPolyRing(4, 2), TruncatedPolyRing(2, 3)], ids=repr)
+def test_descriptor_and_pickle_give_the_ring_back(ring):
+    descriptor = ring.descriptor()
+    assert tuple(descriptor) == ("family", *type(ring).descriptor_keys)
+    assert make_ring(descriptor) == ring
+    assert make_ring(json.loads(json.dumps(descriptor))) == ring
+    assert pickle.loads(pickle.dumps(ring)) == ring
+    # a missing or null modulus is the default one
+    if "modulus" in descriptor \
+            and ring.modulus == default_modulus(ring.p, ring.s):
+        assert make_ring({**descriptor, "modulus": None}) == ring
+        del descriptor["modulus"]
+        assert make_ring(descriptor) == ring
+
+
+# a huge exponent or p is refused too, but a test runs those in a
+# subprocess (tests/test_cli.py), since unrefused they exhaust memory or time
+@pytest.mark.parametrize("build", [
+    lambda: GaloisRing(2, 256, 1), lambda: GaloisRing(2, 16, 16),
+    lambda: GaloisRing(3, 162, 1), lambda: TruncatedPolyRing(2, 256)],
+    ids=["2^256", "2^(16*16)", "3^162", "tp(2,256)"])
+def test_a_ring_of_2_to_the_256_elements_is_refused(build):
+    with pytest.raises(InvalidParams, match="fewer than 2\\^256 elements"):
+        build()
+
+
+def test_the_largest_ring_and_field_are_built():
+    assert TruncatedPolyRing(2, 255).size() == 2 ** 255
+    assert GaloisRing(3, 161, 1).size() < 2 ** 256 < 3 ** 162
+    assert get_field(2, 20).q == 2 ** 20
+
+
+@pytest.mark.parametrize("p, h", [(2, 21), (11, 6), (1031, 2)])
+def test_an_extension_field_of_more_than_2_to_the_20_elements_is_refused(
+        p, h):
+    with pytest.raises(InvalidParams, match="limited to 2\\^20 elements"):
+        get_field(p, h)
 
 
 def test_residue_ring_wraps_field(z9):

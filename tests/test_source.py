@@ -1,10 +1,17 @@
 """Properties of the library's source text."""
 
 import ast
+import inspect
 import re
 import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
+
+from chaincodes import make_ring
+from chaincodes.errors import InvalidParams
+from chaincodes.rings import ChainRing
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "chaincodes"
@@ -112,3 +119,22 @@ def test_only_the_budget_gate_raises_budget_exceeded():
             and "BudgetExceeded" in (getattr(node.func, "id", None),
                                      getattr(node.func, "attr", None))]
     assert made == ["errors.py"]
+
+
+def test_the_ring_descriptor_format_lives_in_rings_py():
+    # the descriptor keys are spelled only in rings.py: each ring class
+    # names its family and its constructor's arguments, make_ring reads
+    # them, and ChainRing.descriptor writes them
+    spelled = sorted({path.name for path, tree in _parsed()
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.Constant)
+                      and node.value in ("family", "modulus", "convention")})
+    assert spelled == ["rings.py"]
+    classes = ChainRing.__subclasses__()
+    assert len(classes) >= 2
+    for cls in classes:
+        assert {"family", "descriptor_keys"} <= vars(cls).keys()
+        assert tuple(inspect.signature(cls).parameters) == cls.descriptor_keys
+        # no argument given: refused by the class, not as an unknown family
+        with pytest.raises(InvalidParams, match="needs integers"):
+            make_ring({"family": cls.family})

@@ -52,7 +52,7 @@ def min_distance_block(code: BlockCode, budget=DEFAULT_DISTANCE_BUDGET):
     d_0 of the encoder's degree-0 code, validated when the block code was
     built, whose walk visits (q^s - 1)/(q - 1) of the q^k messages the
     budget counts."""
-    check_budget("codewords", code.ring.q ** code.k, budget)
+    check_budget("codewords", code.ring.q, code.k, budget)
     if not code.k:
         return None
     return column_distance(code._conv, 0, budget=budget)

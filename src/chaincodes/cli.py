@@ -44,35 +44,45 @@ EXIT_INVALID = 2
 # ---------------------------------------------------------------------------
 # input plumbing
 
+def parse_int(text):
+    """int(text), with a numeral longer than Python converts (4,300 digits)
+    reported as InvalidParams; json reads every JSON integer through it."""
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise InvalidParams(f"a numeral of {len(text)} digits is too long to "
+                            f"convert") from exc
+
+
 def parse_ring(text):
     """Ring from a short name (z121, gr(11,2,5), tp(4,2), f9), inline
     JSON descriptor, or a path to a JSON descriptor file."""
     text = text.strip()
     if text.startswith("{"):
-        return make_ring(json.loads(text))
+        return make_ring(json.loads(text, parse_int=parse_int))
     m = re.fullmatch(r"[zZ](\d+)", text)
     if m:
-        return zmod(int(m.group(1)))
+        return zmod(parse_int(m.group(1)))
     m = re.fullmatch(r"[gG][rR]\((\d+),(\d+),(\d+)\)", text)
     if m:
-        return GaloisRing(*map(int, m.groups()))
+        return GaloisRing(*map(parse_int, m.groups()))
     m = re.fullmatch(r"[tT][pP]\((\d+),(\d+)\)", text)
     if m:
-        return TruncatedPolyRing(*map(int, m.groups()))
+        return TruncatedPolyRing(*map(parse_int, m.groups()))
     m = re.fullmatch(r"[fF](\d+)", text)
     if m:
-        p, s = prime_power_split(int(m.group(1)))
+        p, s = prime_power_split(parse_int(m.group(1)))
         return GaloisRing(p, 1, s)
     try:
         with open(text) as fh:
-            return make_ring(json.load(fh))
+            return make_ring(json.load(fh, parse_int=parse_int))
     except OSError as exc:
         raise InvalidParams(f"cannot interpret ring {text!r}: {exc}")
 
 
 def load_json(path):
     with nullcontext(sys.stdin) if path == "-" else open(path) as fh:
-        obj = json.load(fh)
+        obj = json.load(fh, parse_int=parse_int)
     if not isinstance(obj, dict):
         raise InvalidParams(f"{path} does not hold a JSON object")
     return obj
@@ -174,18 +184,8 @@ def cmd_check(args, report):
     return EXIT_HOLDS if verdict else EXIT_FAILS
 
 
-# argparse cannot make an option required for some kinds only
-CONSTRUCT_NEEDS = {"binomial": ("--n", "--k", "--delta", "--p"),
-                   "lift": ("--field-code", "--ring"),
-                   "superregular": ("--matrix", "--n", "--k", "--L")}
-
-
 def cmd_construct(args, report):
     res = report.doc["results"]
-    missing = [opt for opt in CONSTRUCT_NEEDS[args.kind]
-               if getattr(args, opt[2:].replace("-", "_")) is None]
-    if missing:
-        args.usage_error(f"construct {args.kind} needs {', '.join(missing)}")
     if args.kind == "lift":
         encoder = load_code(args.field_code).encoder
     elif args.kind == "binomial":
@@ -199,10 +199,8 @@ def cmd_construct(args, report):
             raise InvalidParams(
                 "block extraction expects a matrix over a nu=1 ring")
         encoder = extract_mdp_blocks(spec, n=args.n, k=args.k, L=args.L)
-    if args.ring is None:
-        code = ConvCode(encoder.ring, encoder.n, encoder)
-    else:
-        code = lift_from_residue_field(encoder, parse_ring(args.ring))
+    code = lift_from_residue_field(
+        encoder, encoder.ring if args.ring is None else parse_ring(args.ring))
     res["code"] = code.to_json()
     res["n"] = code.n
     res["k"] = code.k
@@ -335,18 +333,28 @@ def build_parser():
                    default=DEFAULT_DISTANCE_BUDGET)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("construct", help="build a code")
-    p.add_argument("kind", choices=["lift", "binomial", "superregular"])
-    p.add_argument("--field-code", help="code JSON over a nu=1 ring (lift)")
-    p.add_argument("--matrix", help="Toeplitz matrix JSON (superregular)")
-    p.add_argument("--ring", help="target ring for lifting")
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--delta", type=int)
-    p.add_argument("--p", type=int, help="prime for the binomial encoder")
-    p.add_argument("--L", type=int, help="block count minus one "
-                                         "(superregular extraction)")
-    p.set_defaults(func=cmd_construct, usage_error=p.error)
+    kinds = sub.add_parser("construct", help="build a code").add_subparsers(
+        dest="kind", required=True)
+    lift = kinds.add_parser("lift")
+    lift.add_argument("--field-code", required=True,
+                      help="code JSON over a nu=1 ring (lift)")
+    binomial = kinds.add_parser("binomial")
+    for opt in ("--n", "--k", "--delta"):
+        binomial.add_argument(opt, type=int, required=True)
+    binomial.add_argument("--p", type=int, required=True,
+                          help="prime for the binomial encoder")
+    superregular = kinds.add_parser("superregular")
+    superregular.add_argument("--matrix", required=True,
+                              help="Toeplitz matrix JSON (superregular)")
+    for opt in ("--n", "--k"):
+        superregular.add_argument(opt, type=int, required=True)
+    superregular.add_argument("--L", type=int, required=True,
+                              help="block count minus one "
+                                   "(superregular extraction)")
+    for p in (lift, binomial, superregular):
+        p.add_argument("--ring", required=p is lift,
+                       help="target ring for lifting")
+        p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("distances", help="column distance profile")
     p.add_argument("--code", required=True)

@@ -17,7 +17,8 @@ from math import comb, isqrt
 
 from . import linalg
 from .conv import (ConvCode, PolyMatrix, _minors_condition,
-                   _residue_sliding_rows, _sliding_rows, is_reduced)
+                   _residue_sliding_rows, _sliding_rows, check_walk_depth,
+                   is_reduced)
 from .errors import (MALFORMED, BadCounts, CrossCheckFailed, DependentRows,
                      InvalidParams, NotReduced, NotSuperregular, SizeMismatch,
                      check_budget)
@@ -106,6 +107,7 @@ def is_gamma_superregular(spec: ToeplitzSpec, cross_check=True):
     cross_check set, the ring determinants of all proper minors must give
     the same verdict (CrossCheckFailed otherwise)."""
     ring, ell = spec.ring, spec.size
+    check_walk_depth("ell", ell)
     field = ring.residue
 
     def walk(rows, first, lo, pivots):
@@ -300,12 +302,14 @@ def search_superregular(ell, ring, strategy=EXHAUSTIVE, seed=None,
     if ell < 1:
         raise InvalidParams(f"search needs ell >= 1; got ell={ell}")
     if strategy == EXHAUSTIVE:
-        check_budget("exhaustive search candidates",
-                     ring.size() ** (ell - 1), budget)
+        check_budget("exhaustive search candidates", ring.size(), ell - 1,
+                     budget)
+        check_walk_depth("ell", ell)
         tails = product(ring.elements(), repeat=ell - 1)
     elif strategy == RANDOM:
         if seed is None:
             raise InvalidParams("random search requires an explicit seed")
+        check_walk_depth("ell", ell)
         # rng.randrange(size) draws the index that rng.choice(list(
         # ring.elements())) would, with no list of R and for any |R|;
         # element(i) is the i-th of ring.elements(): base coord_modulus,

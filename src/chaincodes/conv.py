@@ -12,14 +12,13 @@ those distances or through the minor criterion on the L-th sliding matrix.
 from __future__ import annotations
 
 from collections import namedtuple
-from math import ceil
 
 from .errors import (CodeLoadError, CrossCheckFailed, InvalidParams,
                      NotDelayFree, NotReduced, NuNotDividingK,
                      PreconditionViolated, UnequalRowDegrees, ZeroRow,
                      check_budget)
 from .linalg import (RingMatrix, _gamma_multiples_in_later_rows, _pivot_rows,
-                     _shifted_rows, diagonal_exponents,
+                     _shifted_rows, diagonal_exponents, gamma_dimension,
                      is_gamma_linearly_independent, module_solve_left)
 from .rings import make_ring
 
@@ -27,6 +26,10 @@ DISTANCES = "distances"
 MINORS = "minors"
 
 DEFAULT_DISTANCE_BUDGET = 10 ** 7
+
+# the most pivots the minors and superregularity walks recurse through, a
+# frame each, leaving room under Python's default recursion limit of 1000
+MAX_WALK_DEPTH = 256
 
 
 class PolyMatrix:
@@ -196,12 +199,13 @@ def is_polynomial_gamma_basis(G: PolyMatrix):
     exactly when H-bar, or its stack, is: the nu = 1 bound applies.  Any
     other encoder at nu > 1 is decided on top = deg G, which misses a
     dependency with higher-degree digits."""
-    return _is_gamma_basis(G, _pivot_rows(G.coefficient(0))[0])
+    return _is_gamma_basis(G, gamma_dimension(G.coefficient(0)) == G.k)
 
 
-def _is_gamma_basis(G: PolyMatrix, pivots):
-    """is_polynomial_gamma_basis(G) given the rows _pivot_rows places on
-    G_0, or on [G_0 | G_1 | ...] with pivots in G_0's columns (same e's)."""
+def _is_gamma_basis(G: PolyMatrix, delay_free):
+    """is_polynomial_gamma_basis(G) given whether the nu - e of the pivots
+    of G_0 sum to k, which for a gamma-generator sequence G_0 is whether G
+    is delay-free."""
     ring, m, low = G.ring, max(G.degree, 0), G.ring.nu - 1
     exact = not low or all(ring.valuation(x) >= low
                            for c in G.coeffs for row in c.data for x in row)
@@ -210,8 +214,7 @@ def _is_gamma_basis(G: PolyMatrix, pivots):
     S = sliding_matrix(G, top + m)
     # exact: every gamma * g_i is 0, so the walk would pass every row
     return (exact or _gamma_multiples_in_later_rows(S, G.k, shifts)) and (
-        sum(ring.nu - e for _, e, _ in pivots) == G.k
-        or m > 0 and is_gamma_linearly_independent(
+        delay_free or m > 0 and is_gamma_linearly_independent(
             _shifted_rows(S, G.k, range(G.k), shifts)))
 
 
@@ -251,16 +254,12 @@ class ConvCode:
             [e for G_e in coeffs for e in G_e.row(a)]
             for a in range(encoder.k)], len(coeffs) * n)
         self._pivots = _pivot_rows(self._rows, width=n)[0]
-        if not _is_gamma_basis(encoder, self._pivots):
-            raise ValueError("encoder rows do not form a gamma-basis")
-        # G_0 of a gamma-basis is a gamma-generator sequence
-        # (is_polynomial_gamma_basis), so its gamma-dimension decides it
-        self._g0_independent = (sum(ring.nu - e for _, e, _ in self._pivots)
-                                == encoder.k)
         self.ring = ring
         self.n = n
         self.encoder = encoder
         self.k = encoder.k
+        if not _is_gamma_basis(encoder, self.delay_free()):
+            raise ValueError("encoder rows do not form a gamma-basis")
         self._reduced = None
         self._distances = {}  # j -> d_j, each walked once
         self._steps = None  # see _walk_rows
@@ -272,7 +271,9 @@ class ConvCode:
         return self._reduced
 
     def delay_free(self):
-        return self._g0_independent
+        # G_0 of a gamma-basis is a gamma-generator sequence
+        # (is_polynomial_gamma_basis), so its gamma-dimension decides it
+        return sum(self.ring.nu - e for _, e, _ in self._pivots) == self.k
 
     @property
     def delta(self):
@@ -355,9 +356,9 @@ def column_distance(C: ConvCode, j, budget=DEFAULT_DISTANCE_BUDGET):
         raise InvalidParams("the code is {0}: it has no column distances")
     if not C.delay_free():
         raise NotDelayFree("column distances need a delay-free encoder")
-    q = C.ring.q
-    check_budget(f"weight evaluations for column distance j={j}",
-                 (q ** C.k - 1) * q ** (j * C.k), budget)
+    # (q^k - 1) q^(jk) = q^((j+1)k) - q^(jk)
+    check_budget(f"weight evaluations for column distance j={j}", C.ring.q,
+                 (j + 1) * C.k, budget, minus=j * C.k)
     if j not in C._distances:
         floor = max((d for i, d in C._distances.items() if i < j), default=1)
         rows, s, length = _walk_rows(C, j)
@@ -493,19 +494,17 @@ def column_distance_bound(j, n, params, k):
 
 
 def optimal_cd_bound(j, n, k, nu):
-    """Column-distance bound under the distance-optimal parameter choice;
-    past j = 0 only for nu | k (2(1 + z, 1) over Z4 has d_2 = 3 > 2)."""
-    if k < 1 or nu < 1 or j < 0 or n < ceil(k / nu):
+    """Column-distance bound under the distance-optimal parameter choice:
+    (n - k/nu)(j + 1) + 1 for nu | k, column_distance_bound with the
+    parameters (k/nu, 0, ..., 0); at j = 0 the block Singleton bound
+    n - ceil(k/nu) + 1 for any k, and past j = 0 none for nu not dividing
+    k (2(1 + z, 1) over Z4 has d_2 = 3 > 2)."""
+    if k < 1 or nu < 1 or j < 0 or n < -(-k // nu):
         raise InvalidParams(f"bad parameters n={n}, k={k}, nu={nu}, j={j}")
     if j and k % nu:
         raise NuNotDividingK(f"no column-distance bound at j={j}: nu={nu} "
                              f"does not divide k={k}")
-    big = ceil(k / nu)
-    small = k // nu
-    N = k - small * nu
-    if j <= N:
-        return (n - big) * (j + 1) + 1
-    return (n - big) * (j + 1) - (big - small) * (N + 1) + 1
+    return (n - -(-k // nu)) * (j + 1) + 1
 
 
 def L_index(n, k, delta, nu):
@@ -534,10 +533,17 @@ def embedding_preserves_L(n, k, delta):
     return delta < n - k
 
 
+# the largest j whose column-distance bound distance_bounds lists
+MAX_BOUNDS_J = 10 ** 4
+
+
 def distance_bounds(n, k, delta, nu, max_j=None):
     L = L_index(n, k, delta, nu)
     N = k - (k // nu) * nu
     top = L if max_j is None else max_j
+    if top > MAX_BOUNDS_J:
+        raise InvalidParams(f"bounds are listed up to j = {MAX_BOUNDS_J}; "
+                            f"got j = {top}")
     return DistanceBounds(
         L=L, N=N,
         per_j=tuple(optimal_cd_bound(j, n, k, nu) for j in range(top + 1)),
@@ -564,6 +570,14 @@ def _check_mdp_preconditions(C: ConvCode):
         raise PreconditionViolated(
             "encoder is not reduced; gamma-degree undefined")
     return k0
+
+
+def check_walk_depth(what, depth):
+    """Refuse a walk through more than MAX_WALK_DEPTH pivots before it
+    starts or its rows are built."""
+    if depth > MAX_WALK_DEPTH:
+        raise InvalidParams(f"{what} = {depth} is past the walk depth limit "
+                            f"{MAX_WALK_DEPTH}")
 
 
 def _minors_condition(field, rows, L, n, k0):
@@ -641,11 +655,13 @@ def is_mdp(C: ConvCode, method=MINORS, budget=DEFAULT_DISTANCE_BUDGET):
     ring = C.ring
     k0 = _check_mdp_preconditions(C)
     L = L_index(C.n, C.k, C.delta, ring.nu)
-    if method == DISTANCES:  # d_j = (n - k0)(j + 1) + 1 for every j <= L
+    if method == DISTANCES:
         return all(column_distance(C, j, budget=budget)
-                   == (C.n - k0) * (j + 1) + 1 for j in range(L + 1))
+                   == optimal_cd_bound(j, C.n, C.k, ring.nu)
+                   for j in range(L + 1))
     if method != MINORS:
         raise ValueError(f"unknown method {method!r}")
+    check_walk_depth("(L + 1) k0", (L + 1) * k0)
     return _minors_condition(ring.residue,
                              _residue_sliding_rows(C.encoder, L), L, C.n, k0)
 

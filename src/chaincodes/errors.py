@@ -62,11 +62,28 @@ class BudgetExceeded(ChainCodesError):
         self.allowed = allowed
 
 
-def check_budget(what, requested, allowed):
-    """Raise BudgetExceeded if `requested` `what` exceed `allowed`."""
-    if requested > allowed:
-        raise BudgetExceeded(f"{requested} {what} exceed the budget {allowed}",
-                             requested=requested, allowed=allowed)
+# an amount of more bits is reported as the text "base^exponent": Python
+# converts an int of at most 4,300 digits (14,284 bits) to a string
+WRITTEN_BITS = 14_000
+
+
+def check_budget(what, base, exponent, allowed, minus=None):
+    """Raise BudgetExceeded if base^exponent `what`, less base^minus if a
+    minus < exponent is given, exceed `allowed`.  The bit lengths decide
+    first: base^exponent - base^minus >= 2^(exponent (b - 1) - 1) for base
+    >= 2 of b bits, so an amount that bound puts past both the budget and
+    WRITTEN_BITS is not built."""
+    requested = None
+    if base < 2 or exponent * (base.bit_length() - 1) <= max(
+            allowed.bit_length(), WRITTEN_BITS):
+        requested = base ** exponent - (0 if minus is None else base ** minus)
+        if requested <= allowed:
+            return
+    if requested is None or requested.bit_length() > WRITTEN_BITS:
+        requested = f"{base}^{exponent}" + ("" if minus is None
+                                            else f" - {base}^{minus}")
+    raise BudgetExceeded(f"{requested} {what} exceed the budget {allowed}",
+                         requested=requested, allowed=allowed)
 
 
 class ZeroRow(ChainCodesError):

@@ -12,26 +12,41 @@ generator.
 
 from __future__ import annotations
 
+from math import exp, log
 from operator import mul
 
 from .errors import InvalidParams
 
 
+# the least prime refused: trial division up to 2^16 factors every number
+# below it, so no primality test runs longer
+PRIME_LIMIT = 1 << 32
+
+
 def prime_power_split(n):
-    """(p, e) with n = p**e, or raise InvalidParams."""
-    factors = factorize(n)
-    if len(factors) != 1:
+    """(p, e) with n = p**e for a prime p below 2^32, or raise
+    InvalidParams.  Such a p^e has at most 32 e bits, so e runs from
+    n.bit_length() down to that floor; the first exact integer e-th root
+    is the p of the largest e, and factorize settles that it is prime.
+    Rounding the float root is exact for p < 2^32."""
+    if n < 2:
         raise InvalidParams(f"{n} is not a prime power")
-    p, e = factors[0], 0
-    while n > 1:
-        n //= p
-        e += 1
-    return p, e
+    bits, log_n = n.bit_length(), log(n)
+    for e in range(bits, -(-bits // 32) - 1, -1):
+        p = round(exp(log_n / e))
+        if n % p == 0 and p ** e == n:
+            if factorize(p) != [p]:
+                raise InvalidParams(f"{n} is not a prime power")
+            return p, e
+    raise InvalidParams(f"{n} is not a power of a prime below 2^32")
 
 
 def factorize(n):
-    """Distinct prime factors of n by trial division, which is slow for
-    a large prime factor; nothing bounds n yet (ROADMAP item 13)."""
+    """Distinct prime factors of n < 2^32 by trial division, which stops by
+    2^16; a larger n is refused before any division."""
+    if n >= PRIME_LIMIT:
+        raise InvalidParams(f"factoring is limited to numbers below 2^32; "
+                            f"got {n}")
     factors = []
     d = 2
     while d * d <= n:
@@ -405,7 +420,8 @@ def get_field(p, h=1, modulus=None):
     modulus, so the default and an explicit copy of it share one field.
     A p that is not prime, an h that is not an integer >= 1, or an
     extension field of more than 2^20 elements (its tables hold 3 q
-    entries) is rejected; the size is checked first, from bit lengths."""
+    entries) is rejected, and so is a p of 2^32 or more; the size is
+    checked first, from bit lengths."""
     if not isinstance(h, int) or h < 1:
         raise InvalidParams(f"F_(p^h) needs an integer h >= 1; got h={h!r}")
     if h > 1 and (h * (p.bit_length() - 1) > 20 or p ** h > 1 << 20):

@@ -45,11 +45,7 @@ class RingMatrix:
     def _canonical(cls, ring, data, cols):
         """Matrix of rows of canonical entries (entries of library matrices
         or results of ring operations), which are not coerced again."""
-        return cls._of_tuples(ring, tuple(map(tuple, data)), cols)
-
-    @classmethod
-    def _of_tuples(cls, ring, data, cols):
-        """_canonical for a tuple of row tuples, which is kept as it is."""
+        data = tuple(map(tuple, data))
         M = cls.__new__(cls)
         M.ring, M.rows, M.cols, M.data = ring, len(data), cols, data
         return M
@@ -76,9 +72,8 @@ class RingMatrix:
 
     def submatrix(self, row_idx, col_idx):
         data = self.data
-        return RingMatrix._of_tuples(self.ring, tuple([
-            tuple([data[i][j] for j in col_idx]) for i in row_idx]),
-            len(col_idx))
+        return RingMatrix._canonical(self.ring, [
+            [data[i][j] for j in col_idx] for i in row_idx], len(col_idx))
 
     def residue_rows(self):
         """Projection to the residue field, as lists of field codes."""
@@ -363,7 +358,8 @@ def gamma_span_solve(A, target):
         # membership in the full module span is necessary for membership in
         # the T-span; a cheap reduction settles clear negatives exactly
         return None
-    check_budget("span membership candidates", count, ORACLE_BUDGET)
+    check_budget("span membership candidates", field.q, len(kernel),
+                 ORACLE_BUDGET)
     coset = chain([part], ([field.add(a, b) for a, b in zip(part, kvec)]
                            for kvec in iter_span(field, kernel)))
     return _lifted_solution(A, target, coset)
@@ -440,7 +436,7 @@ def is_gamma_linearly_independent(A):
         return True
     if is_gamma_generator_sequence(A):
         return gamma_dimension(A) == A.rows
-    check_budget("kernel lifts", field.q ** len(kernel), ORACLE_BUDGET)
+    check_budget("kernel lifts", field.q, len(kernel), ORACLE_BUDGET)
     # a nonzero kernel vector lifts to a nonzero T-vector: lift is
     # injective and lift(0) == 0
     return _lifted_solution(A, [ring.zero] * A.cols,

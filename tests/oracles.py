@@ -492,3 +492,14 @@ def galois_product_by_division(ring, a, b):
         for k in range(s):
             rem[d + k] = (rem[d + k] - lead * f[k]) % m
     return tuple(rem)
+
+
+def optimal_cd_bound_by_cases(j, n, k, nu):
+    """The distance-optimal column-distance bound in its two-branch form,
+    N = k - floor(k/nu) nu: (n - ceil(k/nu))(j + 1) + 1 up to j = N, and
+    less (ceil(k/nu) - floor(k/nu))(N + 1) past it."""
+    big, small = -(-k // nu), k // nu
+    N = k - small * nu
+    if j <= N:
+        return (n - big) * (j + 1) + 1
+    return (n - big) * (j + 1) - (big - small) * (N + 1) + 1

@@ -248,15 +248,13 @@ def test_a_transversal_that_does_not_start_with_0_and_1_exits_2(
         "transversal does not start with 0 and 1")
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 13: the budget gate formats |R|^(ell - 1), here 6,245 "
-    "digits, into its message, Python refuses to print an int of more than "
-    "4,300 digits, and the report is a ValueError"))
 def test_search_far_over_budget_reports_budget_exceeded(capsys):
     code, doc = run(capsys, "search", "superregular", "--ell", "3000",
                     "--ring", "z121", "--budget", "10")
     assert code == 2
     assert doc["results"]["error"]["type"] == "BudgetExceeded"
+    # 121^2999 has 6,245 digits, past the 4,300 Python converts
+    assert doc["results"]["error"]["requested"] == "121^2999"
 
 
 @pytest.mark.parametrize("argv", [
@@ -369,6 +367,30 @@ def test_construct_with_a_nu_1_ring_keeps_the_code(capsys, golden):
             docs.append(doc)
         assert docs[0] == docs[1]
         assert docs[0]["results"]["code"]["ring"] == zmod(ring).descriptor()
+
+
+def test_construct_without_a_ring_reports_the_field_code(capsys, golden):
+    # the field encoder, lifted to its own ring, is the code itself
+    z7, z11 = zmod(7), zmod(11)
+    superregular = ("construct", "superregular", "--matrix",
+                    str(golden["t6"]), "--n", "3", "--k", "1", "--L", "1")
+    for argv, code in (
+            (BINOMIAL_731, ConvCode(z7, 3, PolyMatrix(z7, [
+                RingMatrix(z7, [[3, 5, 1]]), RingMatrix(z7, [[1, 5, 3]])]))),
+            (superregular, ConvCode(z11, 3, PolyMatrix(z11, [
+                RingMatrix(z11, [[1, 2, 1]]),
+                RingMatrix(z11, [[1, 3, 4]])])))):
+        exit_code, doc = run(capsys, *argv)
+        assert exit_code == 0
+        assert doc["results"] == {"code": code.to_json(), "n": 3, "k": 1,
+                                  "delta": 1}
+
+
+def test_construct_with_an_empty_ring_is_invalid(capsys):
+    # an empty --ring is a ring name that names nothing, not a missing one
+    code, doc = run(capsys, *BINOMIAL_731, "--ring", "")
+    assert code == 2
+    assert doc["results"]["error"]["type"] == "InvalidParams"
 
 
 def test_construct_lifts_to_a_truncated_ring_of_nu_1(capsys):
@@ -498,6 +520,22 @@ def assert_usage_error_report(capsys, argv):
     assert captured.err.startswith("usage: chaincodes")
 
 
+# the options each construct kind needs, with a value each
+CONSTRUCT_KINDS = {
+    "lift": {"--field-code": "code.json", "--ring": "z121"},
+    "binomial": {"--n": "3", "--k": "1", "--delta": "1", "--p": "7"},
+    "superregular": {"--matrix": "t6.json", "--n": "3", "--k": "1",
+                     "--L": "1"}}
+CONSTRUCT_OPTIONS = {opt: value for options in CONSTRUCT_KINDS.values()
+                     for opt, value in options.items()}
+
+
+def without(options, left_out=None):
+    """The command-line words of `options`, all but `left_out`."""
+    return [word for opt, value in options.items() if opt != left_out
+            for word in (opt, value)]
+
+
 def test_threads_flag_rejected(capsys):
     assert_usage_error_report(capsys, ["--threads", "4", "ring",
                                        "--ring", "z4"])
@@ -516,7 +554,15 @@ def test_threads_flag_rejected(capsys):
      "--k", "1"],
     # there is one row convention, so no --rows
     ["construct", "superregular", "--matrix", "t6.json", "--n", "3",
-     "--k", "1", "--L", "1", "--rows", "example"]])
+     "--k", "1", "--L", "1", "--rows", "example"],
+    # every option a construct kind needs, left out, and every option of
+    # another kind but the optional --ring, given
+    *[["construct", kind, *without(options, opt)]
+      for kind, options in CONSTRUCT_KINDS.items() for opt in options],
+    *[["construct", kind, *without(options), opt, value]
+      for kind, options in CONSTRUCT_KINDS.items()
+      for opt, value in CONSTRUCT_OPTIONS.items()
+      if opt not in options and opt != "--ring"]])
 def test_usage_errors_report_json(capsys, argv):
     assert_usage_error_report(capsys, argv)
 
@@ -823,6 +869,57 @@ def test_a_huge_exponent_in_a_file_exits_2_at_once(tmp_path, golden, where,
         assert float(seconds) < 1
 
 
+P61 = 2 ** 61 - 1  # a prime past the characteristic limit 2^32
+P1279 = 2 ** 1279 - 1  # a prime past the float range
+ONES = "1" * 5000  # a numeral past Python's 4,300 digits
+
+
+@pytest.mark.parametrize("argv", [
+    ["ring", "--ring", f"z{P61}"], ["ring", "--ring", f"gr({P61},1,1)"],
+    ["ring", "--ring", f"tp({P61},1)"], ["ring", "--ring", f"f{P61 ** 2}"],
+    ["ring", "--ring", f"z{P1279}"], ["ring", "--ring", f"f{P1279}"],
+    [*BINOMIAL_731[:-1], str(P61)],
+    ["ring", "--ring", f"tp({ONES},1)"],
+    ["ring", "--ring", f'{{"family": "truncated", "q": {ONES}, "nu": 1}}'],
+    ["blockcode", "params", "--matrix", "huge_entry.json"],
+    # the walks: ell = 1,200, and (L + 1) k0 = 1,201 for delta = 600
+    ["construct", "superregular", "--matrix", "ones.json", "--n", "600",
+     "--k", "1", "--L", "1"],
+    ["check", "mdp", "--code", "spaced.json"]], ids=lambda argv: argv[0])
+def test_a_huge_input_exits_2_at_once(tmp_path, monkeypatch, argv):
+    z5 = zmod(5)
+    matrix = json.dumps(RingMatrix(z5, [[1]]).to_json()).replace(
+        '"entries": [1]', f'"entries": [{ONES}]')
+    assert ONES in matrix
+    (tmp_path / "huge_entry.json").write_text(matrix)
+    (tmp_path / "ones.json").write_text(json.dumps(
+        ToeplitzSpec(z5, [1] * 1200).to_json()))
+    (tmp_path / "spaced.json").write_text(json.dumps(ConvCode(
+        z5, 2, PolyMatrix(z5, [RingMatrix(z5, [[1, 1]])]
+                          + [RingMatrix.zeros(z5, 1, 2)] * 599
+                          + [RingMatrix(z5, [[1, 2]])])).to_json()))
+    monkeypatch.chdir(tmp_path)
+    code, seconds, error = run_python(BOUNDED_RUN, *argv, timeout=20).split()
+    assert (code, error) == ("2", "InvalidParams")
+    assert float(seconds) < 1
+
+
+def test_the_largest_characteristics_are_built(capsys):
+    # 2^32 - 5 is prime; 65537^2 has no factor below 2^16
+    for name, p, r in (("z4294967291", 4294967291, 1),
+                       ("z4295098369", 65537, 2)):
+        code, doc = run(capsys, "ring", "--ring", name)
+        assert code == 0
+        assert (doc["results"]["ring"]["p"], doc["results"]["nu"]) == (p, r)
+
+
+def test_json_that_does_not_parse_keeps_its_error_type(capsys):
+    code, doc = run(capsys, "ring", "--ring",
+                    '{"family": "truncated", "q": 4, "nu": }')
+    assert code == 2
+    assert doc["results"]["error"]["type"] == "JSONDecodeError"
+
+
 RING_BUILDS_NO_TABLE = """
 import contextlib, io
 from chaincodes import cli
@@ -922,6 +1019,40 @@ def test_integer_options_keep_the_exit_contract(capsys, tmp_path):
                 (argv, doc["results"]["error"])
     # none of these commands checks a property, so none exits 1
     assert len(argvs) == 640 and set(exits) == {0, 2}, exits
+
+
+def _huge_option_cases():
+    """(argv, error type) of search lengths past the walk depth limit, 256,
+    with budgets of 1 and 10^400, and of --max-j 10^9."""
+    cases = []
+    for strategy, ell, budget in product(
+            ("exhaustive", "random"), ("300", "995", "3000", str(10 ** 9)),
+            ("1", str(10 ** 400))):
+        # only 5^299 candidates fit a budget, and only 10^400; the depth is
+        # checked after the budget
+        over = strategy == "exhaustive" and (ell, budget) != ("300",
+                                                              str(10 ** 400))
+        cases.append(pytest.param(
+            ["search", "superregular", "--ring", "z5", "--strategy",
+             strategy, "--ell", ell, "--seed", "1", "--budget", budget],
+            "BudgetExceeded" if over else "InvalidParams",
+            id=f"{strategy}-ell={ell}-budget=1e{len(budget) - 1}"))
+    return cases + [
+        pytest.param(["bounds", "--n", "3", "--k", "2", "--delta", "2",
+                      "--nu", "2", "--max-j", str(10 ** 9)],
+                     "InvalidParams", id="bounds-max-j=1e9"),
+        pytest.param(["distances", "--code", "code322", "--max-j",
+                      str(10 ** 9)], "BudgetExceeded",
+                     id="distances-max-j=1e9")]
+
+
+@pytest.mark.parametrize("argv, error", _huge_option_cases())
+def test_huge_integer_options_keep_the_exit_contract(golden, argv, error):
+    # each huge value exits 2 within a second, under a 1 GiB address space
+    argv = [str(golden[w]) if w in golden else w for w in argv]
+    code, seconds, got = run_python(BOUNDED_RUN, *argv, timeout=20).split()
+    assert (code, got) == ("2", error)
+    assert float(seconds) < 1
 
 
 def test_search_with_ell_zero_is_invalid(capsys):

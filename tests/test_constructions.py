@@ -679,3 +679,36 @@ def test_cross_checks_survive_python_O():
     assert got["raised"] is True
     assert got["exit"] == 2
     assert got["error"]["type"] == "CrossCheckFailed"
+
+
+def at_depth(frames, call):
+    """call() from `frames` nested calls down, as a deep caller makes it."""
+    return call() if frames == 0 else at_depth(frames - 1, call)
+
+
+def test_the_superregularity_walk_depth_is_bounded():
+    # the leading minors of a first row that starts with 1 are units, so
+    # the walk takes ell pivots: 256 answer from 256 frames down, under
+    # Python's default recursion limit, and more are refused before any
+    # walk, draw or matrix
+    z5 = zmod(5)
+    assert at_depth(256, lambda: is_gamma_superregular(
+        ToeplitzSpec(z5, [1] * 256), cross_check=False)) is False
+    assert at_depth(256, lambda: search_superregular(
+        256, z5, strategy=RANDOM, seed=1, budget=3)) == []
+    for call in (
+            lambda: is_gamma_superregular(ToeplitzSpec(z5, [1] * 257)),
+            lambda: search_superregular(257, z5, strategy=RANDOM, seed=1,
+                                        budget=1),
+            lambda: search_superregular(10 ** 9, z5, strategy=RANDOM,
+                                        seed=1, budget=1),
+            # 5^299 candidates fit the budget; the depth is checked next
+            lambda: search_superregular(300, z5, budget=10 ** 400),
+            lambda: extract_mdp_blocks(ToeplitzSpec(z5, [1] * 1200), n=600,
+                                       k=1, L=1)):
+        with pytest.raises(InvalidParams, match="walk depth limit 256"):
+            call()
+    # an exhaustive search checks its budget first
+    with pytest.raises(BudgetExceeded) as exc:
+        search_superregular(3000, zmod(121), budget=10)
+    assert exc.value.requested == "121^2999"

@@ -4,7 +4,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 from fractions import Fraction
 from math import ceil, comb
 from pathlib import Path
@@ -13,8 +13,9 @@ from types import SimpleNamespace
 import pytest
 
 from chaincodes import GaloisRing, zmod
-from chaincodes.conv import (DISTANCES, MINORS, ConvCode, DistanceBounds,
-                             PolyMatrix, column_distance,
+from chaincodes.conv import (DISTANCES, MAX_BOUNDS_J, MAX_WALK_DEPTH, MINORS,
+                             ConvCode, DistanceBounds, PolyMatrix,
+                             column_distance,
                              column_distance_bound,
                              distance_bounds, distance_profile,
                              embedding_preserves_L, field_L_index,
@@ -29,14 +30,14 @@ from chaincodes.conv import (DISTANCES, MINORS, ConvCode, DistanceBounds,
 from chaincodes.errors import (BudgetExceeded, CodeLoadError, InvalidParams,
                                NotDelayFree, NotReduced, NuNotDividingK,
                                PreconditionViolated, UnequalRowDegrees,
-                               ZeroRow)
+                               ZeroRow, check_budget)
 from chaincodes.linalg import (RingMatrix, gamma_dimension,
                                is_gamma_generator_sequence,
                                is_gamma_linearly_independent, parameters_of)
 from chaincodes.rings import TruncatedPolyRing, residue_ring
 from oracles import (CountingField, column_distance_oracle,
                      field_rows_independent_by_stacking, message_weights,
-                     minors_condition_oracle,
+                     minors_condition_oracle, optimal_cd_bound_by_cases,
                      polynomial_gamma_basis_by_stacking, socle_message_weights,
                      stacked_independence)
 
@@ -1486,3 +1487,121 @@ def test_delta_of_unreduced_encoder_raises_every_time():
     for _ in range(2):
         with pytest.raises(NotReduced):
             C.delta
+
+
+def test_optimal_cd_bound_is_the_two_branch_formula():
+    # one expression gives the two-branch value on every input it accepts,
+    # and for nu | k the bound of the parameters (k/nu, 0, ..., 0)
+    accepted = 0
+    for n, k, nu, j in product(range(1, 12), range(1, 12), range(1, 5),
+                               range(9)):
+        try:
+            bound = optimal_cd_bound(j, n, k, nu)
+        except (InvalidParams, NuNotDividingK):
+            continue
+        accepted += 1
+        assert bound == optimal_cd_bound_by_cases(j, n, k, nu), (j, n, k, nu)
+        if k % nu == 0:
+            assert bound == column_distance_bound(
+                j, n, (k // nu,) + (0,) * (nu - 1), k), (j, n, k, nu)
+    assert accepted == 1675
+    # ceil(k / nu) is exact past 2^53: n - k + 1 at j = 0
+    big = 10 ** 17 + 1
+    assert optimal_cd_bound(0, 2 * big, big, 1) == big + 1
+    assert optimal_cd_bound(1, 2 * big, 2 * big, 2) == 2 * big + 1
+    with pytest.raises(InvalidParams):
+        optimal_cd_bound(0, big - 1, big, 1)
+
+
+def spaced_code(delta):
+    """The (2, 1) Z5 code of G_0 = (1, 1) and G_delta = (1, 2), with zero
+    coefficients between them: L = 2 delta."""
+    z5 = zmod(5)
+    return ConvCode(z5, 2, PM(z5, [[[1, 1]]] + [[[0, 0]]] * (delta - 1)
+                              + [[[1, 2]]]))
+
+
+def at_depth(frames, call):
+    """call() from `frames` nested calls down, as a deep caller makes it."""
+    return call() if frames == 0 else at_depth(frames - 1, call)
+
+
+def test_the_minors_walk_depth_is_bounded():
+    # (L + 1) k0 = 255 is walked, from 256 frames down, under Python's
+    # default recursion limit; 1,201 is refused before any row is built
+    C = spaced_code(127)
+    assert (L_index(2, 1, 127, 1) + 1) * 1 == 255 <= MAX_WALK_DEPTH
+    assert at_depth(256, lambda: is_mdp(C, MINORS)) in (True, False)
+    with pytest.raises(InvalidParams, match="walk depth limit 256"):
+        is_mdp(spaced_code(600), MINORS)
+
+
+def test_distance_bounds_are_listed_up_to_a_limit():
+    b = distance_bounds(3, 2, 2, 2, max_j=MAX_BOUNDS_J)
+    assert len(b.per_j) == MAX_BOUNDS_J + 1
+    for max_j, delta in ((MAX_BOUNDS_J + 1, 2), (10 ** 9, 2),
+                         (None, 10 ** 30)):
+        with pytest.raises(InvalidParams, match="bounds are listed up to"):
+            distance_bounds(3, 2, delta, 2, max_j=max_j)
+
+
+# column_distance of j = 10^9 under a 1 GiB address-space limit: the budget
+# gate compares bit lengths, so no power of 5 that wide is built
+FAR_PAST_THE_BUDGET = """
+import json, resource, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from chaincodes import zmod
+from chaincodes.conv import ConvCode, PolyMatrix, column_distance
+from chaincodes.errors import BudgetExceeded
+from chaincodes.linalg import RingMatrix
+z5 = zmod(5)
+C = ConvCode(z5, 2, PolyMatrix(z5, [RingMatrix(z5, [[1, 1]]),
+                                    RingMatrix(z5, [[1, 2]])]))
+start = time.monotonic()
+try:
+    column_distance(C, 10 ** 9)
+except BudgetExceeded as exc:
+    print(json.dumps({"requested": exc.requested, "message": str(exc),
+                      "seconds": time.monotonic() - start}))
+"""
+
+
+def test_column_distance_far_past_the_budget_raises_at_once():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = json.loads(subprocess.run(
+        [sys.executable, "-c", FAR_PAST_THE_BUDGET], capture_output=True,
+        text=True, env=env, check=True, timeout=20).stdout)
+    # (q^k - 1) q^(jk) with q = 5, k = 1, j = 10^9
+    assert out["requested"] == "5^1000000001 - 5^1000000000"
+    assert out["message"] == (
+        "5^1000000001 - 5^1000000000 weight evaluations for column distance "
+        "j=1000000000 exceed the budget 10000000")
+    assert out["seconds"] < 1
+
+
+def test_the_budget_gate_writes_every_amount_python_can_print():
+    # an amount of up to WRITTEN_BITS bits is reported as the int, a wider
+    # one as the exact text base^exponent, whether bit lengths or the built
+    # int decide it
+    def requested(*args, **kwargs):
+        with pytest.raises(BudgetExceeded) as exc:
+            check_budget("things", *args, **kwargs)
+        error = exc.value
+        assert str(error) == (f"{error.requested} things exceed the budget "
+                              f"{error.allowed}")
+        return error.requested
+
+    assert requested(3, 2, 0) == 9
+    assert requested(11, 3, 10, minus=2) == 11 ** 3 - 11 ** 2
+    assert requested(2, 13000, 2 ** 13000 - 1) == 2 ** 13000
+    check_budget("things", 2, 13000, 2 ** 13000)
+    check_budget("things", 2, 14100, 10 ** 4299)  # 2^14100 < 10^4245
+    check_budget("things", 1, 10 ** 9, 1)
+    check_budget("things", 0, 10 ** 9, 0)
+    assert requested(3, 13000, 10 ** 4000) == "3^13000"  # 20,605 bits
+    assert requested(121, 2999, 10) == "121^2999"
+    assert requested(5, 10 ** 9 + 1, 10, minus=10 ** 9) == \
+        "5^1000000001 - 5^1000000000"

@@ -4,7 +4,8 @@ from itertools import product
 import pytest
 
 from chaincodes.errors import InvalidParams
-from chaincodes.fields import ExtField, get_field, is_irreducible
+from chaincodes.fields import (ExtField, factorize, get_field, is_irreducible,
+                              prime_power_split)
 from oracles import clear_column_by_row_update, zech_tables_by_polynomials
 
 # (p, h, modulus); the last two have no primitive z + c, so their generator
@@ -146,3 +147,28 @@ def test_walk_ops_are_the_plain_ops_in_walk_codes(p, h):
             wx, wy = F.walk_codes([x, y])
             assert F.walk_ratio(wx, wy) == \
                 F.walk_codes([F.mul(y, F.inv(x))])[0]
+
+
+def test_characteristics_are_bounded_before_trial_division():
+    # trial division stops by 2^16, so a prime of 2^32 or more is refused;
+    # a power of a prime below 2^32 is still split, through its root when
+    # no factor below 2^16 divides it
+    assert prime_power_split(4294967291) == (4294967291, 1)  # < 2^32
+    assert prime_power_split(65537 ** 2) == (65537, 2)
+    assert prime_power_split(4294967291 ** 7) == (4294967291, 7)
+    assert prime_power_split(2 ** 255) == (2, 255)
+    assert prime_power_split(3 ** 4000) == (3, 4000)
+    # 2^1279 - 1 is prime: a float root of it, taken at e = 1, overflows
+    for n in (2 ** 61 - 1, 4294967311, 65537 * 65539, (2 ** 61 - 1) ** 2,
+              3 * 2 ** 40, 2 ** 1279 - 1, 10 ** 4299 + 1):
+        with pytest.raises(InvalidParams, match=r"not a power of a prime "
+                                                r"below 2\^32"):
+            prime_power_split(n)
+    for n in (-4, 0, 1, 6, 6 ** 40, 65535 ** 3):
+        with pytest.raises(InvalidParams, match="is not a prime power"):
+            prime_power_split(n)
+    with pytest.raises(InvalidParams, match=r"numbers below 2\^32"):
+        get_field(2 ** 61 - 1)
+    with pytest.raises(InvalidParams, match=r"numbers below 2\^32"):
+        factorize(2 ** 32)
+    assert factorize(2 ** 32 - 1) == [3, 5, 17, 257, 65537]

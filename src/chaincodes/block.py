@@ -8,8 +8,6 @@ still counts all q^k messages) and Singleton bound the j = 0 column bound.
 
 from __future__ import annotations
 
-from math import ceil
-
 from .conv import (DEFAULT_DISTANCE_BUDGET, ConvCode, PolyMatrix,
                    column_distance, optimal_cd_bound)
 from .errors import InvalidParams, check_budget
@@ -76,7 +74,7 @@ def nu_optimal_sets(k, nu):
         raise InvalidParams(f"bad k={k}, nu={nu}")
     if k == 0:
         return [(0,) * nu]
-    target_total = ceil(k / nu)
+    target_total = -(-k // nu)
     out = []
 
     def rec(prefix, remaining_weight, remaining_total):

@@ -101,10 +101,6 @@ def load_code(path):
     return ConvCode.from_json(load_code_json(path))
 
 
-def load_matrix(path):
-    return RingMatrix.from_json(load_json(path))
-
-
 def load_toeplitz(path):
     """The Toeplitz matrix of a file holding its first row or the matrix."""
     obj = load_json(path)
@@ -121,29 +117,12 @@ def load_toeplitz(path):
     return spec
 
 
-class Report:
-    def __init__(self, argv):
-        self.started = time.monotonic()
-        self.doc = {"schema": SCHEMA, "version": __version__,
-                    "command": argv, "results": {}, "warnings": []}
-
-    def warn(self, msg):
-        self.doc["warnings"].append(msg)
-
-    def emit(self, exit_code):
-        self.doc["timing_seconds"] = round(
-            time.monotonic() - self.started, 3)
-        json.dump(self.doc, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-        return exit_code
-
-
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each fills in the report's results and warnings
+# and returns the exit code
 
-def cmd_ring(args, report):
+def cmd_ring(args, res, warnings):
     ring = parse_ring(args.ring)
-    res = report.doc["results"]
     res["ring"] = ring.descriptor()
     res["nu"] = ring.nu
     res["q"] = ring.q
@@ -155,8 +134,7 @@ def cmd_ring(args, report):
     return EXIT_HOLDS
 
 
-def cmd_check(args, report):
-    res = report.doc["results"]
+def cmd_check(args, res, warnings):
     if args.property == "gamma-basis":
         _, _, encoder = read_code(load_code_json(args.code))
         verdict = is_polynomial_gamma_basis(encoder)
@@ -184,15 +162,14 @@ def cmd_check(args, report):
     return EXIT_HOLDS if verdict else EXIT_FAILS
 
 
-def cmd_construct(args, report):
-    res = report.doc["results"]
+def cmd_construct(args, res, warnings):
     if args.kind == "lift":
-        encoder = load_code(args.field_code).encoder
+        # read, not built: over a field the lift's own refusals, of nu > 1
+        # and of an encoder that is not reduced, cover a code's validation
+        _, _, encoder = read_code(load_code_json(args.field_code))
     elif args.kind == "binomial":
-        encoder, warnings = binomial_encoder(args.n, args.k, args.delta,
-                                             args.p)
-        for w in warnings:
-            report.warn(w)
+        encoder, found = binomial_encoder(args.n, args.k, args.delta, args.p)
+        warnings.extend(found)
     else:
         spec = load_toeplitz(args.matrix)
         if spec.ring.nu != 1:
@@ -208,8 +185,7 @@ def cmd_construct(args, report):
     return EXIT_HOLDS
 
 
-def cmd_distances(args, report):
-    res = report.doc["results"]
+def cmd_distances(args, res, warnings):
     code = load_code(args.code)
     ring = code.ring
     n, k = code.n, code.k
@@ -220,16 +196,15 @@ def cmd_distances(args, report):
                                           for j in range(args.max_j + 1)]
         res["saturated"] = [d == b for d, b in zip(profile, bounds)]
     except NuNotDividingK as exc:
-        report.warn(str(exc))
+        warnings.append(str(exc))
     try:
         res["L"] = L_index(n, k, code.delta, ring.nu)
     except (NuNotDividingK, InvalidParams) as exc:
-        report.warn(str(exc))
+        warnings.append(str(exc))
     return EXIT_HOLDS
 
 
-def cmd_bounds(args, report):
-    res = report.doc["results"]
+def cmd_bounds(args, res, warnings):
     b = distance_bounds(args.n, args.k, args.delta, args.nu,
                         max_j=args.max_j)
     res["L"] = b.L
@@ -244,9 +219,8 @@ def cmd_bounds(args, report):
     return EXIT_HOLDS
 
 
-def cmd_blockcode(args, report):
-    res = report.doc["results"]
-    A = load_matrix(args.matrix)
+def cmd_blockcode(args, res, warnings):
+    A = RingMatrix.from_json(load_json(args.matrix))
     if args.what == "shape":
         res["shape"] = list(shape_of(A))
     elif args.what == "params":
@@ -271,8 +245,7 @@ def cmd_blockcode(args, report):
     return EXIT_HOLDS
 
 
-def cmd_search(args, report):
-    res = report.doc["results"]
+def cmd_search(args, res, warnings):
     ring = parse_ring(args.ring)
     hits = search_superregular(args.ell, ring, strategy=args.strategy,
                                seed=args.seed, budget=args.budget,
@@ -280,8 +253,8 @@ def cmd_search(args, report):
     res["count"] = len(hits)
     res["hits"] = [h.to_json() for h in hits[:args.max_hits]]
     if len(hits) > args.max_hits:
-        report.warn(f"only the first {args.max_hits} of {len(hits)} "
-                    f"hits are listed")
+        warnings.append(f"only the first {args.max_hits} of {len(hits)} "
+                        f"hits are listed")
     # re-verify the first hit with cross-checked determinant paths
     if hits:
         check = is_reverse_gamma_superregular if args.reverse \
@@ -397,18 +370,22 @@ def build_parser():
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    report = Report(argv)
+    started = time.monotonic()
+    doc = {"schema": SCHEMA, "version": __version__, "command": argv,
+           "results": {}, "warnings": []}
     try:
         args = build_parser().parse_args(argv)
-        code = args.func(args, report)
+        exit_code = args.func(args, doc["results"], doc["warnings"])
     except (ChainCodesError, AssertionError, OSError, ValueError) as exc:
         error = {"type": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, BudgetExceeded):
             error["requested"] = exc.requested
             error["allowed"] = exc.allowed
-        report.doc["results"]["error"] = error
-        return report.emit(EXIT_INVALID)
-    return report.emit(code)
+        doc["results"]["error"] = error
+        exit_code = EXIT_INVALID
+    doc["timing_seconds"] = round(time.monotonic() - started, 3)
+    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    return exit_code
 
 
 if __name__ == "__main__":

@@ -298,7 +298,7 @@ def search_superregular(ell, ring, strategy=EXHAUSTIVE, seed=None,
     with a_1 normalized to 1 (unit scaling preserves superregularity).
     The candidate tails (a_2, ..., a_ell) are all of them in lexicographic
     order (EXHAUSTIVE) or the distinct ones among `budget` seeded draws,
-    in draw order (RANDOM)."""
+    in draw order, drawn until every tail has been seen (RANDOM)."""
     if ell < 1:
         raise InvalidParams(f"search needs ell >= 1; got ell={ell}")
     if strategy == EXHAUSTIVE:
@@ -319,9 +319,17 @@ def search_superregular(ell, ring, strategy=EXHAUSTIVE, seed=None,
         powers = [m ** e for e in reversed(range(width))]
         element = (lambda i: (i,)) if width == 1 else \
             (lambda i: tuple([i // w % m for w in powers]))
-        draws = (tuple([element(rng.randrange(size)) for _ in range(ell - 1)])
-                 for _ in range(budget))
-        tails = dict.fromkeys(draws)  # distinct, in draw order
+        # once all |R|^(ell-1) tails are drawn a draw can only repeat one;
+        # that count is built only when its bit length (as in check_budget)
+        # does not put it past the budget, which no draw count reaches
+        every = size ** (ell - 1) if (ell - 1) * (size.bit_length() - 1) \
+            <= budget.bit_length() else None
+        tails = {}  # distinct, in draw order
+        for _ in range(budget):
+            if len(tails) == every:
+                break
+            tails[tuple([element(rng.randrange(size))
+                         for _ in range(ell - 1)])] = None
     else:
         raise InvalidParams(f"unknown strategy {strategy!r}")
     check = is_reverse_gamma_superregular if reverse \

@@ -43,14 +43,15 @@ class PolyMatrix:
         if any(k not in (None, c.rows) or n not in (None, c.cols)
                for c in coeffs):
             raise ValueError(f"k={k}, n={n} disagree with the coefficients")
-        if any(c.ring != ring for c in coeffs):  # zero ones too
+        # every coefficient, zero ones too, before the trailing ones go
+        first = coeffs[0] if coeffs else None
+        if any(c.ring != ring or c.rows != first.rows or c.cols != first.cols
+               for c in coeffs):
             raise ValueError("coefficient matrices disagree")
         while coeffs and coeffs[-1].is_zero():
             coeffs.pop()
         if coeffs:
-            k, n = coeffs[0].rows, coeffs[0].cols
-            if any(c.rows != k or c.cols != n for c in coeffs):
-                raise ValueError("coefficient matrices disagree")
+            k, n = first.rows, first.cols
         elif k is None or n is None:
             raise ValueError("zero polynomial matrix needs explicit k, n")
         self.ring = ring

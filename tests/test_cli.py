@@ -354,6 +354,25 @@ def test_construct_lift_refuses_a_code_over_a_ring_with_nu_above_1(
         "message": "lift input must live over a nu=1 ring"}
 
 
+@pytest.mark.parametrize("ring, coeffs, error", [
+    (7, [[[1, 2], [2, 4]]], "NotReduced"),  # dependent rows
+    (7, [[[1, 2], [0, 0]]], "ZeroRow"),
+    (9, [[[1, 2], [2, 4]]], "InvalidParams"),  # nu = 2, and no gamma-basis
+    (7, [[[1, 2]], [[0], [0], [0]]], "CodeLoadError")])
+def test_construct_lift_refuses_each_field_code_that_is_no_code(
+        capsys, tmp_path, ring, coeffs, error):
+    # the field code is read, not built: the lift refuses what building it
+    # refused, with exit 2
+    zr = zmod(ring)
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({"ring": zr.descriptor(), "n": 2, "encoder": {
+        "coeffs": [RingMatrix(zr, c).to_json() for c in coeffs]}}))
+    code, doc = run(capsys, "construct", "lift", "--field-code", str(path),
+                    "--ring", "z49")
+    assert code == 2
+    assert doc["results"]["error"]["type"] == error
+
+
 def test_construct_with_a_nu_1_ring_keeps_the_code(capsys, golden):
     # a --ring of nu = 1 lifts too, and the lift is the code itself
     superregular = ("construct", "superregular", "--matrix",
@@ -402,7 +421,8 @@ def test_construct_lifts_to_a_truncated_ring_of_nu_1(capsys):
 
 
 def test_construct_validates_one_code(capsys, golden, monkeypatch):
-    # the lift is the only code built: no field code is built and dropped
+    # for each kind the lift is the only code built: no field code is
+    # built and dropped
     from chaincodes import conv
     calls = []
     real = conv._is_gamma_basis
@@ -412,11 +432,16 @@ def test_construct_validates_one_code(capsys, golden, monkeypatch):
         return real(G, pivots)
 
     monkeypatch.setattr(conv, "_is_gamma_basis", counting)
-    code, doc = run(capsys, "construct", "superregular", "--matrix",
-                    str(golden["t6"]), "--n", "3", "--k", "1", "--L", "1",
-                    "--ring", "z121")
-    assert code == 0
-    assert calls == [zmod(121)]
+    monkeypatch.chdir(golden["dir"])
+    (golden["dir"] / "code.json").write_text(golden["field311"].read_text())
+    (golden["dir"] / "t6.json").write_text(golden["t6"].read_text())
+    for kind, ring in (("lift", 121), ("binomial", 49),
+                       ("superregular", 121)):
+        calls.clear()
+        code, doc = run(capsys, "construct", kind, *without(
+            {**CONSTRUCT_KINDS[kind], "--ring": f"z{ring}"}))
+        assert code == 0
+        assert calls == [zmod(ring)], kind
 
 
 def test_distances_report(capsys, golden):
@@ -507,6 +532,19 @@ def test_search_random_deterministic(capsys):
     _, doc2 = run(capsys, *args)
     assert doc1["results"]["hits"] == doc2["results"]["hits"]
     assert doc1["results"]["count"] == 36
+
+
+def test_random_search_stops_once_every_tail_is_drawn(capsys):
+    # Z5 has 25 tails for ell = 3, so 10^11 draws stop once all 25 are
+    # seen, and the report is that of 10^4 draws
+    argv = ["search", "superregular", "--ell", "3", "--ring", "z5",
+            "--strategy", "random", "--seed", "1", "--budget"]
+    code, seconds, error = run_python(BOUNDED_RUN, *argv, str(10 ** 11),
+                                      timeout=20).split()
+    assert (code, error) == ("0", "None")
+    assert float(seconds) < 1
+    assert run(capsys, *argv, str(10 ** 11))[1]["results"] == \
+        run(capsys, *argv, "10000")[1]["results"]
 
 
 def assert_usage_error_report(capsys, argv):
@@ -816,7 +854,7 @@ def run_python(source, *args, timeout=None):
 
 
 # one CLI run under a 1 GiB address-space limit, which reports its exit
-# code, its own time and its error type
+# code, its own time and its error type (None when it succeeds)
 BOUNDED_RUN = """
 import contextlib, io, json, resource, sys, time
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
@@ -824,7 +862,7 @@ from chaincodes import cli
 out, start = io.StringIO(), time.monotonic()
 with contextlib.redirect_stdout(out):
     code = cli.main(sys.argv[1:])
-error = json.loads(out.getvalue())["results"]["error"]["type"]
+error = json.loads(out.getvalue())["results"].get("error", {}).get("type")
 print(code, time.monotonic() - start, error)
 """
 

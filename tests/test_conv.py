@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 from chaincodes import GaloisRing, zmod
+from chaincodes.cli import main
 from chaincodes.conv import (DISTANCES, MAX_BOUNDS_J, MAX_WALK_DEPTH, MINORS,
                              ConvCode, DistanceBounds, PolyMatrix,
                              column_distance,
@@ -80,7 +81,8 @@ def test_polymatrix_trims_and_degrees(z4):
         Z.row_degrees()
 
 
-def test_polymatrix_refuses_an_explicit_shape_its_coefficients_lack(z4):
+def test_polymatrix_refuses_an_explicit_shape_its_coefficients_lack(
+        z4, capsys, tmp_path):
     A = M(z4, [[1, 1]])
     for k, n in ((2, None), (None, 3), (5, 2), (1, 9)):
         with pytest.raises(ValueError, match=f"k={k}, n={n}"):
@@ -97,6 +99,17 @@ def test_polymatrix_refuses_an_explicit_shape_its_coefficients_lack(z4):
     for coeffs in ([A, M(z4, [[1], [1]])], [A, M(zmod(8), [[1, 1]])]):
         with pytest.raises(ValueError, match="matrices disagree"):
             PolyMatrix(z4, coeffs)
+    # a trailing zero block of another shape too, as a call and in a code
+    # file, which `check mdp` used to decide as the 1 x 2 code alone
+    trailing = [A, RingMatrix.zeros(z4, 3, 1)]
+    with pytest.raises(ValueError, match="matrices disagree"):
+        PolyMatrix(z4, trailing)
+    path = tmp_path / "trailing.json"
+    path.write_text(json.dumps({"ring": z4.descriptor(), "n": 2, "encoder": {
+        "coeffs": [c.to_json() for c in trailing]}}))
+    assert main(["check", "mdp", "--code", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)["results"]["error"] == {
+        "type": "CodeLoadError", "message": "coefficient matrices disagree"}
     with pytest.raises(ValueError, match="needs explicit k, n"):
         PolyMatrix(z4, [M(z4, [[0, 0]])])
     # a coefficient over another ring, zero ones too, before the trailing

@@ -121,6 +121,18 @@ def test_only_the_budget_gate_raises_budget_exceeded():
     assert made == ["errors.py"]
 
 
+def test_only_cli_main_writes_standard_output():
+    # standard output is exactly one JSON report, so one statement in
+    # cli.main writes it: no other function names sys.stdout or prints
+    found = [(path.name, getattr(top, "name", None))
+             for path, tree in _parsed() for top in tree.body
+             for node in ast.walk(top)
+             if isinstance(node, ast.Attribute) and node.attr == "stdout"
+             or isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "print"]
+    assert found == [("cli.py", "main")]
+
+
 def test_the_ring_descriptor_format_lives_in_rings_py():
     # the descriptor keys are spelled only in rings.py: each ring class
     # names its family and its constructor's arguments, make_ring reads
